@@ -56,6 +56,11 @@
 // stay byte-identical under any schedule; only availability and
 // latency degrade. For testing fleets, not production.
 //
+// Before listening, the daemon builds every application at quick scale,
+// grouped variants included (a few milliseconds), so no request pays for
+// a kernel build; medium and full instances are built on first use and
+// kept for the life of the process.
+//
 // SIGTERM/SIGINT starts a graceful drain: listeners close immediately,
 // in-flight simulations run to completion until -drain expires, then
 // their contexts are canceled and the event loops unwind cooperatively
@@ -77,6 +82,8 @@ import (
 	"syscall"
 	"time"
 
+	"mtsim/internal/app"
+	"mtsim/internal/apps"
 	"mtsim/internal/cluster"
 	"mtsim/internal/serve"
 )
@@ -267,6 +274,17 @@ func main() {
 		log.Printf("mtsimd: cluster node %s joined a %d-node fleet (%d replicas per job)",
 			node.Self(), len(peerList), node.Replicas())
 	}
+
+	// Applications are built once per process (apps.New); build the
+	// default scale's set and grouped variants before listening, so no
+	// request pays for a kernel build.
+	start, names := time.Now(), apps.AllNames()
+	for _, name := range names {
+		if _, _, err := apps.MustNew(name, app.Quick).Grouped(); err != nil {
+			log.Fatalf("mtsimd: %v", err)
+		}
+	}
+	log.Printf("mtsimd: built %d applications at quick scale in %s", len(names), time.Since(start).Round(time.Millisecond))
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()

@@ -61,6 +61,13 @@ func ParseScale(name string) (Scale, error) {
 }
 
 // App is one benchmark application instance at a fixed problem size.
+//
+// An App is immutable once built and safe for concurrent use: runs only
+// read its programs and call Init and Check on their own machine's
+// memory, and the grouped variant is built once under a sync.Once.
+// apps.New relies on that to hand one shared instance per application
+// and scale to every caller in the process, so no caller may assign to
+// its fields or alter its programs.
 type App struct {
 	// Name is the paper's application name (sieve, blkmat, ...).
 	Name string

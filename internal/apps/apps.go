@@ -6,6 +6,7 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"mtsim/internal/app"
 	"mtsim/internal/apps/blkmat"
@@ -40,58 +41,79 @@ func AllNames() []string {
 	return append(Names(), IrregularNames()...)
 }
 
-// tableProcs is the processor count at which each application's
-// paper-style table rows are measured at each scale — as in the paper,
-// chosen just before the fixed problem size runs out of parallelism. The
-// water entries divide the molecule count evenly (49, 125, 343), which
-// its static load balancing rewards (§3.2).
-var tableProcs = map[string][3]int{
-	"sieve":    {8, 16, 16},
-	"blkmat":   {6, 16, 16},
-	"sor":      {4, 8, 16},
-	"ugray":    {8, 16, 16},
-	"water":    {7, 7, 49},
-	"locus":    {8, 16, 16},
-	"mp3d":     {8, 16, 32},
-	"gather":   {8, 16, 16},
-	"hashjoin": {8, 16, 16},
-	"spmv":     {8, 16, 16},
+// kind is one registered application: its constructor, the processor
+// count at which its paper-style table rows are measured at each scale
+// — as in the paper, chosen just before the fixed problem size runs out
+// of parallelism; the water entries divide the molecule count evenly
+// (49, 125, 343), which its static load balancing rewards (§3.2) — and
+// the one shared instance per scale that New hands out.
+type kind struct {
+	build      func(app.Scale) *app.App
+	tableProcs [3]int
+	shared     [3]struct {
+		once sync.Once
+		app  *app.App
+	}
 }
 
-// New builds one application by name at the given scale.
+// kinds is the registry New resolves names against.
+var kinds = map[string]*kind{
+	"sieve":    {build: func(s app.Scale) *app.App { return sieve.New(sieve.ParamsFor(s)) }, tableProcs: [3]int{8, 16, 16}},
+	"blkmat":   {build: func(s app.Scale) *app.App { return blkmat.New(blkmat.ParamsFor(s)) }, tableProcs: [3]int{6, 16, 16}},
+	"sor":      {build: func(s app.Scale) *app.App { return sor.New(sor.ParamsFor(s)) }, tableProcs: [3]int{4, 8, 16}},
+	"ugray":    {build: func(s app.Scale) *app.App { return ugray.New(ugray.ParamsFor(s)) }, tableProcs: [3]int{8, 16, 16}},
+	"water":    {build: func(s app.Scale) *app.App { return water.New(water.ParamsFor(s)) }, tableProcs: [3]int{7, 7, 49}},
+	"locus":    {build: func(s app.Scale) *app.App { return locus.New(locus.ParamsFor(s)) }, tableProcs: [3]int{8, 16, 16}},
+	"mp3d":     {build: func(s app.Scale) *app.App { return mp3d.New(mp3d.ParamsFor(s)) }, tableProcs: [3]int{8, 16, 32}},
+	"gather":   {build: func(s app.Scale) *app.App { return gather.New(gather.ParamsFor(s)) }, tableProcs: [3]int{8, 16, 16}},
+	"hashjoin": {build: func(s app.Scale) *app.App { return hashjoin.New(hashjoin.ParamsFor(s)) }, tableProcs: [3]int{8, 16, 16}},
+	"spmv":     {build: func(s app.Scale) *app.App { return spmv.New(spmv.ParamsFor(s)) }, tableProcs: [3]int{8, 16, 16}},
+}
+
+// New returns the application name at scale s. Each (name, scale) pair
+// is built once per process — kernel generation, host reference
+// computation and all — and every later call returns that same
+// instance, so a caller on a hot path (a server validating each
+// request) pays a map lookup, not a kernel build. Concurrent first
+// callers wait on one build. The grouped variant is built lazily on the
+// instance, hence also at most once per process.
+//
+// The returned *app.App is shared: callers must treat it and its
+// programs as read-only (see app.App).
 func New(name string, s app.Scale) (*app.App, error) {
-	var a *app.App
-	switch name {
-	case "sieve":
-		a = sieve.New(sieve.ParamsFor(s))
-	case "blkmat":
-		a = blkmat.New(blkmat.ParamsFor(s))
-	case "sor":
-		a = sor.New(sor.ParamsFor(s))
-	case "ugray":
-		a = ugray.New(ugray.ParamsFor(s))
-	case "water":
-		a = water.New(water.ParamsFor(s))
-	case "locus":
-		a = locus.New(locus.ParamsFor(s))
-	case "mp3d":
-		a = mp3d.New(mp3d.ParamsFor(s))
-	case "gather":
-		a = gather.New(gather.ParamsFor(s))
-	case "hashjoin":
-		a = hashjoin.New(hashjoin.ParamsFor(s))
-	case "spmv":
-		a = spmv.New(spmv.ParamsFor(s))
-	default:
+	k, ok := kinds[name]
+	if !ok {
 		return nil, fmt.Errorf("apps: unknown application %q (have %v)", name, AllNames())
 	}
-	if tp, ok := tableProcs[name]; ok {
-		a.TableProcs = tp[s]
+	if s < app.Quick || s > app.Full {
+		return nil, fmt.Errorf("apps: unknown scale %v", s)
+	}
+	a := k.instance(s)
+	if a == nil {
+		// The first build panicked; it is not retried.
+		return nil, fmt.Errorf("apps: building %s at %s scale failed", name, s)
 	}
 	return a, nil
 }
 
-// MustNew is New that panics on an unknown name.
+// instance returns the shared instance at scale s, building it on first
+// use. It is nil after a build that panicked.
+func (k *kind) instance(s app.Scale) *app.App {
+	sh := &k.shared[s]
+	sh.once.Do(func() { sh.app = k.fresh(s) })
+	return sh.app
+}
+
+// fresh builds a new, unshared instance at scale s. Only instance
+// calls it; tests use it to compare a shared instance with a pristine
+// one.
+func (k *kind) fresh(s app.Scale) *app.App {
+	a := k.build(s)
+	a.TableProcs = k.tableProcs[s]
+	return a
+}
+
+// MustNew is New that panics on an unknown name or scale.
 func MustNew(name string, s app.Scale) *app.App {
 	a, err := New(name, s)
 	if err != nil {
@@ -100,12 +122,14 @@ func MustNew(name string, s app.Scale) *app.App {
 	return a
 }
 
-// All builds the paper's benchmark set at the given scale.
+// All returns the paper's benchmark set at the given scale (shared
+// instances, see New).
 func All(s app.Scale) []*app.App {
 	return build(Names(), s)
 }
 
-// AllIrregular builds the irregular kernel set at the given scale.
+// AllIrregular returns the irregular kernel set at the given scale
+// (shared instances, see New).
 func AllIrregular(s app.Scale) []*app.App {
 	return build(IrregularNames(), s)
 }

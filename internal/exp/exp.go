@@ -61,8 +61,6 @@ type Options struct {
 	// net.TopologyNames entry, constant first.
 	Topologies []string
 
-	appSet    []*app.App
-	kernelSet []*app.App
 	// ctx bounds every simulation and render issued through these
 	// options (WithContext); nil means context.Background().
 	ctx context.Context
@@ -324,8 +322,6 @@ func (o *Options) forEach(n int, f func(i int) error) error {
 // session's singleflight memo returns identical results regardless of
 // which experiment simulates a configuration first.
 func Rendered(o *Options, exps []*Experiment) ([]string, []time.Duration, error) {
-	o.Apps()              // build the app set once, before any worker can race on it
-	_, _ = o.KernelApps() // same for the kernel set; bad names resurface in the render
 	outs := make([]string, len(exps))
 	times := make([]time.Duration, len(exps))
 	err := o.forEach(len(exps), func(i int) error {
@@ -343,29 +339,24 @@ func Rendered(o *Options, exps []*Experiment) ([]string, []time.Duration, error)
 	return outs, times, err
 }
 
-// Apps returns the benchmark set, built once.
+// Apps returns the benchmark set at the options scale (the process-wide
+// shared instances, see apps.New).
 func (o *Options) Apps() []*app.App {
-	if o.appSet == nil {
-		o.appSet = apps.All(o.Scale)
-	}
-	return o.appSet
+	return apps.All(o.Scale)
 }
 
-// KernelApps returns the topology ablation's kernel set, built once
-// from the Kernels names at the options scale.
+// KernelApps returns the topology ablation's kernel set: the Kernels
+// names at the options scale.
 func (o *Options) KernelApps() ([]*app.App, error) {
-	if o.kernelSet == nil {
-		set := make([]*app.App, 0, len(o.Kernels))
-		for _, n := range o.Kernels {
-			a, err := apps.New(n, o.Scale)
-			if err != nil {
-				return nil, err
-			}
-			set = append(set, a)
+	set := make([]*app.App, 0, len(o.Kernels))
+	for _, n := range o.Kernels {
+		a, err := apps.New(n, o.Scale)
+		if err != nil {
+			return nil, err
 		}
-		o.kernelSet = set
+		set = append(set, a)
 	}
-	return o.kernelSet, nil
+	return set, nil
 }
 
 // App returns one application from the set by name.

@@ -375,3 +375,32 @@ func TestSessionReuseAcrossRequests(t *testing.T) {
 		t.Errorf("MemoHits = %d, want >= 1", sess.MemoHits())
 	}
 }
+
+// TestRequestsShareAppInstances checks that request validation resolves
+// applications to the process-wide shared instances instead of
+// building a kernel per request, on the sync and the batch path alike.
+func TestRequestsShareAppInstances(t *testing.T) {
+	s := New(Config{})
+	want := apps.MustNew("water", app.Quick)
+	for i := 0; i < 2; i++ {
+		_, a, _, err := s.validateRun(&RunRequest{App: "water", Config: ConfigRequest{Model: "switch-on-load"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != want {
+			t.Fatalf("run %d: validateRun built its own water instance", i)
+		}
+	}
+	_, jobs, err := s.parseBatch(&BatchRequest{Jobs: []BatchJob{
+		{App: "water", Config: ConfigRequest{Model: "switch-on-load"}},
+		{App: "water", Config: ConfigRequest{Model: "explicit-switch"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		if j.App != want {
+			t.Errorf("batch job %d: parseBatch built its own water instance", i)
+		}
+	}
+}

@@ -258,13 +258,16 @@ func IrregularAppNames() []string { return apps.IrregularNames() }
 // the irregular kernels.
 func AllAppNames() []string { return apps.AllNames() }
 
-// NewApp builds one benchmark application at a scale.
+// NewApp returns one benchmark application at a scale. Each application
+// is built once per process and shared by every caller, so the result
+// must be treated as read-only.
 func NewApp(name string, s Scale) (*App, error) { return apps.New(name, s) }
 
-// MustNewApp is NewApp that panics on an unknown name.
+// MustNewApp is NewApp that panics on an unknown name or scale.
 func MustNewApp(name string, s Scale) *App { return apps.MustNew(name, s) }
 
-// AllApps builds the full benchmark set.
+// AllApps returns the paper's benchmark set (shared instances, see
+// NewApp).
 func AllApps(s Scale) []*App { return apps.All(s) }
 
 // RunContext simulates program p under cfg with optional shared-memory

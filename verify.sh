@@ -7,6 +7,9 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./internal/core/... ./internal/machine/...
+# apps.New hands one shared instance per application and scale to every
+# caller: race its first build and concurrent runs on shared instances.
+go test -race -count=1 -run 'Shared' ./internal/apps/
 # Race pass over the experiment/metrics aggregation path, the fault
 # model, the HTTP serving layer (journal + async jobs + the fair-share
 # tenant scheduler + SSE streaming + cluster membership included), and
