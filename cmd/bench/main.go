@@ -102,6 +102,19 @@ func suite() []benchmark {
 			return mtsim.RunContext(ctx, cfg, a.Raw, a.Init)
 		}),
 	}, {
+		// The same simulation with cycle accounting on, still compiled:
+		// a DispatchCompiled run that gets no engine is an error, so the
+		// entry fails if metrics ever force the interpreter again, and
+		// TestHotLoopVariantsDoIdenticalWork pins that observing the run
+		// leaves its simulated work unchanged.
+		name: "machine-hot-loop-metrics",
+		run: oneRun(func(ctx context.Context) (*mtsim.Result, error) {
+			a := mtsim.MustNewApp("sieve", mtsim.Quick)
+			cfg := mtsim.Config{Procs: 64, Threads: 4, Model: mtsim.SwitchOnLoad, Latency: 200,
+				DispatchMode: mtsim.DispatchCompiled, CollectMetrics: true}
+			return mtsim.RunContext(ctx, cfg, a.Raw, a.Init)
+		}),
+	}, {
 		// The same simulation under the forced interpreter: the pair
 		// records the compiled engine's speedup and pins, in the record
 		// itself, that both engines do identical simulated work.

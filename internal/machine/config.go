@@ -127,12 +127,12 @@ const (
 	// DispatchAuto (the default) uses the compiled engine whenever the
 	// configuration is eligible: every model except switch-every-cycle
 	// (which rotates threads after each instruction, leaving no
-	// straight-line runs) and any run without CollectMetrics (the
-	// cycle-accounting hooks observe each instruction individually).
+	// straight-line runs), with or without CollectMetrics.
 	DispatchAuto DispatchMode = iota
 	// DispatchCompiled insists on the compiled engine: Validate rejects
-	// configurations Auto would silently interpret. Benchmarks and
-	// tests use it to fail loudly instead of measuring the wrong thing.
+	// configurations Auto would silently interpret, and a run that gets
+	// no engine fails. Benchmarks and tests use it to fail loudly
+	// instead of measuring the wrong thing.
 	DispatchCompiled
 	// DispatchInterpreted forces the interpreter.
 	DispatchInterpreted
@@ -254,7 +254,9 @@ type Config struct {
 	// (internal/metrics): Result.Metrics receives the per-processor,
 	// per-thread state timelines and counters. Off by default; with it
 	// off no metrics code runs and results are byte-identical to a
-	// build without the layer.
+	// build without the layer. It works under either engine: the
+	// compiled engine accounts each fused chain with one pair of
+	// collector calls.
 	CollectMetrics bool
 	// CheckInvariants makes the machine verify the coherence protocol's
 	// invariants (a dirty line has exactly one copy; the directory
@@ -361,8 +363,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("machine: invalid dispatch mode %d", int(cfg.DispatchMode))
 	case c.DispatchMode == DispatchCompiled && c.Model == SwitchEveryCycle:
 		return fmt.Errorf("machine: DispatchCompiled does not apply to %s (no straight-line runs to fuse); use DispatchAuto", c.Model)
-	case c.DispatchMode == DispatchCompiled && c.CollectMetrics:
-		return fmt.Errorf("machine: DispatchCompiled is incompatible with CollectMetrics (the accounting hooks observe every instruction); use DispatchAuto")
 	}
 	if c.Model.UsesCache() {
 		if err := c.Cache.Validate(); err != nil {

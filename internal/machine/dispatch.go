@@ -1,6 +1,10 @@
 package machine
 
-import "mtsim/internal/machine/jit"
+import (
+	"fmt"
+
+	"mtsim/internal/machine/jit"
+)
 
 // This file drives the compiled dispatch engine (internal/machine/jit).
 // The interpreter in execInstr pays a full decoded switch per simulated
@@ -38,12 +42,17 @@ import "mtsim/internal/machine/jit"
 //     the identical architectural effect).
 //
 // Eligibility gating: newSim builds no engine under switch-every-cycle
-// (rotation after every instruction leaves nothing to fuse), under
-// CollectMetrics (the accounting hooks time each instruction), or when
-// the config forces the interpreter. Per dispatch, the execOne hook
+// (rotation after every instruction leaves nothing to fuse) or when the
+// config forces the interpreter. Per dispatch, the execOne hook
 // additionally requires a clean scoreboard (t.maxReady <= now — also
 // why fused units may skip the WAW reply-drain clear entirely) and no
-// pending critical-priority rescheduling.
+// pending critical-priority rescheduling. CollectMetrics does not
+// matter: flushChain accounts a whole chain as one BeginExec/EndExec
+// pair of its summed cost, which equals the interpreter's pair per
+// instruction because the chain's instructions issue back to back and,
+// being private (invariant 1), never hit a cache and never switch. A
+// DispatchCompiled run that ends up without an engine is an error, so
+// forcing the engine can never silently measure the interpreter.
 
 // runCompiled executes as many fused units as boundaries allow,
 // starting at t.pc at cycle now, threading jumps from unit to unit. It
@@ -90,7 +99,7 @@ func (sim *m) runCompiled(pr *proc, t *thread, now int64) (nn int64, ran bool, e
 			break
 		}
 		if err := sim.pollCancel(now + cost); err != nil {
-			sim.flushChain(pr, t, pc, cost, instrs)
+			sim.flushChain(pr, t, now, pc, cost, instrs)
 			return 0, true, err
 		}
 		tick = sim.cancelTick
@@ -98,13 +107,22 @@ func (sim *m) runCompiled(pr *proc, t *thread, now int64) (nn int64, ran bool, e
 	if instrs == 0 {
 		return 0, false, nil
 	}
-	sim.flushChain(pr, t, pc, cost, instrs)
+	sim.flushChain(pr, t, now, pc, cost, instrs)
 	return now + cost, true, nil
 }
 
-// flushChain applies a chain's bulk accounting: exactly the per-
-// instruction updates the interpreter would have made, summed.
-func (sim *m) flushChain(pr *proc, t *thread, pc int32, cost, instrs int64) {
+// flushChain applies the bulk accounting of a chain that began issuing
+// at cycle now: exactly the per-instruction updates the interpreter
+// would have made, summed.
+func (sim *m) flushChain(pr *proc, t *thread, now int64, pc int32, cost, instrs int64) {
+	if sim.mx != nil {
+		// One pair of the summed cost equals the interpreter's pair per
+		// instruction: each issue closes the previous instruction's
+		// timeline with no gap to classify, and a chain never hits a
+		// cache and never switches.
+		sim.mx.BeginExec(int(pr.id), pr.cur, now, t.wake)
+		sim.mx.EndExec(int(pr.id), pr.cur, now, cost, 0)
+	}
 	t.pc = pc
 	t.runLen += cost
 	t.sinceSwitch += cost
@@ -113,11 +131,15 @@ func (sim *m) flushChain(pr *proc, t *thread, pc int32, cost, instrs int64) {
 }
 
 // compileEngine builds the compiled engine when the configuration is
-// eligible, or leaves sim.eng nil to interpret everything.
-func (sim *m) compileEngine() {
+// eligible, or leaves sim.eng nil to interpret everything. It fails a
+// DispatchCompiled run that got no engine.
+func (sim *m) compileEngine() error {
 	cfg := &sim.cfg
-	if cfg.DispatchMode == DispatchInterpreted || cfg.Model == SwitchEveryCycle || cfg.CollectMetrics {
-		return
+	if cfg.DispatchMode != DispatchInterpreted && cfg.Model != SwitchEveryCycle {
+		sim.eng = jit.Compile(sim.prg)
 	}
-	sim.eng = jit.Compile(sim.prg)
+	if cfg.DispatchMode == DispatchCompiled && sim.eng == nil {
+		return fmt.Errorf("machine: DispatchCompiled built no compiled engine for %s", cfg.Model)
+	}
+	return nil
 }

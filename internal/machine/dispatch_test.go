@@ -123,21 +123,30 @@ func runDispatch(t *testing.T, cfg machine.Config, p *prog.Program, mode machine
 
 // FuzzCompiledVsInterpreted is the engine's differential oracle: for
 // fuzzed machine shapes (model, geometry, latency, preemption, faults,
-// network topology) and fuzzed program behavior (loop trip counts, a
-// possibly-zero divisor), the compiled engine must produce the
-// byte-identical Result — or the byte-identical error — as the
-// interpreter.
+// network topology, cycle accounting on or off) and fuzzed program
+// behavior (loop trip counts, a possibly-zero divisor), the compiled
+// engine must produce the byte-identical Result — metrics timelines
+// included — or the byte-identical error as the interpreter.
 func FuzzCompiledVsInterpreted(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(2), uint8(2), uint16(16), int16(0), false, int64(3), uint8(9), 0.0, uint8(0))
-	f.Add(uint64(42), uint8(3), uint8(3), uint8(2), uint16(200), int16(64), true, int64(0), uint8(4), 0.0, uint8(0))
-	f.Add(uint64(7), uint8(5), uint8(1), uint8(4), uint16(80), int16(-1), false, int64(-5), uint8(40), 0.2, uint8(0))
-	f.Add(uint64(99), uint8(6), uint8(2), uint8(1), uint16(4), int16(17), true, int64(1), uint8(70), 0.05, uint8(0))
+	f.Add(uint64(1), uint8(0), uint8(2), uint8(2), uint16(16), int16(0), false, int64(3), uint8(9), 0.0, uint8(0), false)
+	f.Add(uint64(42), uint8(3), uint8(3), uint8(2), uint16(200), int16(64), true, int64(0), uint8(4), 0.0, uint8(0), false)
+	f.Add(uint64(7), uint8(5), uint8(1), uint8(4), uint16(80), int16(-1), false, int64(-5), uint8(40), 0.2, uint8(0), false)
+	f.Add(uint64(99), uint8(6), uint8(2), uint8(1), uint16(4), int16(17), true, int64(1), uint8(70), 0.05, uint8(0), false)
 	// Routed topologies: shared round trips go through the link queues,
 	// so trace timing depends on contention state the engines must agree on.
-	f.Add(uint64(5), uint8(2), uint8(3), uint8(3), uint16(60), int16(0), false, int64(3), uint8(30), 0.0, uint8(1))
-	f.Add(uint64(11), uint8(4), uint8(2), uint8(2), uint16(90), int16(0), true, int64(7), uint8(50), 0.1, uint8(2))
-	f.Add(uint64(23), uint8(3), uint8(4), uint8(2), uint16(40), int16(9), false, int64(2), uint8(20), 0.0, uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, modelIdx, procs, threads uint8, latency uint16, preempt int16, crit bool, divisor int64, nloop uint8, rate float64, topoIdx uint8) {
+	f.Add(uint64(5), uint8(2), uint8(3), uint8(3), uint16(60), int16(0), false, int64(3), uint8(30), 0.0, uint8(1), false)
+	f.Add(uint64(11), uint8(4), uint8(2), uint8(2), uint16(90), int16(0), true, int64(7), uint8(50), 0.1, uint8(2), false)
+	f.Add(uint64(23), uint8(3), uint8(4), uint8(2), uint16(40), int16(9), false, int64(2), uint8(20), 0.0, uint8(3), false)
+	// Cycle accounting: the collector sees each fused chain as one bulk
+	// call, which must equal the interpreter's per-instruction hooks —
+	// through preemption, a mid-chain trap, fault recovery debt, cache
+	// hits and routed contention.
+	f.Add(uint64(3), uint8(2), uint8(2), uint8(3), uint16(50), int16(40), false, int64(3), uint8(25), 0.0, uint8(0), true)
+	f.Add(uint64(8), uint8(7), uint8(3), uint8(2), uint16(120), int16(0), true, int64(0), uint8(12), 0.0, uint8(0), true)
+	f.Add(uint64(13), uint8(3), uint8(2), uint8(2), uint16(70), int16(0), false, int64(5), uint8(35), 0.2, uint8(1), true)
+	f.Add(uint64(31), uint8(4), uint8(4), uint8(3), uint16(30), int16(23), true, int64(2), uint8(60), 0.0, uint8(2), true)
+	f.Add(uint64(57), uint8(0), uint8(3), uint8(4), uint16(0), int16(-1), false, int64(9), uint8(90), 0.0, uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed uint64, modelIdx, procs, threads uint8, latency uint16, preempt int16, crit bool, divisor int64, nloop uint8, rate float64, topoIdx uint8, metrics bool) {
 		model := machine.Model(int(modelIdx) % machine.NumModels)
 		if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
 			rate = 0
@@ -150,12 +159,13 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 			kind = net.TopoConstant // routed topologies are rejected on the ideal machine
 		}
 		cfg := machine.Config{
-			Procs:        1 + int(procs)%4,
-			Threads:      1 + int(threads)%4,
-			Model:        model,
-			Latency:      int(latency) % 256,
-			PreemptLimit: int(preempt),
-			CritPriority: crit,
+			Procs:          1 + int(procs)%4,
+			Threads:        1 + int(threads)%4,
+			Model:          model,
+			Latency:        int(latency) % 256,
+			PreemptLimit:   int(preempt),
+			CritPriority:   crit,
+			CollectMetrics: metrics,
 		}
 		cfg.Topology = net.TopologyConfig{Kind: kind}
 		if rate > 0 {
@@ -298,40 +308,80 @@ func TestDispatchFaultRecoveryParity(t *testing.T) {
 // program with RunUntil and asserts they pause on the identical cycle
 // at every step — a pause bound falling inside a trace must make the
 // compiled engine bail to the interpreter, never drift past the bound.
+// Each shape runs with cycle accounting off and on, and continues from
+// every pause either on the live Machine (the path of core's
+// checkpointed runs) or from a snapshot, which carries the collector's
+// state. Both engines must finish with the Result, metrics timelines
+// included, of an uninterrupted interpreted run.
 func TestRunUntilPauseParity(t *testing.T) {
 	p := buildDispatchTorture(25, 3)
 	ctx := context.Background()
-	step := func(mode machine.DispatchMode) ([]int64, string) {
-		cfg := machine.Config{Procs: 2, Threads: 2, Model: machine.SwitchOnLoad, Latency: 40, DispatchMode: mode}
-		mc, err := machine.NewMachine(cfg, p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cycles []int64
-		for stop := int64(1); ; stop += 7 {
-			done, err := mc.RunUntil(ctx, stop)
-			if err != nil {
-				t.Fatal(err)
+	shapes := []struct {
+		name string
+		cfg  machine.Config
+	}{
+		{"switch-on-load-2x2", machine.Config{Procs: 2, Threads: 2, Model: machine.SwitchOnLoad, Latency: 40}},
+		{"switch-on-use-2x3-preempt", machine.Config{Procs: 2, Threads: 3, Model: machine.SwitchOnUse, Latency: 40, PreemptLimit: 30}},
+	}
+	for _, shape := range shapes {
+		for _, metrics := range []bool{false, true} {
+			for _, restore := range []bool{false, true} {
+				cfg := shape.cfg
+				cfg.CollectMetrics = metrics
+				t.Run(fmt.Sprintf("%s/metrics=%v/restore=%v", shape.name, metrics, restore), func(t *testing.T) {
+					step := func(mode machine.DispatchMode) ([]int64, string) {
+						c := cfg
+						c.DispatchMode = mode
+						mc, err := machine.NewMachine(c, p, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var cycles []int64
+						for stop := int64(1); ; stop += 7 {
+							done, err := mc.RunUntil(ctx, stop)
+							if err != nil {
+								t.Fatal(err)
+							}
+							cycles = append(cycles, mc.Cycle())
+							if done {
+								break
+							}
+							if !restore {
+								continue
+							}
+							data, err := mc.Snapshot()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if mc, err = machine.RestoreMachine(data, p); err != nil {
+								t.Fatal(err)
+							}
+						}
+						return cycles, resultJSON(t, mc.Result())
+					}
+					wholeJSON, wholeErr := runDispatch(t, cfg, p, machine.DispatchInterpreted)
+					if wholeErr != "" {
+						t.Fatal(wholeErr)
+					}
+					wantCycles, wantJSON := step(machine.DispatchInterpreted)
+					gotCycles, gotJSON := step(machine.DispatchCompiled)
+					if len(gotCycles) != len(wantCycles) {
+						t.Fatalf("step count = %d, want %d", len(gotCycles), len(wantCycles))
+					}
+					for i := range wantCycles {
+						if gotCycles[i] != wantCycles[i] {
+							t.Fatalf("step %d paused at cycle %d, interpreted paused at %d", i, gotCycles[i], wantCycles[i])
+						}
+					}
+					if wantJSON != wholeJSON {
+						t.Errorf("paused interpreted run differs from uninterrupted:\npaused: %s\nwhole:  %s", wantJSON, wholeJSON)
+					}
+					if gotJSON != wholeJSON {
+						t.Errorf("paused compiled run differs from uninterrupted interpreted:\ncompiled: %s\nwhole:    %s", gotJSON, wholeJSON)
+					}
+				})
 			}
-			cycles = append(cycles, mc.Cycle())
-			if done {
-				break
-			}
 		}
-		return cycles, resultJSON(t, mc.Result())
-	}
-	wantCycles, wantJSON := step(machine.DispatchInterpreted)
-	gotCycles, gotJSON := step(machine.DispatchCompiled)
-	if len(gotCycles) != len(wantCycles) {
-		t.Fatalf("step count = %d, want %d", len(gotCycles), len(wantCycles))
-	}
-	for i := range wantCycles {
-		if gotCycles[i] != wantCycles[i] {
-			t.Fatalf("step %d paused at cycle %d, interpreted paused at %d", i, gotCycles[i], wantCycles[i])
-		}
-	}
-	if gotJSON != wantJSON {
-		t.Errorf("final results differ:\ncompiled:    %s\ninterpreted: %s", gotJSON, wantJSON)
 	}
 }
 
@@ -379,31 +429,69 @@ func TestWAWReplyDrainParity(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONUnchangedByDispatchMode: CollectMetrics gates the
-// engine off (the accounting hooks time each instruction), so a
-// metrics run under the default auto mode must produce the identical
-// Result — Metrics timelines included — as a forced-interpreter run.
+// TestMetricsJSONUnchangedByDispatchMode: a metrics run under the
+// default auto mode, which compiles, must produce the byte-identical
+// Result — metrics timelines included — as a forced-interpreter run, on
+// every application, model and network. Cache models and the ideal
+// machine run on the constant network only: routed topologies reject
+// the ideal machine, and routed cache runs take minutes. Switch-every-
+// cycle is left out, since auto interprets it and the row would compare
+// the interpreter with itself (TestDispatchModesAgreeAcrossModels pins
+// that fallback).
 func TestMetricsJSONUnchangedByDispatchMode(t *testing.T) {
-	p := buildDispatchTorture(25, 3)
-	cfg := machine.Config{
-		Procs: 2, Threads: 2, Model: machine.SwitchOnUse, Latency: 60,
-		CollectMetrics: true,
-	}
-	wantJSON, wantErr := runDispatch(t, cfg, p, machine.DispatchInterpreted)
-	gotJSON, gotErr := runDispatch(t, cfg, p, machine.DispatchAuto)
-	if gotErr != wantErr || gotJSON != wantJSON {
-		t.Errorf("metrics run differs across dispatch modes:\nauto:        %s%s\ninterpreted: %s%s",
-			gotJSON, gotErr, wantJSON, wantErr)
+	topologies := []net.TopologyKind{net.TopoConstant, net.TopoMesh, net.TopoFatTree, net.TopoDragonfly}
+	for _, name := range apps.AllNames() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			a := apps.MustNew(name, app.Quick)
+			for _, model := range allModels() {
+				if model == machine.SwitchEveryCycle {
+					continue
+				}
+				p, err := a.ProgramFor(model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kind := range topologies {
+					if kind != net.TopoConstant && (model == machine.Ideal || model.UsesCache()) {
+						continue
+					}
+					cfg := machine.Config{
+						Procs: 4, Threads: 2, Model: model, Latency: 60,
+						CollectMetrics: true,
+					}
+					cfg.Topology = net.TopologyConfig{Kind: kind}
+					t.Run(fmt.Sprintf("%s/%s", model, kind), func(t *testing.T) {
+						run := func(mode machine.DispatchMode) string {
+							c := cfg
+							c.DispatchMode = mode
+							res, err := machine.RunChecked(c, p, a.Init, a.Check)
+							if err != nil {
+								t.Fatalf("%s: %v", mode, err)
+							}
+							if res.Metrics == nil {
+								t.Fatalf("%s: CollectMetrics set but Result.Metrics is nil", mode)
+							}
+							return resultJSON(t, res)
+						}
+						want := run(machine.DispatchInterpreted)
+						if got := run(machine.DispatchAuto); got != want {
+							t.Errorf("metrics run differs across dispatch modes:\nauto:        %s\ninterpreted: %s", got, want)
+						}
+					})
+				}
+			}
+		})
 	}
 }
 
 // TestDispatchModeValidation: the explicit compiled mode must reject
-// configurations whose semantics the engine cannot reproduce.
+// configurations whose semantics the engine cannot reproduce, and
+// accept cycle accounting, which it reproduces exactly.
 func TestDispatchModeValidation(t *testing.T) {
 	p := buildDispatchTorture(3, 1)
 	bad := []machine.Config{
 		{Model: machine.SwitchEveryCycle, Threads: 2, DispatchMode: machine.DispatchCompiled},
-		{Model: machine.Ideal, CollectMetrics: true, DispatchMode: machine.DispatchCompiled},
 		{Model: machine.Ideal, DispatchMode: machine.DispatchMode(99)},
 	}
 	for i, cfg := range bad {
@@ -411,8 +499,15 @@ func TestDispatchModeValidation(t *testing.T) {
 			t.Errorf("case %d: Run() accepted an invalid dispatch configuration", i)
 		}
 	}
-	// Auto silently falls back to the interpreter for the same shapes.
-	res, err := machine.Run(machine.Config{Model: machine.SwitchEveryCycle, Threads: 2}, p, nil)
+	res, err := machine.Run(machine.Config{Model: machine.Ideal, CollectMetrics: true, DispatchMode: machine.DispatchCompiled}, p, nil)
+	if err != nil {
+		t.Fatalf("compiled mode with CollectMetrics: %v", err)
+	}
+	if res.Metrics == nil {
+		t.Fatal("compiled mode with CollectMetrics: Result.Metrics is nil")
+	}
+	// Auto silently falls back to the interpreter for the rejected shape.
+	res, err = machine.Run(machine.Config{Model: machine.SwitchEveryCycle, Threads: 2}, p, nil)
 	if err != nil || res == nil {
 		t.Fatalf("auto mode under switch-every-cycle: %v", err)
 	}

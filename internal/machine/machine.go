@@ -318,7 +318,9 @@ func newSim(cfg Config, p *prog.Program, init func(*Shared), tr Tracer) (*m, err
 		}
 	}
 	sim.live = nthreads
-	sim.compileEngine()
+	if err := sim.compileEngine(); err != nil {
+		return nil, err
+	}
 	return sim, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -161,6 +162,60 @@ func TestCollectorExactness(t *testing.T) {
 	}
 	if rm.States.FaultRecovery == 0 || rm.States.CacheHit == 0 || rm.States.StalledMem == 0 {
 		t.Errorf("synthetic schedule left a state empty: %+v", rm.States)
+	}
+}
+
+// TestSummedExecEqualsPerInstructionHooks: the compiled engine accounts
+// a fused chain as one BeginExec/EndExec pair of the chain's summed
+// cost, which must leave the collector in exactly the state of one pair
+// per instruction at back-to-back issue cycles, whatever came before it
+// (switch overshoot, fault debt, cache hits, stalls and ready-waiting
+// gaps on either timeline).
+func TestSummedExecEqualsPerInstructionHooks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 500; iter++ {
+		perInstr, bulk := NewCollector(2, 3), NewCollector(2, 3)
+		now := int64(0)
+		for ev := 0; ev < 20; ev++ {
+			p, th := rng.Intn(2), rng.Intn(3)
+			now += int64(rng.Intn(6))
+			wake := now - int64(rng.Intn(8))
+			if rng.Intn(4) == 0 {
+				debt := int64(rng.Intn(5))
+				perInstr.AddFaultDebt(p, th, debt)
+				bulk.AddFaultDebt(p, th, debt)
+			}
+			if rng.Intn(2) == 0 {
+				// A chain of 1-8 instructions of 1-3 cycles each.
+				var cost int64
+				for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+					c := int64(1 + rng.Intn(3))
+					perInstr.BeginExec(p, th, now+cost, wake)
+					perInstr.EndExec(p, th, now+cost, c, 0)
+					cost += c
+				}
+				bulk.BeginExec(p, th, now, wake)
+				bulk.EndExec(p, th, now, cost, 0)
+				now += cost
+				continue
+			}
+			// A single interpreted instruction, maybe a hit or a switch.
+			cost, sw, hit := int64(1+rng.Intn(3)), int64(rng.Intn(3)), rng.Intn(3) == 0
+			for _, c := range []*Collector{perInstr, bulk} {
+				c.BeginExec(p, th, now, wake)
+				if hit {
+					c.MarkHit()
+				}
+				c.EndExec(p, th, now, cost, sw)
+			}
+		}
+		if !reflect.DeepEqual(perInstr, bulk) {
+			t.Fatalf("iteration %d: collector states differ:\nper-instruction: %+v\nbulk:            %+v", iter, perInstr, bulk)
+		}
+		end := now + int64(rng.Intn(4))
+		if a, b := perInstr.Finish(end), bulk.Finish(end); !reflect.DeepEqual(a, b) {
+			t.Fatalf("iteration %d: metrics differ:\nper-instruction: %+v\nbulk:            %+v", iter, a, b)
+		}
 	}
 }
 

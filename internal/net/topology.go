@@ -323,21 +323,19 @@ func (n *Network) route(src, dst int) []int {
 			y--
 		}
 	case TopoFatTree:
-		// Climb until the two subtrees merge, recording up-links, then
-		// descend recording down-links. Level l spans 2^l leaves per
+		// Climb until the two subtrees merge (the least common
+		// ancestor's level), recording up-links, then descend from that
+		// level recording down-links. Level l spans 2^l leaves per
 		// subtree.
-		up, down := src, dst
-		var downs []int // collected root-ward, replayed leaf-ward
-		level := 0
-		for up != down {
-			p = append(p, n.treeLink(level, up, 0))
-			downs = append(downs, n.treeLink(level, down, 1))
-			up >>= 1
-			down >>= 1
-			level++
+		lca := 0
+		for src>>lca != dst>>lca {
+			lca++
 		}
-		for i := len(downs) - 1; i >= 0; i-- {
-			p = append(p, downs[i])
+		for level := 0; level < lca; level++ {
+			p = append(p, n.treeLink(level, src>>level, 0))
+		}
+		for level := lca - 1; level >= 0; level-- {
+			p = append(p, n.treeLink(level, dst>>level, 1))
 		}
 	case TopoDragonfly:
 		g := n.groupSize

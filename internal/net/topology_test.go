@@ -135,6 +135,29 @@ func TestQueueConservation(t *testing.T) {
 	}
 }
 
+// TestRoundTripAllocatesNothing: the machine routes every shared access
+// through RoundTrip, so once each link's queue has room for its
+// steady-state backlog a round trip must allocate nothing on any
+// topology.
+func TestRoundTripAllocatesNothing(t *testing.T) {
+	for _, kind := range append([]TopologyKind{TopoConstant}, routedKinds...) {
+		n := NewNetwork(TopologyConfig{Kind: kind}, 16, 200)
+		var now int64
+		sweep := func() {
+			for src := 0; src < 16; src++ {
+				for addr := int64(0); addr < 16; addr++ {
+					now += 10_000 // past every earlier departure: queues drain
+					n.RoundTrip(now, src, addr, Bits(ReadReq, 0), Bits(ReadReply, WordBits))
+				}
+			}
+		}
+		sweep() // the first touch of each link sizes its queue
+		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
+			t.Errorf("%s: %v allocations per 256 round trips, want 0", kind, allocs)
+		}
+	}
+}
+
 // TestLatencyMonotoneInLoad: firing more simultaneous requests at the
 // same destination must never make the worst round trip faster — the
 // FIFO queues only add waiting as offered load grows.

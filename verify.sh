@@ -6,6 +6,10 @@ set -eux
 go build ./...
 go vet ./...
 go test ./...
+# The workload benchmark is its own module (workbench/go.mod), so the
+# root ./... never builds it: vet and test it here, so an internal API
+# change cannot break the benchmark's build unnoticed.
+(cd workbench && go vet ./... && go test ./...)
 go test -race ./internal/core/... ./internal/machine/...
 # apps.New hands one shared instance per application and scale to every
 # caller: race its first build and concurrent runs on shared instances.
