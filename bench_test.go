@@ -9,6 +9,7 @@
 package mtsim_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -26,12 +27,13 @@ func benchExperimentJobs(b *testing.B, id string, jobs int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opts := []mtsim.ExpOption{mtsim.WithScale(mtsim.Quick)}
+	if jobs > 0 {
+		opts = append(opts, mtsim.WithJobs(jobs))
+	}
 	for i := 0; i < b.N; i++ {
 		// A fresh session each iteration so runs are not memoized away.
-		o := mtsim.NewExpOptions(mtsim.Quick, io.Discard)
-		if jobs > 0 {
-			o.SetJobs(jobs)
-		}
+		o := mtsim.NewExp(io.Discard, opts...)
 		if err := e.Run(o); err != nil {
 			b.Fatal(err)
 		}
@@ -94,10 +96,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkMachineHotLoop(b *testing.B) {
 	a := mtsim.MustNewApp("sieve", mtsim.Quick)
 	cfg := mtsim.Config{Procs: 64, Threads: 4, Model: mtsim.SwitchOnLoad, Latency: 200}
+	ctx := context.Background()
 	var instrs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := mtsim.Run(cfg, a.Raw, a.Init)
+		res, err := mtsim.RunContext(ctx, cfg, a.Raw, a.Init)
 		if err != nil {
 			b.Fatal(err)
 		}

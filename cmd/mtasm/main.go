@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -77,7 +78,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := mtsim.Run(mtsim.Config{
+		res, err := mtsim.RunContext(context.Background(), mtsim.Config{
 			Procs: *procs, Threads: *threads, Model: model, Latency: *latency,
 			CollectRunLengths: true,
 		}, p, nil)

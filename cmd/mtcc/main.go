@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,7 +67,7 @@ func main() {
 		fmt.Print(asm.Format(p))
 		return
 	}
-	res, err := mtsim.Run(mtsim.Config{
+	res, err := mtsim.RunContext(context.Background(), mtsim.Config{
 		Procs: *procs, Threads: *threads, Model: model, Latency: *latency,
 		CollectRunLengths: true,
 	}, p, nil)

@@ -8,7 +8,7 @@
 //	mtsimd [-addr :8080] [-workers N] [-queue N] [-timeout 60s] [-drain 30s]
 //	       [-journal PATH] [-checkpoint-every N]
 //	       [-tenants name:weight:rate:burst[:apikey],...] [-quota rate:burst]
-//	       [-fair-share] [-dispatchers N]
+//	       [-dispatchers N]
 //	       [-node-id ID -peers id1=url1,id2=url2,...] [-heartbeat 500ms]
 //	       [-lease-ttl 3s] [-replicas 2]
 //	       [-breaker-threshold 5] [-breaker-cooldown 2s] [-hedge-fraction 0.1]
@@ -20,10 +20,9 @@
 // and burst; 0:0 = unlimited) and optionally an API key. Requests
 // carry their tenant as "Authorization: Bearer <apikey>" or an
 // X-Tenant-ID header; everything else is the "anonymous" tenant under
-// the -quota default. -fair-share (default on) drains async jobs
-// deficit-round-robin across per-tenant queues so one tenant's flood
-// cannot starve another; per-tenant usage shows up in /v1/healthz,
-// /v2/healthz and expvar.
+// the -quota default. Async jobs drain deficit-round-robin across
+// per-tenant queues so one tenant's flood cannot starve another;
+// per-tenant usage shows up in /v1/healthz, /v2/healthz and expvar.
 //
 // -journal enables crash-tolerant async batch jobs: /v1/batch requests
 // carrying an Idempotency-Key are journaled to PATH (write-ahead,
@@ -183,7 +182,6 @@ func main() {
 	ckptEvery := flag.Int64("checkpoint-every", 0, "cycles between async-job checkpoints (0 = 100000)")
 	tenants := flag.String("tenants", "", "declared tenants, name:weight:rate:burst[:apikey],...")
 	quota := flag.String("quota", "", "default admission quota for undeclared tenants, rate:burst (empty = unlimited)")
-	fairShare := flag.Bool("fair-share", true, "drain async jobs deficit-round-robin per tenant (false = legacy FIFO)")
 	dispatchers := flag.Int("dispatchers", 0, "async dispatcher pool size (0 = workers/2)")
 	nodeID := flag.String("node-id", "", "this node's cluster id; enables cluster mode with -peers (requires -journal)")
 	peers := flag.String("peers", "", "comma-separated id=url cluster membership, self included")
@@ -212,10 +210,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("mtsimd: %v", err)
 	}
-	scheduler := serve.SchedulerFair
-	if !*fairShare {
-		scheduler = serve.SchedulerFIFO
-	}
 	srv := serve.New(serve.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
@@ -225,7 +219,6 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 		Tenants:         tenantList,
 		DefaultQuota:    defQuota,
-		Scheduler:       scheduler,
 		Dispatchers:     *dispatchers,
 		HedgeFraction:   *hedgeFraction,
 		BrownoutEnter:   *brownoutEnter,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -122,7 +123,7 @@ func main() {
 		if model.UsesGrouping() {
 			p = grouped
 		}
-		res, err := mtsim.RunChecked(cfg, p, init, check)
+		res, err := mtsim.RunCheckedContext(context.Background(), cfg, p, init, check)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -93,13 +94,13 @@ func main() {
 		st.StaticGrouping(), st.GroupSizes)
 
 	for threads := 2; threads <= 16; threads *= 2 {
-		r1, err := mtsim.RunChecked(mtsim.Config{
+		r1, err := mtsim.RunCheckedContext(context.Background(), mtsim.Config{
 			Procs: 4, Threads: threads, Model: mtsim.SwitchOnLoad,
 		}, raw, init, check)
 		if err != nil {
 			log.Fatal(err)
 		}
-		r2, err := mtsim.RunChecked(mtsim.Config{
+		r2, err := mtsim.RunCheckedContext(context.Background(), mtsim.Config{
 			Procs: 4, Threads: threads, Model: mtsim.ExplicitSwitch,
 		}, grouped, init, check)
 		if err != nil {

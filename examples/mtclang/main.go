@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -94,13 +95,13 @@ func main() {
 
 	fmt.Printf("%-10s %16s %18s\n", "threads", "switch-on-load", "explicit-switch")
 	for _, threads := range []int{1, 2, 4, 8} {
-		r1, err := mtsim.RunChecked(mtsim.Config{
+		r1, err := mtsim.RunCheckedContext(context.Background(), mtsim.Config{
 			Procs: 4, Threads: threads, Model: mtsim.SwitchOnLoad, Latency: mtsim.DefaultLatency,
 		}, raw, init, check)
 		if err != nil {
 			log.Fatal(err)
 		}
-		r2, err := mtsim.RunChecked(mtsim.Config{
+		r2, err := mtsim.RunCheckedContext(context.Background(), mtsim.Config{
 			Procs: 4, Threads: threads, Model: mtsim.ExplicitSwitch, Latency: mtsim.DefaultLatency,
 		}, grouped, init, check)
 		if err != nil {

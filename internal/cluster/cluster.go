@@ -70,8 +70,6 @@ type Config struct {
 	// Replicas is how many nodes (owner included) hold a copy of each
 	// async job's state (default 2, clamped to the cluster size).
 	Replicas int
-	// VNodes is the ring's virtual-node count per member (default 64).
-	VNodes int
 	// Client probes peers (default: a client with HeartbeatEvery
 	// timeout so one hung peer cannot stall the probe round).
 	Client *http.Client
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas > len(c.Peers) {
 		c.Replicas = len(c.Peers)
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: c.HeartbeatEvery, Transport: c.Transport}
@@ -259,7 +254,7 @@ func New(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:      cfg,
-		ring:     newRing(cfg.Peers, cfg.VNodes),
+		ring:     newRing(cfg.Peers, ringVNodes),
 		client:   cfg.Client,
 		now:      time.Now,
 		members:  make(map[string]*member, len(cfg.Peers)),

@@ -7,13 +7,16 @@ import (
 )
 
 // The consistent-hash ring maps routing keys (session keys, job ids) to
-// owner nodes. Each node projects VNodes points onto a uint64 circle;
+// owner nodes. Each node projects ringVNodes points onto a uint64 circle;
 // a key belongs to the first point clockwise from its own hash. Virtual
 // nodes smooth the load split, and consistency is the property the
 // failover design leans on: when a node dies, only the keys it owned
 // move (to the next point clockwise), so a claim decision — "am I the
 // next owner of this dead node's job?" — is a pure local computation
 // every survivor answers identically.
+
+// ringVNodes is the number of virtual nodes each member projects.
+const ringVNodes = 64
 
 type ringPoint struct {
 	hash uint64

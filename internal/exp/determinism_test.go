@@ -31,9 +31,8 @@ func TestRenderedParallelMatchesSequential(t *testing.T) {
 	}
 
 	render := func(jobs int) []string {
-		o := exp.NewOptions(app.Quick, io.Discard)
-		o.MaxMT = 10 // bound the searches; both runs use the same cap
-		o.SetJobs(jobs)
+		// Bound the searches; both runs use the same cap.
+		o := exp.New(io.Discard, exp.WithScale(app.Quick), exp.WithMaxMT(10), exp.WithJobs(jobs))
 		outs, _, err := exp.Rendered(o, exps)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)

@@ -24,7 +24,7 @@ import (
 )
 
 // Options configures a generator run. The zero value is not usable; call
-// New (or the legacy NewOptions).
+// New.
 type Options struct {
 	// Scale selects problem sizes.
 	Scale app.Scale
@@ -175,23 +175,6 @@ func New(out io.Writer, opts ...Option) *Options {
 		opt(o)
 	}
 	return o
-}
-
-// NewOptions returns options for a scale with paper defaults.
-//
-// Deprecated: use New with WithScale; NewOptions remains as a thin
-// wrapper so existing callers keep working.
-func NewOptions(scale app.Scale, out io.Writer) *Options {
-	return New(out, WithScale(scale))
-}
-
-// SetJobs sets the worker-pool width for this options value and its
-// session (the -j flag).
-//
-// Deprecated: pass WithJobs to New instead.
-func (o *Options) SetJobs(n int) {
-	o.Jobs = n
-	o.Sess.Workers = n
 }
 
 // Context returns the context bounding this options value's work:

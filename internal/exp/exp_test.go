@@ -49,8 +49,8 @@ func TestAblationSmoke(t *testing.T) {
 		t.Skip("ablations are not short")
 	}
 	var sb strings.Builder
-	o := exp.NewOptions(app.Quick, &sb)
-	o.MaxMT = 8 // keep the latency sweep fast for the smoke test
+	// A small search cap keeps the latency sweep fast for the smoke test.
+	o := exp.New(&sb, exp.WithScale(app.Quick), exp.WithMaxMT(8))
 	for _, id := range []string{"ablation-priority", "ablation-jitter", "ablation-switchcost", "ablation-linesize", "ablation-faults"} {
 		sb.Reset()
 		e, err := exp.ByID(id)
@@ -92,7 +92,7 @@ func TestQuickExperimentsRun(t *testing.T) {
 		"table7":  {"hit-rate", "traffic ratio"},
 	}
 	var sb strings.Builder
-	o := exp.NewOptions(app.Quick, &sb)
+	o := exp.New(&sb, exp.WithScale(app.Quick))
 	for id, markers := range cases {
 		sb.Reset()
 		e, err := exp.ByID(id)
@@ -116,8 +116,8 @@ func TestWriteReportSmoke(t *testing.T) {
 		t.Skip("full report regeneration is not short")
 	}
 	var sb strings.Builder
-	o := exp.NewOptions(app.Quick, &sb)
-	o.MaxMT = 6 // keep the searches small for the smoke test
+	// A small search cap keeps the searches small for the smoke test.
+	o := exp.New(&sb, exp.WithScale(app.Quick), exp.WithMaxMT(6))
 	if err := exp.WriteReport(o, &sb); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestWriteReportSmoke(t *testing.T) {
 }
 
 func TestOptionsAppLookup(t *testing.T) {
-	o := exp.NewOptions(app.Quick, io.Discard)
+	o := exp.New(io.Discard, exp.WithScale(app.Quick))
 	if _, err := o.App("sor"); err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,18 @@ import (
 // resets the pending transition, so the mode cannot flap at a
 // threshold crossing.
 
+// The brownout hysteresis band, in units of queue saturation (queued /
+// QueueDepth).
+const (
+	brownoutHighWater = 0.75
+	brownoutLowWater  = 0.25
+)
+
 // brownout is the hysteretic overload-mode controller. fold() is
 // driven from request paths and health checks; there is no background
 // goroutine, so an idle server simply stays in whatever mode it last
 // observed (harmless: with no requests there is nothing to shed).
 type brownout struct {
-	highWater  float64
-	lowWater   float64
 	enterAfter time.Duration
 	exitAfter  time.Duration
 	now        func() time.Time // injectable clock for tests
@@ -47,12 +52,8 @@ type brownout struct {
 	shedSSE     atomic.Int64 // SSE subscriptions refused
 }
 
-func newBrownout(high, low float64, enterAfter, exitAfter time.Duration) *brownout {
-	return &brownout{
-		highWater: high, lowWater: low,
-		enterAfter: enterAfter, exitAfter: exitAfter,
-		now: time.Now,
-	}
+func newBrownout(enterAfter, exitAfter time.Duration) *brownout {
+	return &brownout{enterAfter: enterAfter, exitAfter: exitAfter, now: time.Now}
 }
 
 // fold feeds one saturation observation into the controller and
@@ -62,7 +63,7 @@ func (b *brownout) fold(sat float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.active.Load() {
-		if sat >= b.highWater {
+		if sat >= brownoutHighWater {
 			if b.highSince.IsZero() {
 				b.highSince = now
 			} else if now.Sub(b.highSince) >= b.enterAfter {
@@ -75,7 +76,7 @@ func (b *brownout) fold(sat float64) bool {
 		}
 		return b.active.Load()
 	}
-	if sat <= b.lowWater {
+	if sat <= brownoutLowWater {
 		if b.lowSince.IsZero() {
 			b.lowSince = now
 		} else if now.Sub(b.lowSince) >= b.exitAfter {

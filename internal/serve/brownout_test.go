@@ -17,7 +17,7 @@ func (c *brownoutClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestBrownout() (*brownout, *brownoutClock) {
 	clk := &brownoutClock{t: time.Unix(1000, 0)}
-	b := newBrownout(0.75, 0.25, 2*time.Second, 3*time.Second)
+	b := newBrownout(2*time.Second, 3*time.Second)
 	b.now = clk.now
 	return b, clk
 }
@@ -66,7 +66,7 @@ func TestBrownoutExitsHysteretically(t *testing.T) {
 	// Mid-band saturation (above low water) keeps brownout on forever.
 	clk.advance(10 * time.Second)
 	if !b.fold(0.5) {
-		t.Fatal("brownout lifted at mid-band saturation (0.5 > lowWater)")
+		t.Fatal("brownout lifted at mid-band saturation (0.5 > brownoutLowWater)")
 	}
 	// Low load must hold exitAfter before the mode lifts.
 	if !b.fold(0.1) {

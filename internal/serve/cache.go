@@ -1,109 +1,58 @@
 package serve
 
 import (
-	"container/list"
-	"hash/fnv"
 	"sync"
 
 	"mtsim/internal/core"
 )
 
-// sessionCache is a sharded, LRU-bounded cache of core.Sessions keyed
-// by the request parameters that fork the memo space (problem scale and
-// metrics collection). Sharing sessions across requests is what makes
-// the server fast — a popular configuration simulates once and every
-// later request is a memo hit — but an unbounded session accumulates
-// every distinct (app, config) result forever, so memory under
-// sustained varied load would only grow. Two mechanisms bound it:
-//
-//   - each shard holds at most perShard sessions and evicts the least
-//     recently used (the evicted session is simply dropped; in-flight
-//     requests holding it finish normally and it is then collected);
-//   - a session that has executed more than maxSims simulations is
-//     retired and replaced by a fresh one on its next use, so even a
-//     single hot key's memo cannot grow without bound.
-type sessionCache struct {
-	shards   []cacheShard
-	perShard int
-	maxSims  int64
-	factory  func(key string) *core.Session
+// maxSessionSims retires a session whose memo has executed more than
+// this many simulations.
+const maxSessionSims = 65536
+
+// sessionTable holds the server's shared core.Sessions, one per key.
+// Keys are the request parameters that fork the memo space (problem
+// scale and metrics collection, see sessionKey), so the table never
+// holds more than six sessions and needs no eviction. Sharing sessions
+// across requests is what makes the server fast — a popular
+// configuration simulates once and every later request is a memo hit —
+// but a session accumulates every distinct (app, config) result it
+// runs, so a session that has executed more than maxSims simulations
+// is retired and replaced by a fresh one on its next use. In-flight
+// requests holding a retired session finish normally and it is then
+// collected.
+type sessionTable struct {
+	maxSims int64
+	factory func(key string) *core.Session
+
+	mu       sync.Mutex
+	sessions map[string]*core.Session
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-}
-
-type cacheEntry struct {
-	key  string
-	sess *core.Session
-}
-
-// newSessionCache builds a cache of at most maxSessions sessions spread
-// over nShards shards; factory builds a configured empty session for a
-// key (sessions are configured once here, never mutated by requests, so
-// concurrent requests sharing one need no coordination).
-func newSessionCache(nShards, maxSessions int, maxSims int64, factory func(key string) *core.Session) *sessionCache {
-	if nShards < 1 {
-		nShards = 1
-	}
-	perShard := (maxSessions + nShards - 1) / nShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &sessionCache{
-		shards:   make([]cacheShard, nShards),
-		perShard: perShard,
-		maxSims:  maxSims,
-		factory:  factory,
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*list.Element)
-		c.shards[i].lru = list.New()
-	}
-	return c
+// newSessionTable builds an empty table; factory builds a configured
+// empty session for a key (sessions are configured once here, never
+// mutated by requests, so concurrent requests sharing one need no
+// coordination).
+func newSessionTable(maxSims int64, factory func(key string) *core.Session) *sessionTable {
+	return &sessionTable{maxSims: maxSims, factory: factory, sessions: make(map[string]*core.Session)}
 }
 
 // Get returns the session for key, creating (or retiring and
-// recreating) it as needed and marking it most recently used.
-func (c *sessionCache) Get(key string) *core.Session {
-	sh := &c.shards[c.shardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if c.maxSims > 0 && e.sess.SimCount() > c.maxSims {
-			// Retire an oversized memo; the next request starts fresh.
-			e.sess = c.factory(key)
-		}
-		sh.lru.MoveToFront(el)
-		return e.sess
+// recreating) it as needed.
+func (t *sessionTable) Get(key string) *core.Session {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sess := t.sessions[key]
+	if sess == nil || sess.SimCount() > t.maxSims {
+		sess = t.factory(key)
+		t.sessions[key] = sess
 	}
-	e := &cacheEntry{key: key, sess: c.factory(key)}
-	sh.entries[key] = sh.lru.PushFront(e)
-	for sh.lru.Len() > c.perShard {
-		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		delete(sh.entries, oldest.Value.(*cacheEntry).key)
-	}
-	return e.sess
+	return sess
 }
 
-// Len reports the total number of cached sessions across shards.
-func (c *sessionCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-func (c *sessionCache) shardOf(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(c.shards)))
+// Len reports the number of sessions in the table.
+func (t *sessionTable) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.sessions)
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"testing"
 
 	"mtsim/internal/app"
@@ -13,7 +12,7 @@ import (
 // TestCacheSharesAndCreates: the same key returns the same session; a
 // different key gets its own.
 func TestCacheSharesAndCreates(t *testing.T) {
-	c := newSessionCache(4, 8, 0, func(string) *core.Session { return core.NewSession() })
+	c := newSessionTable(maxSessionSims, func(string) *core.Session { return core.NewSession() })
 	a, b := c.Get("quick"), c.Get("quick")
 	if a != b {
 		t.Error("same key returned different sessions")
@@ -26,35 +25,11 @@ func TestCacheSharesAndCreates(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction: a single-shard cache of two holds only the two
-// most recently used keys.
-func TestCacheLRUEviction(t *testing.T) {
-	builds := 0
-	c := newSessionCache(1, 2, 0, func(string) *core.Session { builds++; return core.NewSession() })
-	s1 := c.Get("a")
-	c.Get("b")
-	c.Get("a") // a is now most recent
-	c.Get("c") // evicts b
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if c.Get("a") != s1 {
-		t.Error("recently used key was evicted")
-	}
-	if builds != 3 {
-		t.Errorf("factory ran %d times, want 3", builds)
-	}
-	c.Get("b") // was evicted: must rebuild
-	if builds != 4 {
-		t.Errorf("factory ran %d times after re-Get of evicted key, want 4", builds)
-	}
-}
-
 // TestCacheRetiresOversizedSession: a session that has executed more
 // than maxSims simulations is replaced by a fresh one on its next use,
 // bounding any single key's memo.
 func TestCacheRetiresOversizedSession(t *testing.T) {
-	c := newSessionCache(1, 4, 1, func(string) *core.Session { return core.NewSession() })
+	c := newSessionTable(1, func(string) *core.Session { return core.NewSession() })
 	sess := c.Get("k")
 	sieve := apps.MustNew("sieve", app.Quick)
 	for i := 2; i <= 3; i++ { // two distinct configs = two real simulations
@@ -71,26 +46,5 @@ func TestCacheRetiresOversizedSession(t *testing.T) {
 	}
 	if fresh.SimCount() != 0 {
 		t.Errorf("retired replacement SimCount = %d, want 0", fresh.SimCount())
-	}
-}
-
-// TestCacheShardingSpreads: keys land on every shard eventually and
-// Len counts across all of them.
-func TestCacheShardingSpreads(t *testing.T) {
-	c := newSessionCache(4, 64, 0, func(string) *core.Session { return core.NewSession() })
-	for i := 0; i < 32; i++ {
-		c.Get(fmt.Sprintf("key-%d", i))
-	}
-	if got := c.Len(); got != 32 {
-		t.Errorf("Len = %d, want 32", got)
-	}
-	used := 0
-	for i := range c.shards {
-		if c.shards[i].lru.Len() > 0 {
-			used++
-		}
-	}
-	if used < 2 {
-		t.Errorf("only %d shards used for 32 keys; sharding is not spreading", used)
 	}
 }

@@ -90,7 +90,7 @@ func (s *Server) EnableCluster(cfg cluster.Config) (*cluster.Node, error) {
 		node: node,
 		fwd:  &http.Client{Transport: cfg.Transport},
 		xfer: &http.Client{Timeout: 15 * time.Second, Transport: cfg.Transport},
-		lat:  newLatencyTracker(s.cfg.HedgeDelayMin, s.cfg.HedgeDelayMax),
+		lat:  newLatencyTracker(hedgeDelayMin, hedgeDelayMax),
 	}
 	if s.cfg.HedgeFraction > 0 {
 		s.cluster.budget = newHedgeBudget(s.cfg.HedgeFraction)

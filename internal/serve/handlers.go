@@ -214,16 +214,16 @@ func (s *Server) httpError(w http.ResponseWriter, err error, fallback int) {
 		// 503s are transient by contract (drain, forwarding outage): give
 		// clients the same jittered come-back hint the 429 path sends, so
 		// a draining node's rejected herd does not return in lockstep.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfterBase)))
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 // rejectFull is the 429 + Retry-After admission rejection. The hint is
-// jittered around cfg.RetryAfter so a herd of rejected clients does not
+// jittered around retryAfterBase so a herd of rejected clients does not
 // come back in lockstep (see RetryDelay for the client-side half).
 func (s *Server) rejectFull(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfterBase)))
 	writeJSON(w, http.StatusTooManyRequests,
 		errorResponse{Error: fmt.Sprintf("job queue full (%d running, %d queued); retry later",
 			s.gate.Inflight(), s.gate.Queued())})
@@ -256,7 +256,7 @@ func sessionKey(scale app.Scale, collectMetrics bool) string {
 }
 
 // session resolves the shared session for a scale/metrics pair. The
-// metrics flag forks the cache key rather than mutating a shared
+// metrics flag forks the session key rather than mutating a shared
 // session: Session.CollectMetrics must be set before the first Run and
 // requests run concurrently.
 func (s *Server) session(scale app.Scale, collectMetrics bool) *core.Session {
@@ -387,6 +387,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxBatchJobs bounds the job list of one batch request.
+const maxBatchJobs = 256
+
 // parseBatch validates a batch body and resolves its jobs, with the
 // job index in every error. The sync handler and the async dispatcher
 // share it so the two paths accept exactly the same requests.
@@ -394,8 +397,8 @@ func (s *Server) parseBatch(req *BatchRequest) (app.Scale, []core.Job, error) {
 	if len(req.Jobs) == 0 {
 		return 0, nil, errors.New("batch needs at least one job")
 	}
-	if len(req.Jobs) > s.cfg.MaxBatchJobs {
-		return 0, nil, fmt.Errorf("batch of %d jobs exceeds the %d-job limit", len(req.Jobs), s.cfg.MaxBatchJobs)
+	if len(req.Jobs) > maxBatchJobs {
+		return 0, nil, fmt.Errorf("batch of %d jobs exceeds the %d-job limit", len(req.Jobs), maxBatchJobs)
 	}
 	scale, err := decodeScale(req.Scale)
 	if err != nil {
@@ -544,7 +547,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		status, ckpt, _ := job.state()
 		writeJSON(w, http.StatusAccepted, &JobStatus{
 			Schema: ResponseSchemaVersion, JobID: job.id, Status: status,
-			Checkpoint: ckpt, RetryAfterMS: retryAfterMS(s.cfg.RetryAfter),
+			Checkpoint: ckpt, RetryAfterMS: retryAfterMS(retryAfterBase),
 		})
 		return
 	}
@@ -586,7 +589,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if status != JobDone {
 		writeJSON(w, http.StatusAccepted, &JobStatus{
 			Schema: ResponseSchemaVersion, JobID: job.id, Status: status,
-			Checkpoint: ckpt, RetryAfterMS: retryAfterMS(s.cfg.RetryAfter),
+			Checkpoint: ckpt, RetryAfterMS: retryAfterMS(retryAfterBase),
 		})
 		return
 	}

@@ -23,6 +23,13 @@ import (
 // reported to its circuit breaker as failing, which eventually routes
 // reads away from it entirely.
 
+// The clamp of the hedge delay a cluster node derives from its forward
+// latencies.
+const (
+	hedgeDelayMin = 10 * time.Millisecond
+	hedgeDelayMax = 2 * time.Second
+)
+
 // latencyTracker keeps a ring of recent forward latencies and derives
 // the hedge delay from their p95, clamped to [min, max].
 type latencyTracker struct {

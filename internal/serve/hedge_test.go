@@ -98,12 +98,12 @@ func hedgeTestServer(t *testing.T, peers []cluster.Peer) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{HedgeDelayMin: 20 * time.Millisecond, HedgeDelayMax: time.Second})
+	s := New(Config{})
 	s.cluster = &clusterRuntime{
 		node:   node,
 		fwd:    &http.Client{},
 		xfer:   &http.Client{Timeout: 15 * time.Second},
-		lat:    newLatencyTracker(s.cfg.HedgeDelayMin, s.cfg.HedgeDelayMax),
+		lat:    newLatencyTracker(20*time.Millisecond, time.Second),
 		budget: newHedgeBudget(0.1),
 	}
 	return s

@@ -33,9 +33,11 @@ import (
 // cannot starve another tenant — exactly the paper's latency-hiding
 // thesis applied to the serving plane: the scheduler always has
 // somewhere useful to switch to. The pool is sized below the gate's
-// worker count, so async work can never occupy every worker and
+// worker count, so async work cannot occupy every worker and
 // interactive (sync) requests keep bounded queue waits regardless of
-// the async backlog.
+// the async backlog — except with a single worker, where the pool is
+// still one dispatcher and an async job can hold the only worker
+// (see Config.Dispatchers).
 
 // Job lifecycle states, as reported by JobStatus. JobReplica marks a
 // job this node holds only as another node's failover copy (cluster
@@ -259,12 +261,6 @@ type tenantQueue struct {
 	deficit int
 }
 
-// Scheduler policy names (Config.Scheduler).
-const (
-	SchedulerFair = "fair" // deficit round-robin over per-tenant queues (default)
-	SchedulerFIFO = "fifo" // single global queue in submit order
-)
-
 // jobManager owns the journal and runs async jobs through a dispatcher
 // pool over per-tenant queues. Crash recovery stays deterministic: each
 // job's checkpoint stream is self-consistent (one dispatcher runs a job
@@ -286,10 +282,8 @@ type jobManager struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// Scheduler state: fifo is the single queue of SchedulerFIFO mode;
-	// queues/ring/rr are the deficit-round-robin state of fair mode.
-	fair   bool
-	fifo   []*asyncJob
+	// Deficit-round-robin state: the per-tenant queues, the tenants in
+	// first-submit order, and the round-robin pointer into that ring.
 	queues map[string]*tenantQueue
 	ring   []string
 	rr     int
@@ -328,7 +322,6 @@ func (s *Server) EnableJournal(path string) (replayed int, err error) {
 		srv:     s,
 		journal: j,
 		jobs:    make(map[string]*asyncJob, len(jobs)),
-		fair:    s.cfg.Scheduler != SchedulerFIFO,
 		queues:  make(map[string]*tenantQueue),
 	}
 	jm.cond = sync.NewCond(&jm.mu)
@@ -384,16 +377,12 @@ func (s *Server) CheckpointsWritten() int64 {
 	return s.jm.ckptsWritten.Load()
 }
 
-// enqueueLocked adds a queued job to its tenant's queue (or the global
-// FIFO). Called with jm.mu held.
+// enqueueLocked adds a queued job to its tenant's queue. Called with
+// jm.mu held.
 func (jm *jobManager) enqueueLocked(job *asyncJob) {
 	job.mu.Lock()
 	job.queuedAt = time.Now()
 	job.mu.Unlock()
-	if !jm.fair {
-		jm.fifo = append(jm.fifo, job)
-		return
-	}
 	q := jm.queues[job.tenant]
 	if q == nil {
 		q = &tenantQueue{name: job.tenant, weight: jm.srv.tenants.get(job.tenant).weight}
@@ -403,25 +392,18 @@ func (jm *jobManager) enqueueLocked(job *asyncJob) {
 	q.jobs = append(q.jobs, job)
 }
 
-// nextLocked pops the next job per the scheduling policy, nil when
-// nothing is queued. Called with jm.mu held.
+// nextLocked pops the next job, nil when nothing is queued. Called with
+// jm.mu held.
 //
-// Fair mode is deficit round-robin with unit job cost: the round-robin
+// Scheduling is deficit round-robin with unit job cost: the round-robin
 // pointer rests on one tenant at a time; a tenant with credit and work
 // dispatches (one credit per job) without moving the pointer, a tenant
 // with no work forfeits its credit, and when a full pass dispatches
 // nothing every backlogged tenant gains its weight in credits. Over any
 // busy window each backlogged tenant therefore drains proportionally to
-// its weight, within one job.
+// its weight, within one job. A single tenant's queue drains in submit
+// order.
 func (jm *jobManager) nextLocked() *asyncJob {
-	if !jm.fair {
-		if len(jm.fifo) == 0 {
-			return nil
-		}
-		job := jm.fifo[0]
-		jm.fifo = jm.fifo[1:]
-		return job
-	}
 	total := 0
 	for _, q := range jm.queues {
 		total += len(q.jobs)

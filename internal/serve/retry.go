@@ -12,6 +12,10 @@ import (
 // interval and returns as the same thundering herd, re-creating the
 // overload that rejected them.
 
+// retryAfterBase is the base of the come-back hints sent with 429 and 503
+// replies and of the poll-pacing hint of unfinished jobs.
+const retryAfterBase = time.Second
+
 // retryAfterSeconds picks the Retry-After hint: uniform in
 // [base/2, 3*base/2], never below one second, rounded up to whole
 // seconds (the header's granularity).

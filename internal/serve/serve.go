@@ -9,9 +9,10 @@
 //   - per-request deadlines: every run is bounded by a context deadline
 //     (client-chosen up to MaxTimeout), and a canceled or disconnected
 //     request aborts its simulation cooperatively, freeing the worker;
-//   - memo reuse with flat memory: requests share core.Sessions through
-//     a sharded LRU cache, so repeated configurations are memo hits but
-//     the result store cannot grow without bound;
+//   - memo reuse with flat memory: requests share one core.Session per
+//     (scale, metrics) pair, so repeated configurations are memo hits,
+//     and a session past maxSessionSims simulations is retired, so the
+//     result store cannot grow without bound;
 //   - observability: queue-depth and inflight expvar gauges, per-request
 //     RunMetrics (the internal/metrics schema) on demand.
 //
@@ -72,16 +73,6 @@ type Config struct {
 	// (default 60s); MaxTimeout caps what they may ask for (default 10m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxSessions bounds the LRU session cache (default 8 sessions over
-	// 4 shards); MaxSessionSims retires a session whose memo has grown
-	// past this many executed simulations (default 65536).
-	MaxSessions    int
-	MaxSessionSims int64
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
-	// MaxBatchJobs bounds the job list of one /v1/batch request
-	// (default 256).
-	MaxBatchJobs int
 	// CheckpointEvery is the cycle budget between journal checkpoints
 	// of async batch jobs (default 100000). Smaller values bound the
 	// re-simulation after a crash more tightly at the cost of more
@@ -95,32 +86,20 @@ type Config struct {
 	// DefaultQuota is the admission quota for undeclared tenants
 	// (zero value = unlimited).
 	DefaultQuota Quota
-	// Scheduler selects how the async dispatcher pool drains queued
-	// jobs: SchedulerFair (default) is deficit-round-robin over
-	// per-tenant queues weighted by TenantConfig.Weight; SchedulerFIFO
-	// is the legacy single global queue.
-	Scheduler string
 	// Dispatchers sizes the async dispatcher pool (default
 	// max(1, Workers/2)). Keeping it below Workers reserves gate slots
 	// for sync requests, so a flood of async submissions cannot starve
-	// interactive traffic.
+	// interactive traffic. With Workers 1 (the default on a 1-CPU host)
+	// the pool is still one dispatcher, so there async work can occupy
+	// the only worker and sync requests queue behind it.
 	Dispatchers int
 	// HedgeFraction caps hedged forwarded reads at this fraction of
 	// forward traffic (default 0.1; negative disables hedging). Only
 	// meaningful in cluster mode.
 	HedgeFraction float64
-	// HedgeDelayMin/HedgeDelayMax clamp the hedge delay derived from
-	// the p95 of recent forward latencies (defaults 10ms and 2s).
-	HedgeDelayMin time.Duration
-	HedgeDelayMax time.Duration
-	// BrownoutHighWater/BrownoutLowWater bound the brownout hysteresis
-	// band in units of queue saturation (queued / QueueDepth): sustained
-	// saturation at or above high water enters brownout, sustained
-	// saturation at or below low water leaves it (defaults 0.75 / 0.25).
-	BrownoutHighWater float64
-	BrownoutLowWater  float64
-	// BrownoutEnter/BrownoutExit are how long the saturation must hold
-	// past the respective water mark before the mode flips (defaults
+	// BrownoutEnter/BrownoutExit are how long queue saturation (queued
+	// / QueueDepth) must hold at or above brownoutHighWater, or at or
+	// below brownoutLowWater, before the brownout mode flips (defaults
 	// 2s in, 3s out; negative BrownoutEnter disables brownout).
 	BrownoutEnter time.Duration
 	BrownoutExit  time.Duration
@@ -140,23 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
 	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 8
-	}
-	if c.MaxSessionSims <= 0 {
-		c.MaxSessionSims = 65536
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBatchJobs <= 0 {
-		c.MaxBatchJobs = 256
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 100_000
-	}
-	if c.Scheduler == "" {
-		c.Scheduler = SchedulerFair
 	}
 	if c.Dispatchers <= 0 {
 		c.Dispatchers = c.Workers / 2
@@ -166,18 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeFraction == 0 {
 		c.HedgeFraction = 0.1
-	}
-	if c.HedgeDelayMin <= 0 {
-		c.HedgeDelayMin = 10 * time.Millisecond
-	}
-	if c.HedgeDelayMax <= 0 {
-		c.HedgeDelayMax = 2 * time.Second
-	}
-	if c.BrownoutHighWater <= 0 {
-		c.BrownoutHighWater = 0.75
-	}
-	if c.BrownoutLowWater <= 0 {
-		c.BrownoutLowWater = 0.25
 	}
 	if c.BrownoutEnter == 0 {
 		c.BrownoutEnter = 2 * time.Second
@@ -193,7 +145,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	gate     *gate
-	sessions *sessionCache
+	sessions *sessionTable
 	mux      *http.ServeMux
 	started  time.Time
 	tenants  *tenantRegistry
@@ -223,9 +175,9 @@ func New(cfg Config) *Server {
 		tenants: newTenantRegistry(cfg.Tenants, cfg.DefaultQuota),
 	}
 	if cfg.BrownoutEnter > 0 {
-		s.bo = newBrownout(cfg.BrownoutHighWater, cfg.BrownoutLowWater, cfg.BrownoutEnter, cfg.BrownoutExit)
+		s.bo = newBrownout(cfg.BrownoutEnter, cfg.BrownoutExit)
 	}
-	s.sessions = newSessionCache(4, cfg.MaxSessions, cfg.MaxSessionSims, func(key string) *core.Session {
+	s.sessions = newSessionTable(maxSessionSims, func(key string) *core.Session {
 		sess := core.NewSession()
 		sess.Workers = cfg.SessionWorkers
 		// Session flags are fixed at creation (requests share sessions

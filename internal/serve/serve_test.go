@@ -376,6 +376,22 @@ func TestSessionReuseAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestSessionsSurviveOtherScales: a default server serving quick,
+// medium+metrics and full keeps one session for each, so serving the
+// other two never drops the quick memo.
+func TestSessionsSurviveOtherScales(t *testing.T) {
+	s := New(Config{})
+	quick := s.session(app.Quick, false)
+	s.session(app.Medium, true)
+	s.session(app.Full, false)
+	if got := s.Sessions(); got != 3 {
+		t.Errorf("Sessions = %d, want 3", got)
+	}
+	if s.session(app.Quick, false) != quick {
+		t.Error("the quick session was rebuilt after serving medium+metrics and full")
+	}
+}
+
 // TestRequestsShareAppInstances checks that request validation resolves
 // applications to the process-wide shared instances instead of
 // building a kernel per request, on the sync and the batch path alike.

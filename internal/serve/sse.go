@@ -78,7 +78,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, v2 bool
 		// Clients fall back to polling (or resume the stream later with
 		// Last-Event-ID — the event history loses nothing).
 		s.bo.shedSSE.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfterBase)))
 		fail(http.StatusServiceUnavailable, v2CodeUnavailable, "event streaming shed under overload (brownout); poll the job or retry later")
 		return
 	}

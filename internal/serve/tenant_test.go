@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +13,9 @@ import (
 // newSchedJM builds a bare job manager for scheduler-level tests: no
 // journal, no dispatchers — jobs go in through enqueueLocked and come
 // out through nextLocked, so the dispatch order is fully observable.
-func newSchedJM(cfg Config, fair bool) *jobManager {
+func newSchedJM(cfg Config) *jobManager {
 	jm := &jobManager{
 		srv:    New(cfg),
-		fair:   fair,
 		jobs:   make(map[string]*asyncJob),
 		queues: make(map[string]*tenantQueue),
 	}
@@ -59,7 +57,7 @@ func TestFairShareDrainRatio(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			jm := newSchedJM(Config{Tenants: tc.tenants}, true)
+			jm := newSchedJM(Config{Tenants: tc.tenants})
 			jm.mu.Lock()
 			defer jm.mu.Unlock()
 			// Interleave the submit order round-robin across tenants so
@@ -95,7 +93,7 @@ func TestFairShareDrainRatio(t *testing.T) {
 func TestFairShareIdleTenantForfeitsCredit(t *testing.T) {
 	jm := newSchedJM(Config{Tenants: []TenantConfig{
 		{Name: "busy", Weight: 1}, {Name: "idle", Weight: 5},
-	}}, true)
+	}})
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	for i := 0; i < 6; i++ {
@@ -115,20 +113,27 @@ func TestFairShareIdleTenantForfeitsCredit(t *testing.T) {
 	}
 }
 
-// TestFIFOSchedulerPreservesSubmitOrder: -fair-share=false falls back
-// to the legacy single global queue.
-func TestFIFOSchedulerPreservesSubmitOrder(t *testing.T) {
-	jm := newSchedJM(Config{}, false)
+// TestFairShareSingleTenantPreservesSubmitOrder: with one tenant,
+// deficit round-robin drains in submit order, including jobs submitted
+// between dispatches.
+func TestFairShareSingleTenantPreservesSubmitOrder(t *testing.T) {
+	jm := newSchedJM(Config{Tenants: []TenantConfig{{Name: "solo", Weight: 3}}})
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	ids := []string{"a-0", "b-0", "a-1", "b-1", "a-2"}
-	for _, id := range ids {
-		tenant, _, _ := strings.Cut(id, "-")
-		job := newAsyncJob(id, "", tenant)
+	submit := func(id string) {
+		job := newAsyncJob(id, "", "solo")
 		job.status = JobQueued
 		jm.enqueueLocked(job)
 	}
+	ids := []string{"j-0", "j-1", "j-2", "j-3", "j-4", "j-5", "j-6"}
+	for _, id := range ids[:5] {
+		submit(id)
+	}
 	for i, want := range ids {
+		if i == 2 {
+			submit(ids[5])
+			submit(ids[6])
+		}
 		job := jm.nextLocked()
 		if job == nil || job.id != want {
 			t.Fatalf("dispatch %d: got %v, want %s", i, job, want)

@@ -107,21 +107,18 @@ func marshalCompact(v any) ([]byte, error) {
 }
 
 // writeV2Error emits the uniform envelope. 429 and 503 also carry the
-// standard Retry-After header mirroring retry_after_ms.
+// standard Retry-After header mirroring retry_after_ms, rounded up to
+// whole seconds so a client honouring the header never returns early.
 func (s *Server) writeV2Error(w http.ResponseWriter, status int, code, msg string) {
 	s.writeV2ErrorRetry(w, status, code, msg, 0)
 }
 
 func (s *Server) writeV2ErrorRetry(w http.ResponseWriter, status int, code, msg string, retryMS int64) {
 	if retryMS == 0 && (status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable) {
-		retryMS = retryAfterMS(s.cfg.RetryAfter)
+		retryMS = retryAfterMS(retryAfterBase)
 	}
 	if retryMS > 0 {
-		secs := int(retryMS / 1000)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.FormatInt((retryMS+999)/1000, 10))
 	}
 	writeJSON(w, status, &V2Error{Error: V2ErrorBody{Code: code, Message: msg, RetryAfterMS: retryMS}})
 }
@@ -265,7 +262,7 @@ func (s *Server) handleV2Jobs(w http.ResponseWriter, r *http.Request) {
 		status, ckpt, _ := job.state()
 		writeJSON(w, http.StatusAccepted, &V2Job{
 			Schema: V2SchemaVersion, JobID: job.id, Tenant: job.tenant, Quota: v2Quota(t),
-			Status: status, Checkpoint: ckpt, RetryAfterMS: retryAfterMS(s.cfg.RetryAfter),
+			Status: status, Checkpoint: ckpt, RetryAfterMS: retryAfterMS(retryAfterBase),
 		})
 		return
 	}
@@ -320,7 +317,7 @@ func (s *Server) handleV2Job(w http.ResponseWriter, r *http.Request) {
 	if job.status == JobDone {
 		out.Result = job.resp
 	} else {
-		out.RetryAfterMS = retryAfterMS(s.cfg.RetryAfter)
+		out.RetryAfterMS = retryAfterMS(retryAfterBase)
 	}
 	job.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -274,6 +275,47 @@ func TestV2QuotaEnforcement(t *testing.T) {
 	var legacy errorResponse
 	if err := json.Unmarshal(body, &legacy); err != nil || legacy.Error == "" {
 		t.Errorf("v1 429 body is not the legacy error shape: %s", body)
+	}
+}
+
+// TestV2RetryAfterRoundsUp: on a 0.4 requests/s quota the 429's
+// retry_after_ms is about 2500; the Retry-After header must round it
+// up to whole seconds, so a client honouring the header does not come
+// back before a token accrues.
+func TestV2RetryAfterRoundsUp(t *testing.T) {
+	_, ts := newTestServer(t, Config{DefaultQuota: Quota{Rate: 0.4, Burst: 1}})
+	post := func() *http.Response {
+		t.Helper()
+		// An empty body is charged to the quota before it is rejected
+		// as a bad request, so no simulation runs.
+		resp, err := http.Post(ts.URL+"/v2/jobs", "application/json", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	if resp := post(); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("first request: status %d, want 400", resp.StatusCode)
+	}
+	resp := post()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second request: status %d, want 429", resp.StatusCode)
+	}
+	var env V2Error
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	ms := env.Error.RetryAfterMS
+	if ms <= 1000 {
+		t.Fatalf("retry_after_ms = %d, want the ~2500 ms a token takes to accrue", ms)
+	}
+	secs, err := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64)
+	if err != nil {
+		t.Fatalf("Retry-After %q: %v", resp.Header.Get("Retry-After"), err)
+	}
+	if want := (ms + 999) / 1000; secs < want {
+		t.Errorf("Retry-After = %ds for retry_after_ms %d, want at least %ds", secs, ms, want)
 	}
 }
 

@@ -397,47 +397,3 @@ const (
 	RegThreads = 2 // total thread count
 	RegProc    = 3 // processor id
 )
-
-// ---------------------------------------------------------------------
-// Legacy facade
-//
-// The wrappers below predate the context-first API and are kept only so
-// existing callers keep compiling. Each one is a pure inline of its
-// replacement (the //go:fix annotations let `go fix`-style tooling
-// rewrite call sites mechanically); none will grow new capabilities.
-// Migrate as follows:
-//
-//	Run(cfg, p, init)              → RunContext(context.Background(), cfg, p, init)
-//	RunChecked(cfg, p, init, ck)   → RunCheckedContext(context.Background(), cfg, p, init, ck)
-//	NewExpOptions(scale, out)      → NewExp(out, WithScale(scale))
-//
-// Passing a real context (not context.Background()) is the point of the
-// migration: it makes runs cancelable and deadline-bounded, which the
-// legacy forms cannot express.
-
-// Run simulates program p under cfg with optional shared-memory init.
-//
-// Deprecated: Run is RunContext under context.Background(); new code
-// should pass a context so runs can be canceled or deadline-bounded.
-//
-//go:fix inline
-func Run(cfg Config, p *Program, init func(*Shared)) (*Result, error) {
-	return RunContext(context.Background(), cfg, p, init)
-}
-
-// RunChecked is Run plus a result verification callback.
-//
-// Deprecated: use RunCheckedContext, for the same reason as Run.
-//
-//go:fix inline
-func RunChecked(cfg Config, p *Program, init func(*Shared), check func(*Shared) error) (*Result, error) {
-	return RunCheckedContext(context.Background(), cfg, p, init, check)
-}
-
-// NewExpOptions returns experiment options writing to out.
-//
-// Deprecated: use NewExp with functional options; this constructor
-// cannot express a context, metrics collection, or fault injection.
-//
-//go:fix inline
-func NewExpOptions(scale Scale, out io.Writer) *ExpOptions { return NewExp(out, WithScale(scale)) }

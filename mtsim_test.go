@@ -1,6 +1,7 @@
 package mtsim_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -75,7 +76,7 @@ func TestCustomProgramViaFacade(t *testing.T) {
 		t.Error("optimizer inserted nothing")
 	}
 	for _, prg := range []*mtsim.Program{p, grouped} {
-		_, err := mtsim.RunChecked(mtsim.Config{
+		_, err := mtsim.RunCheckedContext(context.Background(), mtsim.Config{
 			Procs: 3, Threads: 2, Model: mtsim.ExplicitSwitch, Latency: 40,
 		}, prg, nil, func(sh *mtsim.Shared) error {
 			if got := sh.WordAt("cnt", 0); got != 12 {
