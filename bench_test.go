@@ -100,7 +100,7 @@ func BenchmarkMachineHotLoop(b *testing.B) {
 	var instrs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := mtsim.RunContext(ctx, cfg, a.Raw, a.Init)
+		res, err := mtsim.RunContext(ctx, cfg, a.Raw, a.Init.Fill)
 		if err != nil {
 			b.Fatal(err)
 		}

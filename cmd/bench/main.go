@@ -99,7 +99,7 @@ func suite() []benchmark {
 			// instead of silently timing the interpreter.
 			cfg := mtsim.Config{Procs: 64, Threads: 4, Model: mtsim.SwitchOnLoad, Latency: 200,
 				DispatchMode: mtsim.DispatchCompiled}
-			return mtsim.RunContext(ctx, cfg, a.Raw, a.Init)
+			return mtsim.RunContext(ctx, cfg, a.Raw, a.Init.Fill)
 		}),
 	}, {
 		// The same simulation with cycle accounting on, still compiled:
@@ -112,7 +112,7 @@ func suite() []benchmark {
 			a := mtsim.MustNewApp("sieve", mtsim.Quick)
 			cfg := mtsim.Config{Procs: 64, Threads: 4, Model: mtsim.SwitchOnLoad, Latency: 200,
 				DispatchMode: mtsim.DispatchCompiled, CollectMetrics: true}
-			return mtsim.RunContext(ctx, cfg, a.Raw, a.Init)
+			return mtsim.RunContext(ctx, cfg, a.Raw, a.Init.Fill)
 		}),
 	}, {
 		// The same simulation under the forced interpreter: the pair
@@ -123,7 +123,7 @@ func suite() []benchmark {
 			a := mtsim.MustNewApp("sieve", mtsim.Quick)
 			cfg := mtsim.Config{Procs: 64, Threads: 4, Model: mtsim.SwitchOnLoad, Latency: 200,
 				DispatchMode: mtsim.DispatchInterpreted}
-			return mtsim.RunContext(ctx, cfg, a.Raw, a.Init)
+			return mtsim.RunContext(ctx, cfg, a.Raw, a.Init.Fill)
 		}),
 	}}
 	for _, name := range mtsim.AllAppNames() {

@@ -49,7 +49,7 @@ func main() {
 
 	col := trace.New(p, *lineCells)
 	cfg := mtsim.Config{Procs: *procs, Threads: *threads, Model: model, Latency: *latency}
-	res, err := machine.RunTraced(cfg, p, a.Init, a.Check, col.Collect)
+	res, err := machine.RunTraced(cfg, p, a.Init.Fill, a.Check, col.Collect)
 	if err != nil {
 		fatal(err)
 	}

@@ -63,8 +63,9 @@ func ParseScale(name string) (Scale, error) {
 // App is one benchmark application instance at a fixed problem size.
 //
 // An App is immutable once built and safe for concurrent use: runs only
-// read its programs and call Init and Check on their own machine's
-// memory, and the grouped variant is built once under a sync.Once.
+// read its programs and image and call Check on their own machine's
+// memory, and the grouped variant and the image are each built once
+// under a sync.Once.
 // apps.New relies on that to hand one shared instance per application
 // and scale to every caller in the process, so no caller may assign to
 // its fields or alter its programs.
@@ -80,8 +81,11 @@ type App struct {
 	// switch-on-load, switch-on-use, switch-every-cycle and cache-miss
 	// models execute this variant.
 	Raw *prog.Program
-	// Init populates shared memory before the forked phase.
-	Init func(*machine.Shared)
+	// Init is the initial shared memory the forked phase starts from:
+	// the application's host-side setup, run once on first use (see
+	// machine.NewImage). Raw and grouped programs share its layout.
+	// Checkpoints encode shared memory against it.
+	Init *machine.Image
 	// Check verifies the forked phase's results.
 	Check func(*machine.Shared) error
 	// TableProcs is the processor count at which the paper-style tables
@@ -139,7 +143,7 @@ func (a *App) RunContext(ctx context.Context, cfg machine.Config) (*machine.Resu
 	if err != nil {
 		return nil, err
 	}
-	res, err := machine.RunCheckedContext(ctx, cfg, p, a.Init, a.Check)
+	res, err := machine.RunCheckedContext(ctx, cfg, p, a.Init.Fill, a.Check)
 	if err != nil {
 		return nil, fmt.Errorf("app %s: %w", a.Name, err)
 	}

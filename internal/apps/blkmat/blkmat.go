@@ -252,12 +252,12 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%d x %d matrices, %d x %d blocks", n, n, bs, bs),
 		Raw:         raw,
 		TableProcs:  16,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i := int64(0); i < n*n; i++ {
 				sh.SetFloatAt("A", i, av[i])
 				sh.SetFloatAt("B", i, bv[i])
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			for i := int64(0); i < n*n; i++ {
 				if got := sh.FloatAt("C", i); got != want[i] {

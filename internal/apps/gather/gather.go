@@ -137,12 +137,12 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%d nodes x %d hops", p.Nodes, p.Hops),
 		Raw:         raw,
 		TableProcs:  16,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i := int64(0); i < p.Nodes; i++ {
 				sh.SetWordAt("next", i, next[i])
 				sh.SetWordAt("val", i, val[i])
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			if got := sh.WordAt("acc", 0); got != want {
 				return fmt.Errorf("gather: checksum %d, want %d", got, want)

@@ -216,7 +216,7 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%d build x %d probe, %d buckets", p.Build, p.Probe, p.Buckets),
 		Raw:         raw,
 		TableProcs:  16,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i := int64(0); i < p.Build; i++ {
 				sh.SetWordAt("rkey", i, rkey[i])
 				sh.SetWordAt("rpay", i, rpay[i])
@@ -224,7 +224,7 @@ func New(p Params) *app.App {
 			for j := int64(0); j < p.Probe; j++ {
 				sh.SetWordAt("skey", j, skey[j])
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			if got := sh.WordAt("acc", 0); got != want {
 				return fmt.Errorf("hashjoin: join sum %d, want %d", got, want)

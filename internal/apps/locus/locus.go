@@ -270,7 +270,7 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%d wires on a %d x %d grid", w, g, g),
 		Raw:         raw,
 		TableProcs:  16,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i, c := range costs {
 				sh.SetWordAt("cost", int64(i), c)
 			}
@@ -280,7 +280,7 @@ func New(p Params) *app.App {
 				sh.SetWordAt("wires", int64(i)*4+2, wr.x2)
 				sh.SetWordAt("wires", int64(i)*4+3, wr.y2)
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			for i := int64(0); i < w; i++ {
 				if got := sh.WordAt("out", i); got != wantOut[i] {

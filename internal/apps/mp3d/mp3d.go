@@ -275,7 +275,7 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%d particles, %d steps, %d space cells", n, p.Steps, p.Cells),
 		Raw:         raw,
 		TableProcs:  32,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i := int64(0); i < n; i++ {
 				for d := int64(0); d < 6; d++ {
 					sh.SetFloatAt("part", i*partCells+d, px[i*6+d])
@@ -284,7 +284,7 @@ func New(p Params) *app.App {
 			for i := int64(0); i < p.Cells; i++ {
 				sh.SetFloatAt("cells", i*cellCells+1, props[i])
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			for i := int64(0); i < n; i++ {
 				for d := int64(0); d < 6; d++ {

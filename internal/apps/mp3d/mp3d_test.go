@@ -74,7 +74,7 @@ func TestCellCountersConserved(t *testing.T) {
 	a := mp3d.New(p)
 	prg := a.Raw
 	res, err := machine.RunChecked(machine.Config{Procs: 4, Threads: 4, Model: machine.SwitchOnUse, Latency: 100},
-		prg, a.Init, func(sh *machine.Shared) error {
+		prg, a.Init.Fill, func(sh *machine.Shared) error {
 			var sum int64
 			for c := int64(0); c < 64; c++ {
 				sum += sh.WordAt("cells", c*2)

@@ -189,10 +189,10 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("primes < %d", p.N),
 		Raw:         raw,
 		TableProcs:  16,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			sh.SetWordAt("flags", 0, 1)
 			sh.SetWordAt("flags", 1, 1)
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			if got := sh.WordAt("count", 0); got != want {
 				return fmt.Errorf("sieve: counted %d primes below %d, want %d", got, p.N, want)

@@ -1,0 +1,212 @@
+package apps_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"mtsim/internal/app"
+	"mtsim/internal/apps"
+	"mtsim/internal/cache"
+	"mtsim/internal/machine"
+	"mtsim/internal/net"
+	"mtsim/internal/prog"
+)
+
+// v3Fixtures are snapshots written by the format-3 encoder, which
+// carried shared memory word by word, each paused halfway through its
+// run. They pin the promise that older snapshots still restore.
+var v3Fixtures = []struct {
+	file, app string
+	model     machine.Model
+}{
+	{"snapshot_v3_constant.bin", "water", machine.SwitchOnUse},
+	{"snapshot_v3_cache.bin", "water", machine.ConditionalSwitch},
+	{"snapshot_v3_routed.bin", "hashjoin", machine.SwitchOnLoad},
+}
+
+// TestSnapshotV3FixturesRestore: each committed format-3 snapshot — a
+// constant-network run, a cache model, a routed topology — restores
+// under the current reader and runs on to a Result byte-identical to
+// an uninterrupted run under the configuration it carries.
+func TestSnapshotV3FixturesRestore(t *testing.T) {
+	for _, fx := range v3Fixtures {
+		t.Run(fx.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", fx.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := binary.LittleEndian.Uint32(data[4:8]); v != 3 {
+				t.Fatalf("fixture is format %d, want 3", v)
+			}
+			a := apps.MustNew(fx.app, app.Quick)
+			p, err := a.ProgramFor(fx.model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, err := machine.RestoreMachine(data, p, a.Init)
+			if err != nil {
+				t.Fatalf("RestoreMachine: %v", err)
+			}
+			if mc.Cycle() == 0 {
+				t.Fatal("fixture restored at cycle 0; it should be paused mid-run")
+			}
+			want, err := machine.RunChecked(mc.Config(), p, a.Init.Fill, a.Check)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mc.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Check(mc.SharedMem()); err != nil {
+				t.Fatalf("restored run computed a wrong result: %v", err)
+			}
+			wj, _ := json.Marshal(want)
+			gj, _ := json.Marshal(got)
+			if !bytes.Equal(wj, gj) {
+				t.Errorf("resumed result differs\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", wj, gj)
+			}
+		})
+	}
+}
+
+// TestSnapshotRejectsOtherImage: a snapshot's shared memory is a delta
+// against its application's image, so restoring it against any other
+// image — another application's, the all-zero nil image, or one of the
+// right size but different contents — is a mismatch, never a silently
+// wrong machine.
+func TestSnapshotRejectsOtherImage(t *testing.T) {
+	a := apps.MustNew("water", app.Quick)
+	cfg := machine.Config{Procs: 4, Threads: 2, Model: machine.SwitchOnUse}
+	data := pausedSnapshot(t, a, cfg, 5000)
+	if _, err := machine.RestoreMachine(data, a.Raw, a.Init); err != nil {
+		t.Fatalf("restore with the right image: %v", err)
+	}
+	others := map[string]*machine.Image{
+		"other app": apps.MustNew("sor", app.Quick).Init,
+		"nil":       nil,
+		"zeroed":    machine.NewImage(a.Raw, nil),
+	}
+	for name, img := range others {
+		if _, err := machine.RestoreMachine(data, a.Raw, img); !errors.Is(err, machine.ErrSnapshotMismatch) {
+			t.Errorf("%s image: err = %v, want ErrSnapshotMismatch", name, err)
+		}
+	}
+}
+
+// TestSnapshotDeltaIsSmall: the delta encoding stores only the words
+// that differ from the image, so a machine paused right after start
+// snapshots to far less than its shared memory.
+func TestSnapshotDeltaIsSmall(t *testing.T) {
+	a := apps.MustNew("sieve", app.Quick)
+	cfg := machine.Config{Procs: 4, Threads: 2, Model: machine.SwitchOnUse}
+	data := pausedSnapshot(t, a, cfg, 100)
+	if shared := 8 * int(a.Raw.Shared.Size()); len(data) >= shared/4 {
+		t.Errorf("snapshot at cycle 100 is %d bytes; shared memory alone is %d", len(data), shared)
+	}
+}
+
+// pausedSnapshot runs a's program for cfg to cycle pause and snapshots.
+func pausedSnapshot(t testing.TB, a *app.App, cfg machine.Config, pause int64) []byte {
+	t.Helper()
+	p, err := a.ProgramFor(cfg.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := machine.NewMachine(cfg, p, a.Init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := mc.RunUntil(context.Background(), pause); err != nil || done {
+		t.Fatalf("run to cycle %d: done=%v err=%v", pause, done, err)
+	}
+	data, err := mc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzRestoreMachine feeds hostile bytes to the snapshot decoder. Each
+// input is tried as is and with its checksum recomputed, so mutations
+// reach the payload decoder instead of stopping at the frame. Restore
+// must not panic, must not allocate beyond a bound proportional to the
+// input (a snapshot's configuration sizes the machine, so a corrupt one
+// must not buy a huge machine with a small input), and any snapshot it
+// accepts must re-encode canonically: to the input itself for the
+// current format, to a fixed point for older ones.
+func FuzzRestoreMachine(f *testing.F) {
+	a := apps.MustNew("water", app.Quick)
+	grouped, _ := a.MustGrouped()
+	progs := []*prog.Program{a.Raw, grouped}
+	for _, cfg := range []machine.Config{
+		{Procs: 4, Threads: 2, Model: machine.SwitchOnUse, CollectMetrics: true, CollectRunLengths: true},
+		{Procs: 2, Threads: 3, Model: machine.ConditionalSwitch, Cache: cache.Config{Lines: 64, LineCells: 4, Assoc: 2}},
+		{Procs: 4, Threads: 2, Model: machine.SwitchOnLoad, Topology: net.TopologyConfig{Kind: net.TopoMesh}},
+		{Procs: 2, Threads: 2, Model: machine.ExplicitSwitch, GroupWindow: true, CritPriority: true,
+			Faults: net.FaultConfig{Enabled: true, Seed: 7, DropRate: 0.05, DelayRate: 0.05}},
+		{Procs: 3, Threads: 2, Model: machine.SwitchOnLoad, Congestion: net.CongestionConfig{Enabled: true}},
+	} {
+		f.Add(pausedSnapshot(f, a, cfg, 20000))
+	}
+	for _, fx := range v3Fixtures[:2] {
+		data, err := os.ReadFile(filepath.Join("testdata", fx.file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, resealed(data)} {
+			for _, p := range progs {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				mc, err := machine.RestoreMachine(in, p, a.Init)
+				runtime.ReadMemStats(&after)
+				if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20+64*uint64(len(in)) {
+					t.Fatalf("restoring %d bytes allocated %d", len(in), alloc)
+				}
+				if err != nil {
+					continue
+				}
+				out, err := mc.Snapshot()
+				if err != nil {
+					t.Fatalf("re-snapshot of an accepted snapshot: %v", err)
+				}
+				if binary.LittleEndian.Uint32(in[4:8]) == machine.SnapshotVersion {
+					if !bytes.Equal(out, in) {
+						t.Fatalf("accepted snapshot of %d bytes re-encodes to %d different bytes", len(in), len(out))
+					}
+					continue
+				}
+				again, err := machine.RestoreMachine(out, p, a.Init)
+				if err != nil {
+					t.Fatalf("re-encoded legacy snapshot does not restore: %v", err)
+				}
+				if out2, err := again.Snapshot(); err != nil || !bytes.Equal(out2, out) {
+					t.Fatalf("re-encoded legacy snapshot is not a fixed point (err=%v)", err)
+				}
+			}
+		}
+	})
+}
+
+// resealed returns data with its trailing checksum recomputed over the
+// rest, or data itself when it is too short to carry a frame.
+func resealed(data []byte) []byte {
+	if len(data) < 16 {
+		return data
+	}
+	out := append([]byte(nil), data...)
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(body))
+	return out
+}

@@ -50,7 +50,7 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		want, err := machine.RunChecked(cfg, p, a.Init, a.Check)
+		want, err := machine.RunChecked(cfg, p, a.Init.Fill, a.Check)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Snapshot at cycle %d: %v", mc.Cycle(), err)
 			}
-			if mc, err = machine.RestoreMachine(snap, p); err != nil {
+			if mc, err = machine.RestoreMachine(snap, p, a.Init); err != nil {
 				t.Fatalf("RestoreMachine: %v", err)
 			}
 		}

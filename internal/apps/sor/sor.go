@@ -164,11 +164,11 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%d x %d grid, %d iterations", n, n, p.Iters),
 		Raw:         raw,
 		TableProcs:  16,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i := int64(0); i < s*s; i++ {
 				sh.SetFloatAt("grid", i, initGrid[i])
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			for i := int64(0); i < s*s; i++ {
 				if got := sh.FloatAt("grid", i); got != want[i] {

@@ -149,7 +149,7 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%dx%d, %d nonzeros", p.Rows, p.Cols, nnz),
 		Raw:         raw,
 		TableProcs:  16,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i := int64(0); i <= p.Rows; i++ {
 				sh.SetWordAt("rowptr", i, rowptr[i])
 			}
@@ -160,7 +160,7 @@ func New(p Params) *app.App {
 			for c := int64(0); c < p.Cols; c++ {
 				sh.SetWordAt("x", c, x[c])
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			for i := int64(0); i < p.Rows; i++ {
 				if got := sh.WordAt("y", i); got != want[i] {

@@ -277,7 +277,7 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%d rays, %d faces, %d cells", p.Rays, nf, p.Cells),
 		Raw:         raw,
 		TableProcs:  16,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i, f := range fs {
 				base := int64(i) * faceCells
 				sh.SetFloatAt("faces", base+fX0, f.x0)
@@ -292,7 +292,7 @@ func New(p Params) *app.App {
 			for i, h := range headv {
 				sh.SetWordAt("heads", int64(i), h)
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			for ray := int64(0); ray < p.Rays; ray++ {
 				if got := sh.WordAt("out", 2*ray); got != wantID[ray] {

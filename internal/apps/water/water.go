@@ -259,14 +259,14 @@ func New(p Params) *app.App {
 		Problem:     fmt.Sprintf("%d molecules, %d iterations", n, p.Iters),
 		Raw:         raw,
 		TableProcs:  49,
-		Init: func(sh *machine.Shared) {
+		Init: machine.NewImage(raw, func(sh *machine.Shared) {
 			for i := int64(0); i < n; i++ {
 				for d := int64(0); d < 3; d++ {
 					sh.SetFloatAt("pos", i*molCells+d, px[i*3+d])
 					sh.SetFloatAt("vel", i*molCells+d, pv[i*3+d])
 				}
 			}
-		},
+		}),
 		Check: func(sh *machine.Shared) error {
 			for i := int64(0); i < n; i++ {
 				for d := int64(0); d < 3; d++ {

@@ -69,7 +69,7 @@ func (s *Session) RunCheckpointedContext(ctx context.Context, a *app.App, cfg ma
 
 	var mc *machine.Machine
 	if ck.Resume != nil {
-		mc, err = machine.RestoreMachine(ck.Resume, p)
+		mc, err = machine.RestoreMachine(ck.Resume, p, a.Init)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: resume: %w", a.Name, err)
 		}

@@ -259,7 +259,7 @@ func (s *Session) simulate(ctx context.Context, a *app.App, cfg machine.Config) 
 		check = nil
 	}
 	s.sims.Add(1)
-	r, err := machine.RunCheckedContext(ctx, cfg, p, a.Init, check)
+	r, err := machine.RunCheckedContext(ctx, cfg, p, a.Init.Fill, check)
 	if err != nil {
 		if isCancellation(err) {
 			return nil, err // already names program and cycle

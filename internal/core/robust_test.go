@@ -28,10 +28,11 @@ func panicApp() *app.App {
 	b := prog.NewBuilder("boom")
 	b.Shared("x", 1)
 	b.Halt()
+	raw := b.MustBuild()
 	return &app.App{
 		Name: "boom",
-		Raw:  b.MustBuild(),
-		Init: func(*machine.Shared) { panic("init exploded") },
+		Raw:  raw,
+		Init: machine.NewImage(raw, func(*machine.Shared) { panic("init exploded") }),
 	}
 }
 

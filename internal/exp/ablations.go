@@ -388,7 +388,7 @@ func AblationMP3DSort(o *Options) error {
 		if err != nil {
 			return err
 		}
-		runs[i], err = machine.RunChecked(cfg, g, a.Init, a.Check)
+		runs[i], err = machine.RunChecked(cfg, g, a.Init.Fill, a.Check)
 		return err
 	})
 	if err != nil {

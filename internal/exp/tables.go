@@ -372,5 +372,5 @@ func machineRunGrouped(o *Options, a appHandle, cfg machine.Config) (*machine.Re
 	if err != nil {
 		return nil, err
 	}
-	return machine.RunChecked(cfg, p, a.a.Init, a.a.Check)
+	return machine.RunChecked(cfg, p, a.a.Init.Fill, a.a.Check)
 }

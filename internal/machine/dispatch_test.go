@@ -224,7 +224,7 @@ func TestDispatchModesAgreeOnKernelTopologies(t *testing.T) {
 				run := func(mode machine.DispatchMode) string {
 					c := cfg
 					c.DispatchMode = mode
-					res, err := machine.RunChecked(c, p, a.Init, a.Check)
+					res, err := machine.RunChecked(c, p, a.Init.Fill, a.Check)
 					if err != nil {
 						t.Fatalf("%s: %v", mode, err)
 					}
@@ -353,7 +353,7 @@ func TestRunUntilPauseParity(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if mc, err = machine.RestoreMachine(data, p); err != nil {
+							if mc, err = machine.RestoreMachine(data, p, nil); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -465,7 +465,7 @@ func TestMetricsJSONUnchangedByDispatchMode(t *testing.T) {
 						run := func(mode machine.DispatchMode) string {
 							c := cfg
 							c.DispatchMode = mode
-							res, err := machine.RunChecked(c, p, a.Init, a.Check)
+							res, err := machine.RunChecked(c, p, a.Init.Fill, a.Check)
 							if err != nil {
 								t.Fatalf("%s: %v", mode, err)
 							}

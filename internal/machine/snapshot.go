@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"mtsim/internal/cache"
+	"mtsim/internal/isa"
 	"mtsim/internal/metrics"
 	"mtsim/internal/net"
 	"mtsim/internal/prog"
@@ -24,14 +26,15 @@ import (
 // What a snapshot captures: the event clock and wake vector, every
 // thread context (registers, scoreboard, scheduler state, local
 // memory, grouping window), per-processor caches and counters, the
-// coherence directory and dirty-owner map, shared memory, the partial
+// coherence directory and dirty-owner map, shared memory (as the runs
+// of words that differ from the program's initial Image), the partial
 // Result counters, and the mutable state of the congestion, fault
 // (rng root + sequence counter — Fork makes substreams a pure function
 // of those) and metrics runtimes. What it deliberately does not
-// capture: the program (re-supplied at restore and verified by hash),
-// the configuration's derived scratch (rebuilt), tracers (not
-// serializable; NewMachine does not accept one), and context binding
-// (a resume may run under a different context).
+// capture: the program and its initial image (re-supplied at restore
+// and verified by hash), the configuration's derived scratch (rebuilt),
+// tracers (not serializable; NewMachine does not accept one), and
+// context binding (a resume may run under a different context).
 
 // SnapshotVersion is the current snapshot format version. Readers
 // accept versions 1..SnapshotVersion and reject anything newer.
@@ -41,13 +44,18 @@ import (
 // Version 3 appended Config.Topology to the configuration and the
 // topology network's link-queue state to the payload; older snapshots
 // decode with the constant (legacy) topology, which is what they ran.
-const SnapshotVersion = 3
+// Version 4 records the content hash of the initial Image after the
+// program hash and encodes shared memory as delta runs against that
+// image instead of word by word; older snapshots carry shared memory
+// whole and restore without consulting the image.
+const SnapshotVersion = 4
 
 // snapMagic brands machine snapshots.
 const snapMagic = "MTSN"
 
 // ErrSnapshotMismatch is returned when a snapshot is restored against a
-// program (or implied configuration) it was not taken from.
+// program, initial image (or implied configuration) it was not taken
+// from, or when its state is not what an encoder could have written.
 var ErrSnapshotMismatch = errors.New("machine: snapshot does not match")
 
 // Machine is a pausable simulation: Run/RunUntil drive it, Snapshot
@@ -55,20 +63,28 @@ var ErrSnapshotMismatch = errors.New("machine: snapshot does not match")
 // concurrent use.
 type Machine struct {
 	sim    *m
+	base   *Image
 	done   bool
 	failed error
+	// snapLen is the size of the last snapshot, which presizes the next.
+	snapLen int
 }
 
 // NewMachine validates cfg and p and builds a machine paused at cycle
-// 0, with init applied to shared memory (the serial setup the paper
-// excludes from measurement). Tracers are deliberately unsupported:
-// they cannot be captured by a snapshot.
-func NewMachine(cfg Config, p *prog.Program, init func(*Shared)) (*Machine, error) {
-	sim, err := newSim(cfg, p, init, nil)
+// 0, its shared memory a copy of img (the serial setup the paper
+// excludes from measurement; nil for all zero). Its snapshots encode
+// shared memory against img, so restoring them takes the same image.
+// Tracers are deliberately unsupported: they cannot be captured by a
+// snapshot.
+func NewMachine(cfg Config, p *prog.Program, img *Image) (*Machine, error) {
+	if err := img.check(p); err != nil {
+		return nil, err
+	}
+	sim, err := newSim(cfg, p, img.Fill, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{sim: sim}, nil
+	return &Machine{sim: sim, base: img}, nil
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -150,25 +166,46 @@ func (mc *Machine) Snapshot() ([]byte, error) {
 	if mc.done {
 		return nil, errors.New("machine: cannot snapshot a completed run (use Result)")
 	}
-	var e snap.Encoder
-	mc.sim.encodeState(&e)
-	return snap.Seal(snapMagic, SnapshotVersion, e.Bytes()), nil
+	size := mc.snapLen + mc.snapLen/8
+	if size == 0 {
+		size = mc.sim.snapshotSizeHint()
+	}
+	e := snap.NewEncoder(snapMagic, SnapshotVersion, size)
+	mc.sim.encodeState(e, mc.base)
+	b := e.Seal()
+	mc.snapLen = len(b)
+	return b, nil
+}
+
+// snapshotSizeHint bounds a first snapshot's size from the machine's
+// shape: everything but the shared-memory delta, which is counted as
+// half of shared memory.
+func (sim *m) snapshotSizeHint() int {
+	perThread := 8*(2*isa.NumIntRegs+2*isa.NumFPRegs+16) + 8*int(sim.prg.Local.Size())
+	perProc := 128 + 18*sim.cfg.Cache.Lines + sim.cfg.Threads*perThread
+	return 4096 + 4*len(sim.sh) + sim.cfg.Procs*perProc
 }
 
 // RestoreMachine rebuilds a paused machine from a snapshot. The program
 // must be the one the snapshot was taken from (verified by a content
-// hash); init is NOT re-run — shared memory comes from the snapshot.
-func RestoreMachine(data []byte, p *prog.Program) (*Machine, error) {
+// hash), and so must img, the initial image its shared memory is
+// encoded against (format version 4; older snapshots carry shared
+// memory whole and ignore img). The image is not re-applied beyond
+// that: shared memory comes from the snapshot.
+func RestoreMachine(data []byte, p *prog.Program, img *Image) (*Machine, error) {
 	version, payload, err := snap.Open(snapMagic, SnapshotVersion, data)
 	if err != nil {
 		return nil, fmt.Errorf("machine: restore: %w", err)
 	}
+	if err := img.check(p); err != nil {
+		return nil, fmt.Errorf("machine: restore: %w: %v", ErrSnapshotMismatch, err)
+	}
 	d := snap.NewDecoder(payload)
-	sim, err := decodeState(d, p, version)
+	sim, err := decodeState(d, p, img, version)
 	if err != nil {
 		return nil, fmt.Errorf("machine: restore: %w", err)
 	}
-	return &Machine{sim: sim}, nil
+	return &Machine{sim: sim, base: img, snapLen: len(data)}, nil
 }
 
 // programHash fingerprints the executable content a snapshot depends
@@ -201,11 +238,12 @@ func programHash(p *prog.Program) uint64 {
 	return h.Sum64()
 }
 
-// encodeState writes the simulation's mutable state (payload only; the
-// caller frames it).
-func (sim *m) encodeState(e *snap.Encoder) {
+// encodeState writes the simulation's mutable state, shared memory as
+// a delta against base (payload only; the caller frames it).
+func (sim *m) encodeState(e *snap.Encoder, base *Image) {
 	e.String(sim.prg.Name)
 	e.U64(programHash(sim.prg))
+	e.U64(base.Hash())
 	encodeConfig(e, sim.cfg)
 
 	e.I64(sim.now)
@@ -218,7 +256,7 @@ func (sim *m) encodeState(e *snap.Encoder) {
 	} else {
 		e.I64s(sim.wakes)
 	}
-	e.I64s(sim.sh)
+	encodeShared(e, sim.sh, base.cells())
 
 	for pi := range sim.procs {
 		pr := &sim.procs[pi]
@@ -256,7 +294,7 @@ func (sim *m) encodeState(e *snap.Encoder) {
 		for line := range sim.dirtyOwner {
 			lines = append(lines, line)
 		}
-		sortI64s(lines)
+		slices.Sort(lines)
 		e.U32(uint32(len(lines)))
 		for _, line := range lines {
 			e.I64(line)
@@ -319,10 +357,112 @@ func (sim *m) encodeState(e *snap.Encoder) {
 	}
 }
 
-// decodeState rebuilds a paused simulation from a payload.
-func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
+// encodeShared writes shared memory as its delta against base (nil:
+// all zero): the run count, then each run's start and its words (an
+// I64s, whose length prefix is the run's length). A run is a maximal
+// stretch of words that differ from base, so runs come sorted, at
+// least one equal word apart, and each state has exactly one encoding.
+func encodeShared(e *snap.Encoder, sh, base []int64) {
+	runs := 0
+	for start, end := nextRun(sh, base, 0); start < end; start, end = nextRun(sh, base, end) {
+		runs++
+	}
+	e.U32(uint32(runs))
+	for start, end := nextRun(sh, base, 0); start < end; start, end = nextRun(sh, base, end) {
+		e.U32(uint32(start))
+		e.I64s(sh[start:end])
+	}
+}
+
+// nextRun returns the first maximal run [start, end) at or after i of
+// words of sh that differ from base; start == end when none is left.
+func nextRun(sh, base []int64, i int) (start, end int) {
+	for i < len(sh) && sh[i] == baseWord(base, i) {
+		i++
+	}
+	start = i
+	for i < len(sh) && sh[i] != baseWord(base, i) {
+		i++
+	}
+	return start, i
+}
+
+func baseWord(base []int64, i int) int64 {
+	if base == nil {
+		return 0
+	}
+	return base[i]
+}
+
+// decodeShared rebuilds shared memory from base and the delta runs
+// encodeShared wrote, rejecting any encoding it would not have written.
+func decodeShared(d *snap.Decoder, sh, base []int64) error {
+	copy(sh, base)
+	runs := d.Count(4 + 4 + 8)
+	next := 0 // the first index the next run may start at
+	for r := 0; r < runs && d.Err() == nil; r++ {
+		start := int(d.U32())
+		n := d.Count(8)
+		if d.Err() != nil {
+			break
+		}
+		if n == 0 || start < next || start > len(sh)-n {
+			return fmt.Errorf("%w: shared-memory run [%d,+%d) out of order or range for %d cells", ErrSnapshotMismatch, start, n, len(sh))
+		}
+		for i := start; i < start+n; i++ {
+			v := d.I64()
+			if v == baseWord(base, i) {
+				return fmt.Errorf("%w: shared-memory run [%d,+%d) holds the image's word at %d", ErrSnapshotMismatch, start, n, i)
+			}
+			sh[i] = v
+		}
+		next = start + n + 1
+	}
+	return d.Err()
+}
+
+// fitsPayload reports whether rem payload bytes can hold the encoded
+// state of a machine under the effective cfg running p. A snapshot's
+// configuration sizes the machine restore builds before reading that
+// state, so this check is what keeps a hostile snapshot from making
+// restore allocate far beyond the snapshot's own size. Every bound
+// below is a lower bound on what encodeState writes.
+func fitsPayload(cfg Config, p *prog.Program, rem int) bool {
+	r := int64(rem)
+	procs, threads := int64(cfg.Procs), int64(cfg.Threads)
+	perThread := int64(8*(2*isa.NumIntRegs+2*isa.NumFPRegs+6)+6) + 8*p.Local.Size()
+	perProc := int64(8 + 7*8 + 1) // wake, counters, cache flag
+	if cfg.Model.UsesCache() {
+		lines := int64(cfg.Cache.Lines)
+		if lines > r/18 {
+			return false
+		}
+		perProc += 4*4 + 18*lines + 5*8
+	}
+	if procs > r/perProc || threads > r/procs || procs*threads > r/perThread {
+		return false
+	}
+	need := procs*perProc + procs*threads*perThread
+	if cfg.Topology.Enabled() {
+		// Every node has at least one outgoing link of 28 bytes.
+		nodes := int64(cfg.Topology.Nodes)
+		if nodes > r/28 {
+			return false
+		}
+		need += 28 * nodes
+	}
+	return need <= r
+}
+
+// decodeState rebuilds a paused simulation from a payload, shared
+// memory against base.
+func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) (*m, error) {
 	name := d.String()
 	hash := d.U64()
+	var baseHash uint64
+	if version >= 4 {
+		baseHash = d.U64()
+	}
 	cfg := decodeConfig(d, version)
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -332,6 +472,15 @@ func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
 	}
 	if got := programHash(p); got != hash {
 		return nil, fmt.Errorf("%w: program %q content hash %016x, snapshot expects %016x", ErrSnapshotMismatch, p.Name, got, hash)
+	}
+	if version >= 4 && baseHash != base.Hash() {
+		return nil, fmt.Errorf("%w: shared memory encoded against image %016x, restoring with image %016x", ErrSnapshotMismatch, baseHash, base.Hash())
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if !fitsPayload(cfg.withDefaults(), p, d.Remaining()) {
+		return nil, fmt.Errorf("%w: %d payload bytes cannot hold the state of a %dx%d machine", ErrSnapshotMismatch, d.Remaining(), cfg.Procs, cfg.Threads)
 	}
 	// newSim re-validates cfg and rebuilds every derived structure at
 	// cycle 0; the rest of this function overwrites the mutable state.
@@ -349,16 +498,20 @@ func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
 	sim.nowApprox = d.I64()
 	sim.live = d.Int()
 	wakes := d.I64s()
-	sh := d.I64s()
-	if d.Err() == nil {
-		if len(wakes) != len(sim.procs) {
-			return nil, fmt.Errorf("%w: wake vector for %d procs, machine has %d", ErrSnapshotMismatch, len(wakes), len(sim.procs))
+	if d.Err() == nil && len(wakes) != len(sim.procs) {
+		return nil, fmt.Errorf("%w: wake vector for %d procs, machine has %d", ErrSnapshotMismatch, len(wakes), len(sim.procs))
+	}
+	sim.wakes = make([]int64, len(sim.procs))
+	copy(sim.wakes, wakes)
+	if version >= 4 {
+		if err := decodeShared(d, sim.sh, base.cells()); err != nil {
+			return nil, err
 		}
-		if len(sh) != len(sim.sh) && !(len(sh) == 0 && len(sim.sh) == 0) {
+	} else {
+		sh := d.I64s()
+		if d.Err() == nil && len(sh) != len(sim.sh) {
 			return nil, fmt.Errorf("%w: shared memory of %d cells, program needs %d", ErrSnapshotMismatch, len(sh), len(sim.sh))
 		}
-		sim.wakes = make([]int64, len(sim.procs))
-		copy(sim.wakes, wakes)
 		copy(sim.sh, sh)
 	}
 
@@ -367,7 +520,8 @@ func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
 		pr.cur = d.Int()
 		pr.live = d.Int()
 		pr.resume = d.Int()
-		pr.critLive = int32(d.I64())
+		critLive := d.I64()
+		pr.critLive = int32(critLive)
 		pr.busy = d.I64()
 		pr.spinBusy = d.I64()
 		pr.switchOverhead = d.I64()
@@ -388,8 +542,9 @@ func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
 				return nil, err
 			}
 		}
-		if pr.cur < 0 || pr.cur >= len(pr.threads) || pr.resume < -1 || pr.resume >= len(pr.threads) {
-			return nil, fmt.Errorf("%w: proc %d scheduler indices out of range", ErrSnapshotMismatch, pi)
+		if pr.cur < 0 || pr.cur >= len(pr.threads) || pr.resume < -1 || pr.resume >= len(pr.threads) ||
+			int64(pr.critLive) != critLive {
+			return nil, fmt.Errorf("%w: proc %d scheduler state out of range", ErrSnapshotMismatch, pi)
 		}
 	}
 
@@ -401,11 +556,15 @@ func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
 		return nil, fmt.Errorf("%w: directory presence differs from model %s", ErrSnapshotMismatch, cfg.Model)
 	}
 	if hasDir {
-		nlines := int(d.U32())
+		nlines := d.Count(8 + 4)
 		ds := cache.DirectoryState{Lines: make([]int64, 0, nlines), Sharers: make([][]int32, 0, nlines)}
 		for i := 0; i < nlines && d.Err() == nil; i++ {
-			ds.Lines = append(ds.Lines, d.I64())
-			ns := int(d.U32())
+			line := d.I64()
+			if i > 0 && line <= ds.Lines[i-1] {
+				return nil, fmt.Errorf("%w: directory lines out of order", ErrSnapshotMismatch)
+			}
+			ds.Lines = append(ds.Lines, line)
+			ns := d.Count(8)
 			sharers := make([]int32, 0, ns)
 			for j := 0; j < ns && d.Err() == nil; j++ {
 				v := d.I64()
@@ -423,14 +582,19 @@ func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
 			}
 			sim.dir = dir
 		}
-		nown := int(d.U32())
+		nown := d.Count(8 + 8)
+		var prev int64
 		for i := 0; i < nown && d.Err() == nil; i++ {
 			line := d.I64()
 			owner := d.I64()
 			if owner < 0 || owner >= int64(len(sim.procs)) {
 				return nil, fmt.Errorf("%w: dirty owner %d out of range", ErrSnapshotMismatch, owner)
 			}
+			if i > 0 && line <= prev {
+				return nil, fmt.Errorf("%w: dirty-owner lines out of order", ErrSnapshotMismatch)
+			}
 			sim.dirtyOwner[line] = int32(owner)
+			prev = line
 		}
 	}
 
@@ -468,7 +632,7 @@ func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
 			return nil, fmt.Errorf("%w: snapshot has metrics state but config disables collection", ErrSnapshotMismatch)
 		}
 		decodeAccts := func() []metrics.AcctState {
-			n := int(d.U32())
+			n := d.Count(8 + 8 + 8*len(metrics.AcctState{}.States))
 			as := make([]metrics.AcctState, 0, n)
 			for i := 0; i < n && d.Err() == nil; i++ {
 				a := metrics.AcctState{LastEnd: d.I64(), FaultDebt: d.I64()}
@@ -496,7 +660,7 @@ func decodeState(d *snap.Decoder, p *prog.Program, version uint32) (*m, error) {
 			if sim.topo == nil {
 				return nil, fmt.Errorf("%w: snapshot has topology state but config disables it", ErrSnapshotMismatch)
 			}
-			nlinks := int(d.U32())
+			nlinks := d.Count(3*8 + 4)
 			ts := net.TopologyState{
 				FreeAt:   make([]int64, 0, nlinks),
 				Enqueued: make([]int64, 0, nlinks),
@@ -590,7 +754,8 @@ func decodeThread(d *snap.Decoder, t *thread, sim *m) error {
 	t.maxReady = d.I64()
 	t.runLen = d.I64()
 	t.sinceSwitch = d.I64()
-	t.crit = int32(d.I64())
+	crit := d.I64()
+	t.crit = int32(crit)
 	local := d.I64s()
 	hasWindow := d.Bool()
 	if d.Err() != nil {
@@ -598,6 +763,9 @@ func decodeThread(d *snap.Decoder, t *thread, sim *m) error {
 	}
 	if pc < 0 || pc >= int64(len(sim.instrs)) {
 		return fmt.Errorf("%w: thread pc %d outside program of %d instructions", ErrSnapshotMismatch, pc, len(sim.instrs))
+	}
+	if int64(t.crit) != crit {
+		return fmt.Errorf("%w: thread critical-region depth %d out of range", ErrSnapshotMismatch, crit)
 	}
 	t.pc = int32(pc)
 	if len(local) != len(t.local) && !(len(local) == 0 && len(t.local) == 0) {
@@ -796,14 +964,4 @@ func decodeConfig(d *snap.Decoder, version uint32) Config {
 		cfg.Topology.MemCycles = d.Int()
 	}
 	return cfg
-}
-
-// sortI64s is an insertion sort for the (small) dirty-owner key set,
-// keeping the encoder free of a sort dependency on the hot path types.
-func sortI64s(v []int64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

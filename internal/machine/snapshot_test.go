@@ -16,9 +16,9 @@ import (
 // step cycles and round-tripping the whole simulation through a
 // snapshot at every pause — the strictest exercise of the
 // checkpoint/restore contract.
-func runInterrupted(t *testing.T, cfg machine.Config, p *prog.Program, init func(*machine.Shared), step int64) *machine.Result {
+func runInterrupted(t *testing.T, cfg machine.Config, p *prog.Program, img *machine.Image, step int64) *machine.Result {
 	t.Helper()
-	mc, err := machine.NewMachine(cfg, p, init)
+	mc, err := machine.NewMachine(cfg, p, img)
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
@@ -38,7 +38,7 @@ func runInterrupted(t *testing.T, cfg machine.Config, p *prog.Program, init func
 		if err != nil {
 			t.Fatalf("Snapshot at cycle %d: %v", mc.Cycle(), err)
 		}
-		mc, err = machine.RestoreMachine(snap, p)
+		mc, err = machine.RestoreMachine(snap, p, img)
 		if err != nil {
 			t.Fatalf("RestoreMachine at cycle %d: %v", mc2cycle(snap), err)
 		}
@@ -161,7 +161,7 @@ func TestSnapshotRestoreSnapshotIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := machine.RestoreMachine(s1, p)
+	rc, err := machine.RestoreMachine(s1, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,31 +192,31 @@ func TestRestoreRejectsCorruptAndMismatched(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := machine.RestoreMachine(nil, p); err == nil {
+	if _, err := machine.RestoreMachine(nil, p, nil); err == nil {
 		t.Error("nil snapshot accepted")
 	}
-	if _, err := machine.RestoreMachine([]byte("garbage"), p); err == nil {
+	if _, err := machine.RestoreMachine([]byte("garbage"), p, nil); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
 	// Flip one payload byte: the CRC must catch it.
 	bad := append([]byte(nil), snap...)
 	bad[len(bad)/2] ^= 0x40
-	if _, err := machine.RestoreMachine(bad, p); err == nil {
+	if _, err := machine.RestoreMachine(bad, p, nil); err == nil {
 		t.Error("corrupt snapshot accepted")
 	}
 	// Truncation.
-	if _, err := machine.RestoreMachine(snap[:len(snap)-3], p); err == nil {
+	if _, err := machine.RestoreMachine(snap[:len(snap)-3], p, nil); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
 	// Wrong program: same name, different body must be rejected by the
 	// content hash; different name by the name check.
 	other := buildCounter(11)
-	if _, err := machine.RestoreMachine(snap, other); !errors.Is(err, machine.ErrSnapshotMismatch) {
+	if _, err := machine.RestoreMachine(snap, other, nil); !errors.Is(err, machine.ErrSnapshotMismatch) {
 		t.Errorf("snapshot accepted for a different program body (err=%v)", err)
 	}
 	renamed := prog.NewBuilder("other")
 	renamed.Halt()
-	if _, err := machine.RestoreMachine(snap, renamed.MustBuild()); !errors.Is(err, machine.ErrSnapshotMismatch) {
+	if _, err := machine.RestoreMachine(snap, renamed.MustBuild(), nil); !errors.Is(err, machine.ErrSnapshotMismatch) {
 		t.Errorf("snapshot accepted for a different program name (err=%v)", err)
 	}
 }

@@ -1,6 +1,7 @@
 package chaostest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -142,7 +143,9 @@ func pollDone(t *testing.T, addr, id string) []byte {
 // TestSIGKILLRecoveryByteIdentity is the headline chaos test: SIGKILL
 // the daemon at seeded-random points while it works a journaled batch,
 // restart it over the same journal each time, and require the final
-// response to be byte-identical to a never-killed daemon's.
+// response to be byte-identical to a never-killed daemon's. At least
+// one kill must land mid-job — after a checkpoint, before the done
+// record — or the test proved nothing about resuming.
 func TestSIGKILLRecoveryByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and repeatedly kills the real daemon; skipped in -short")
@@ -167,7 +170,7 @@ func TestSIGKILLRecoveryByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC4A05))
 	journal := filepath.Join(dir, "chaos.wal")
 	var got []byte
-	kills := 0
+	kills, midJob := 0, 0
 	for {
 		addr := freeAddr(t)
 		daemon := startDaemon(t, bin, addr, journal)
@@ -183,7 +186,14 @@ func TestSIGKILLRecoveryByteIdentity(t *testing.T) {
 			break
 		}
 		// Let the run get somewhere, then pull the plug with no drain.
-		time.Sleep(time.Duration(10+rng.Intn(80)) * time.Millisecond)
+		// The first round waits for a seeded number of checkpoints
+		// instead of a delay, so however fast the job runs at least one
+		// kill lands mid-job.
+		if kills == 0 {
+			awaitJobCheckpoint(t, addr, id, int64(1+rng.Intn(3)))
+		} else {
+			time.Sleep(time.Duration(10+rng.Intn(80)) * time.Millisecond)
+		}
 		if body, done, err := pollOnce(addr, id); err == nil && done {
 			// Finished before this round's kill: recovery already
 			// proved itself on earlier rounds (or there was nothing to
@@ -198,13 +208,42 @@ func TestSIGKILLRecoveryByteIdentity(t *testing.T) {
 		}
 		_ = daemon.Wait()
 		kills++
+		if data, err := os.ReadFile(journal); err == nil &&
+			bytes.Contains(data, []byte(`"kind":"ckpt","id":"`+id+`"`)) &&
+			!bytes.Contains(data, []byte(`"kind":"done","id":"`+id+`"`)) {
+			midJob++
+		}
 	}
-	t.Logf("survived %d SIGKILLs (journal %d bytes)", kills, fileSize(t, journal))
+	t.Logf("survived %d SIGKILLs, %d mid-job (journal %d bytes)", kills, midJob, fileSize(t, journal))
+	if midJob == 0 {
+		t.Errorf("none of %d kills landed mid-job", kills)
+	}
 
 	if string(got) != string(want) {
 		t.Errorf("response after %d kills differs from crash-free run:\n--- crash-free ---\n%s\n--- recovered ---\n%s",
 			kills, want, got)
 	}
+}
+
+// awaitJobCheckpoint polls the job until it has journaled at least min
+// checkpoints. It fails if the job finishes first.
+func awaitJobCheckpoint(t *testing.T, addr, id string, min int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		job, err := apiClient(addr).GetJob(context.Background(), id)
+		if err != nil {
+			t.Fatalf("poll job %s: %v", id, err)
+		}
+		if job.Status == serve.JobDone {
+			t.Fatalf("job %s finished before %d checkpoints", id, min)
+		}
+		if job.Checkpoint >= min {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("job %s never reached %d checkpoints", id, min)
 }
 
 func fileSize(t *testing.T, path string) int64 {

@@ -1,12 +1,14 @@
 package chaostest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -93,8 +95,9 @@ type clusterView struct {
 		State string `json:"state"`
 	} `json:"nodes"`
 	Leases []struct {
-		JobID  string `json:"job_id"`
-		Holder string `json:"holder"`
+		JobID      string `json:"job_id"`
+		Holder     string `json:"holder"`
+		Checkpoint int64  `json:"checkpoint"`
 	} `json:"leases"`
 	Claims int64 `json:"claims"`
 }
@@ -140,6 +143,47 @@ func leaseHolder(t *testing.T, nodes []*clusterNodeProc, jobID string) string {
 	}
 	t.Fatal("no node ever reported a lease for the job")
 	return ""
+}
+
+// awaitCheckpoint polls the holder's own lease table until the job has
+// journaled at least min checkpoints and returns the count. It fails if
+// the lease leaves the table first: the holder finished (or handed off)
+// the job, so a kill would no longer land mid-job.
+func awaitCheckpoint(t *testing.T, holder *clusterNodeProc, jobID string, min int64) int64 {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		cv, err := fetchClusterView(holder.addr)
+		if err != nil {
+			t.Fatalf("lease table of %s: %v", holder.id, err)
+		}
+		held := false
+		for _, l := range cv.Leases {
+			if l.JobID != jobID || l.Holder != holder.id {
+				continue
+			}
+			held = true
+			if l.Checkpoint >= min {
+				return l.Checkpoint
+			}
+		}
+		if !held {
+			t.Fatalf("%s dropped the job's lease before %d checkpoints: it finished before the kill", holder.id, min)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("job never reached %d checkpoints on %s", min, holder.id)
+	return 0
+}
+
+// finishedIn reports whether the journal at path records the job done.
+func finishedIn(t *testing.T, path, jobID string) bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Contains(data, []byte(`"kind":"done","id":"`+jobID+`"`))
 }
 
 // pollSurvivors polls the surviving nodes until the job completes,
@@ -191,8 +235,10 @@ func TestClusterNodeKillFailover(t *testing.T) {
 		t.Fatalf("cluster job id %s differs from reference %s", jobID, refID)
 	}
 
-	// Find the owner, give it a moment to checkpoint and replicate,
-	// then SIGKILL it mid-job.
+	// Find the owner, wait until its own lease table shows the job two
+	// checkpoints in (so a replica holds a resume point), then SIGKILL
+	// it mid-job. Waiting on progress rather than a fixed sleep keeps
+	// the test independent of how fast the job runs.
 	holder := leaseHolder(t, nodes, jobID)
 	var victim *clusterNodeProc
 	var survivors []*clusterNodeProc
@@ -206,12 +252,15 @@ func TestClusterNodeKillFailover(t *testing.T) {
 	if victim == nil {
 		t.Fatalf("lease holder %q is not a fleet member", holder)
 	}
-	time.Sleep(300 * time.Millisecond)
+	ckpt := awaitCheckpoint(t, victim, jobID, 2)
 	if err := victim.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	_ = victim.cmd.Wait()
-	t.Logf("killed lease holder %s mid-job", holder)
+	if finishedIn(t, filepath.Join(dir, victim.id+".wal"), jobID) {
+		t.Fatalf("job finished on %s before the kill landed; nothing failed over", holder)
+	}
+	t.Logf("killed lease holder %s mid-job, %d checkpoints in", holder, ckpt)
 
 	got := pollSurvivors(t, survivors, jobID)
 	if string(got) != string(want) {

@@ -161,11 +161,12 @@ type JobState struct {
 	Status string `json:"status"`
 }
 
-// JobStateCkpt is one batch entry's latest checkpoint.
+// JobStateCkpt is one batch entry's latest checkpoint. A finished
+// job's entries carry only their cycle: it holds no snapshots.
 type JobStateCkpt struct {
 	Entry int    `json:"entry"`
 	Cycle int64  `json:"cycle"`
-	Snap  []byte `json:"snap"`
+	Snap  []byte `json:"snap,omitempty"`
 }
 
 // fresher reports whether a carries more completed work than b.
@@ -277,7 +278,7 @@ func (jm *jobManager) storeReplica(st *JobState) error {
 		// the executing node accounted the job; this copy must not
 		// double-count it on replay.
 		if err := jm.journal.AppendDone(st.ID, st.Resp, nil); err == nil {
-			job.status, job.resp = JobDone, st.Resp
+			job.finishLocked(st.Resp)
 		}
 	}
 	job.sub.Broadcast()
@@ -313,7 +314,8 @@ func (jm *jobManager) adoptOwned(st *JobState) error {
 	if st.Resp != nil {
 		// Finished elsewhere: usage is nil, the finishing node accounted it.
 		if err := jm.journal.AppendDone(st.ID, st.Resp, nil); err == nil {
-			job.status, job.resp, job.replica = JobDone, st.Resp, false
+			job.finishLocked(st.Resp)
+			job.replica = false
 		}
 		job.sub.Broadcast()
 		job.mu.Unlock()

@@ -241,6 +241,18 @@ func (j *asyncJob) etaMSLocked() int64 {
 	return elapsed * int64(j.entries-j.entriesDone) / int64(j.entriesDone)
 }
 
+// finishLocked marks the job done with its final response bytes. The
+// job keeps each entry's latest checkpoint cycle (its progress, which
+// the poll body and SSE events report) but drops the snapshot bytes: a
+// finished job never resumes, so holding them would only grow memory
+// with every job served. Called with j.mu held.
+func (j *asyncJob) finishLocked(resp []byte) {
+	j.status, j.resp = JobDone, resp
+	for entry, c := range j.ckpts {
+		j.ckpts[entry] = JobCheckpoint{Cycle: c.Cycle}
+	}
+}
+
 // progressLocked sums the latest checkpointed cycle over entries — the
 // deterministic cycles-completed figure events and leases report.
 func (j *asyncJob) progressLocked() int64 {
@@ -687,7 +699,7 @@ func (jm *jobManager) finish(job *asyncJob, resp []byte, simCycles int64) {
 	_ = jm.journal.AppendDone(job.id, resp, usage)
 	jm.srv.tenants.add(job.tenant, 1, simCycles, queueMS)
 	job.mu.Lock()
-	job.status, job.resp = JobDone, resp
+	job.finishLocked(resp)
 	job.sub.Broadcast()
 	job.mu.Unlock()
 	if jm.replicate != nil {

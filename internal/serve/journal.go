@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"strconv"
 	"sync"
@@ -20,12 +22,18 @@ import (
 // response an uninterrupted run would have produced.
 //
 // Format: one record per line, `crc32_hex space json \n`, where the CRC
-// (IEEE, hex, fixed 8 digits) covers the JSON bytes. JSON-lines keeps
-// the log greppable in production; the CRC is what makes truncation and
-// torn writes detectable, since a partial JSON document can still
-// parse. Replay stops at the first record whose CRC, framing or JSON
-// does not verify and truncates the file there, so later appends never
-// interleave with garbage.
+// (IEEE, hex, fixed 8 digits) covers the JSON bytes. A ckpt record's
+// machine snapshot follows its line as raw bytes — snap_len of them
+// (a JSON field) and a closing newline — and the CRC then covers the
+// JSON bytes followed by the snapshot bytes. JSON-lines keeps the log
+// greppable in production, and the raw snapshot spares each checkpoint
+// a base64 round trip; the CRC is what makes truncation and torn
+// writes detectable, since a partial JSON document can still parse.
+// Replay stops at the first record whose CRC, framing or JSON does not
+// verify and truncates the file there, so later appends never
+// interleave with garbage. Records written before the raw framing carry
+// the snapshot base64-encoded in the JSON as "snap"; replay still reads
+// them.
 //
 // In cluster mode the journal also carries ownership: submit records
 // gain a role (owner vs replica), and lease/release records track which
@@ -36,7 +44,7 @@ import (
 // Journal record kinds.
 const (
 	recSubmit  = "submit"  // a job was accepted: body is the BatchRequest
-	recCkpt    = "ckpt"    // one batch entry paused: snap is its machine snapshot
+	recCkpt    = "ckpt"    // one batch entry paused: its machine snapshot follows
 	recDone    = "done"    // the job finished: resp is the final response body
 	recLease   = "lease"   // this node claimed/renewed ownership of the job
 	recRelease = "release" // this node handed the job off (graceful drain)
@@ -100,8 +108,12 @@ type journalRecord struct {
 	Job int `json:"job,omitempty"`
 	// Cycle is the simulation cycle the snapshot was taken at.
 	Cycle int64 `json:"cycle,omitempty"`
-	// Snap is the machine snapshot (base64 under encoding/json).
+	// Snap is the machine snapshot (ckpt records). append writes it
+	// raw after the JSON line and records only SnapLen; a "snap" field
+	// in the JSON is the base64 form records had before that framing.
 	Snap []byte `json:"snap,omitempty"`
+	// SnapLen is the length of the raw snapshot after the JSON line.
+	SnapLen int `json:"snap_len,omitempty"`
 	// Resp is the final response body, stored verbatim (base64, see
 	// verbatimJSON) so a replayed job serves bytes identical to the
 	// original (done records).
@@ -160,6 +172,7 @@ type Journal struct {
 	f      *os.File
 	seq    uint64
 	closed bool
+	buf    []byte // the record being framed, reused across appends
 }
 
 // OpenJournal opens (creating if needed) the journal at path, replays
@@ -206,6 +219,10 @@ type replayedJob struct {
 // per-job state. It returns the jobs in submit order and the byte
 // offset of the end of the last valid record.
 func replay(f *os.File) ([]*replayedJob, int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: stat journal: %w", err)
+	}
 	if _, err := f.Seek(0, 0); err != nil {
 		return nil, 0, fmt.Errorf("serve: seek journal: %w", err)
 	}
@@ -214,15 +231,16 @@ func replay(f *os.File) ([]*replayedJob, int64, error) {
 		byID  = make(map[string]*replayedJob)
 		valid int64
 	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		rec, ok := parseRecord(line)
-		if !ok {
-			break // torn or corrupt tail: everything after is suspect
+	r := bufio.NewReaderSize(f, 1<<16)
+	for {
+		rec, n, err := readRecord(r, st.Size()-valid)
+		if err != nil {
+			if err == errBadRecord {
+				break // torn or corrupt tail: everything after is suspect
+			}
+			return nil, 0, fmt.Errorf("serve: read journal: %w", err)
 		}
-		valid += int64(len(line)) + 1
+		valid += n
 		switch rec.Kind {
 		case recSubmit:
 			if _, dup := byID[rec.ID]; dup {
@@ -270,35 +288,66 @@ func replay(f *os.File) ([]*replayedJob, int64, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		return nil, 0, fmt.Errorf("serve: read journal: %w", err)
-	}
 	return jobs, valid, nil
 }
 
-// parseRecord verifies one line's framing, CRC and JSON.
-func parseRecord(line []byte) (journalRecord, bool) {
-	var rec journalRecord
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
+// errBadRecord ends replay: the journal holds no further whole record.
+var errBadRecord = errors.New("serve: torn or corrupt journal record")
+
+// readRecord reads and verifies one record — its line and, for a ckpt
+// record with a raw snapshot, the snapshot and its closing newline —
+// of at most rem bytes. It returns the record and its length in the
+// file, errBadRecord at the end of the journal's valid prefix (EOF, a
+// torn tail, bad framing, JSON or CRC), or a read error.
+func readRecord(r *bufio.Reader, rem int64) (rec journalRecord, n int64, err error) {
+	line, err := r.ReadBytes('\n')
 	if err != nil {
-		return rec, false
+		if err == io.EOF {
+			return rec, 0, errBadRecord
+		}
+		return rec, 0, err
 	}
+	n = int64(len(line))
+	line = line[:len(line)-1]
+	if len(line) < 10 || line[8] != ' ' {
+		return rec, 0, errBadRecord
+	}
+	want, perr := strconv.ParseUint(string(line[:8]), 16, 32)
 	payload := line[9:]
-	if crc32.ChecksumIEEE(payload) != uint32(want) {
-		return rec, false
+	if perr != nil || json.Unmarshal(payload, &rec) != nil {
+		return rec, 0, errBadRecord
 	}
-	if json.Unmarshal(payload, &rec) != nil {
-		return rec, false
+	sum := crc32.ChecksumIEEE(payload)
+	if rec.SnapLen != 0 {
+		// The length is unverified until the CRC is: bound it by the
+		// bytes the file still holds before allocating for it.
+		if rec.Kind != recCkpt || rec.Snap != nil || rec.SnapLen < 0 || int64(rec.SnapLen) >= rem-n {
+			return rec, 0, errBadRecord
+		}
+		raw := make([]byte, rec.SnapLen+1)
+		if _, err := io.ReadFull(r, raw); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return rec, 0, errBadRecord
+			}
+			return rec, 0, err
+		}
+		if raw[rec.SnapLen] != '\n' {
+			return rec, 0, errBadRecord
+		}
+		rec.Snap = raw[:rec.SnapLen]
+		sum = crc32.Update(sum, crc32.IEEETable, rec.Snap)
+		n += int64(len(raw))
 	}
-	return rec, true
+	if sum != uint32(want) {
+		return rec, 0, errBadRecord
+	}
+	return rec, n, nil
 }
 
-// append writes one record: marshal, frame, write, fsync. The fsync per
-// record is the durability contract — a submit that was 202'd to the
-// client survives any later crash.
+// append writes one record: marshal, frame, write, fsync. A ckpt
+// record's snapshot goes raw after the JSON line. The fsync per record
+// is the durability contract — a submit that was 202'd to the client
+// survives any later crash.
 func (j *Journal) append(rec journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -307,14 +356,21 @@ func (j *Journal) append(rec journalRecord) error {
 	}
 	j.seq++
 	rec.Seq = j.seq
+	snap := rec.Snap
+	rec.Snap, rec.SnapLen = nil, len(snap)
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("serve: marshal journal record: %w", err)
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = append(line, fmt.Sprintf("%08x ", crc32.ChecksumIEEE(payload))...)
+	sum := crc32.Update(crc32.ChecksumIEEE(payload), crc32.IEEETable, snap)
+	line := fmt.Appendf(j.buf[:0], "%08x ", sum)
 	line = append(line, payload...)
 	line = append(line, '\n')
+	if len(snap) > 0 {
+		line = append(line, snap...)
+		line = append(line, '\n')
+	}
+	j.buf = line
 	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("serve: append journal: %w", err)
 	}

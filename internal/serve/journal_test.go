@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -209,4 +210,217 @@ func TestJobIDStable(t *testing.T) {
 	if len(a) != 18 || a[:2] != "b-" {
 		t.Errorf("unexpected id shape: %s", a)
 	}
+}
+
+// TestJournalRawSnapshotBytes: a checkpoint's snapshot travels raw
+// after its record's JSON line, so snapshot bytes that look like
+// framing — newlines, a CRC-shaped prefix — must come back exactly, and
+// the record after it must still parse.
+func TestJournalRawSnapshotBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	j, _ := openJournalT(t, path)
+	snap := []byte("00000000 {\"kind\":\"done\"}\n\n\x00\xff\n")
+	for _, err := range []error{
+		j.AppendSubmit("b-1", "k1", "", json.RawMessage(`{}`)),
+		j.AppendCkpt("b-1", 0, 100, snap),
+		j.AppendCkpt("b-1", 1, 40, []byte{'\n'}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"snap":`)) {
+		t.Error("snapshot went into the JSON instead of after it")
+	}
+	_, jobs := openJournalT(t, path)
+	if len(jobs) != 1 || !bytes.Equal(jobs[0].Ckpts[0].Snap, snap) || !bytes.Equal(jobs[0].Ckpts[1].Snap, []byte{'\n'}) {
+		t.Fatalf("raw snapshots did not round-trip: %+v", jobs)
+	}
+}
+
+// TestJournalTruncatesTornRawSnapshot: a crash in the middle of a raw
+// snapshot leaves a whole JSON line whose snapshot is short. Replay
+// must drop that record and truncate the file back to the record
+// before it.
+func TestJournalTruncatesTornRawSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	j, _ := openJournalT(t, path)
+	if err := j.AppendSubmit("b-1", "k1", "", json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendCkpt("b-1", 0, 50, bytes.Repeat([]byte{7}, 300)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ = openJournalT(t, path)
+	if err := j.AppendCkpt("b-1", 0, 90, bytes.Repeat([]byte{8}, 300)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the second checkpoint 100 bytes into its snapshot.
+	line := bytes.IndexByte(full[len(clean):], '\n')
+	if err := os.WriteFile(path, full[:len(clean)+line+1+100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, jobs := openJournalT(t, path)
+	defer j2.Close()
+	if len(jobs) != 1 || jobs[0].Ckpts[0].Cycle != 50 || len(jobs[0].Events) != 1 {
+		t.Fatalf("torn snapshot survived replay: %+v", jobs)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, clean) {
+		t.Errorf("journal not truncated to the last whole record: %d bytes, want %d", len(after), len(clean))
+	}
+}
+
+// TestJournalLegacyBase64CkptResumes: testdata/legacy_ckpt.wal was
+// written before raw snapshot framing — a submit and one checkpoint
+// whose snapshot (format 3) sits base64-encoded in the JSON, as a
+// crashed server of that release would leave it. Replay must still
+// read it, and the job must resume from that checkpoint to the bytes
+// of a crash-free run.
+func TestJournalLegacyBase64CkptResumes(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_ckpt.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacy, []byte(`"snap":"`)) {
+		t.Fatal("fixture holds no base64 snapshot")
+	}
+	path := filepath.Join(t.TempDir(), "wal")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, jobs := openJournalT(t, path)
+	if len(jobs) != 1 || jobs[0].Ckpts[0].Cycle != 20001 || len(jobs[0].Ckpts[0].Snap) == 0 {
+		t.Fatalf("legacy checkpoint not replayed: %+v", jobs)
+	}
+	if data, _ := os.ReadFile(path); !bytes.Equal(data, legacy) {
+		t.Fatal("replay truncated a valid legacy journal")
+	}
+
+	_, plain := newTestServer(t, Config{})
+	refStatus, ref := postJSON(t, plain.URL+"/v1/batch", string(jobs[0].Body))
+	if refStatus != 200 {
+		t.Fatalf("reference batch: status %d: %s", refStatus, ref)
+	}
+	s, ts := newJournalServer(t, Config{CheckpointEvery: 20_000}, path)
+	if got := pollJob(t, ts, jobs[0].ID); string(got) != string(ref) {
+		t.Errorf("resumed response differs from crash-free run:\n--- reference ---\n%s\n--- resumed ---\n%s", ref, got)
+	}
+	// Resuming at cycle 20,001 skips the checkpoint at 20,000 a run
+	// from scratch would write first.
+	job := s.jm.get(jobs[0].ID)
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if len(job.events) < 2 || job.events[0].Cycle != 20001 || job.events[1].Cycle != 40001 {
+		t.Errorf("job did not resume from the legacy checkpoint: events %v", job.events)
+	}
+}
+
+// FuzzJournalReplay feeds arbitrary and torn bytes to journal replay.
+// Replay must not panic, must keep exactly a prefix of the file (it
+// stops at the first bad record and truncates there), and the healed
+// journal must take appends: reopened, it replays the same jobs plus
+// the appended one, with nothing else cut.
+func FuzzJournalReplay(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed")
+	j, _, err := OpenJournal(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, err := range []error{
+		j.AppendSubmit("b-1", "k1", "acme", json.RawMessage(`{"jobs":[]}`)),
+		j.AppendCkpt("b-1", 0, 100, []byte("snap\nbytes")),
+		j.AppendCkpt("b-1", 0, 200, nil),
+		j.AppendReplicaSubmit("b-2", "k2", "", json.RawMessage(`{}`)),
+		j.AppendLease("b-2", "n1", time.Second),
+		j.AppendRelease("b-2", "n1"),
+		j.AppendDone("b-1", []byte(`{"ok":true}`), &TenantUsage{Tenant: "acme", Jobs: 1}),
+	} {
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	j.Close()
+	data, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_ckpt.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)-7])
+	f.Add(legacy)
+	f.Add(legacy[:len(legacy)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, jobs, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("replay kept %d bytes that are not a prefix of the input", len(kept))
+		}
+		const id = "b-fuzz-append"
+		known := false
+		for _, rj := range jobs {
+			known = known || rj.ID == id
+		}
+		if err := j.AppendSubmit(id, "fuzz", "", json.RawMessage(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendCkpt(id, 0, 7, []byte("raw\nsnap")); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		written, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j2, again, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j2.Close()
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, written) {
+			t.Fatalf("reopening cut the healed journal from %d to %d bytes", len(written), len(after))
+		}
+		if known {
+			return
+		}
+		if len(again) != len(jobs)+1 || again[len(jobs)].ID != id {
+			t.Fatalf("reopened journal replays %d jobs, want the %d before plus the appended one", len(again), len(jobs))
+		}
+		for i, rj := range jobs {
+			if !reflect.DeepEqual(rj, again[i]) {
+				t.Fatalf("job %s replays differently after an append:\n%+v\n%+v", rj.ID, rj, again[i])
+			}
+		}
+	})
 }

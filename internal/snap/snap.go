@@ -13,12 +13,35 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Encoder appends primitives to a growing buffer. The zero value is
-// ready to use.
+// ready to use for a bare payload; NewEncoder starts a framed artifact.
 type Encoder struct {
 	buf []byte
+}
+
+// NewEncoder starts a framed artifact (see Open) in a buffer presized
+// to size bytes: it writes magic (exactly 4 bytes) and version, the
+// caller encodes the payload after them, and Seal closes the frame in
+// place. A size that covers the whole artifact means no reallocation.
+func NewEncoder(magic string, version uint32, size int) *Encoder {
+	if len(magic) != 4 {
+		panic(fmt.Sprintf("snap: magic %q must be 4 bytes", magic))
+	}
+	e := &Encoder{buf: make([]byte, 0, max(size, len(magic)+8))}
+	e.buf = append(e.buf, magic...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, version)
+	return e
+}
+
+// Seal appends the checksum over everything encoded so far and returns
+// the framed artifact. Only an Encoder from NewEncoder seals into a
+// frame Open accepts.
+func (e *Encoder) Seal() []byte {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
+	return e.buf
 }
 
 // Bytes returns the encoded payload.
@@ -70,8 +93,9 @@ func (e *Encoder) String(s string) {
 // I64s appends a length-prefixed []int64.
 func (e *Encoder) I64s(v []int64) {
 	e.U32(uint32(len(v)))
+	e.buf = slices.Grow(e.buf, 8*len(v))
 	for _, x := range v {
-		e.I64(x)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(x))
 	}
 }
 
@@ -190,8 +214,13 @@ func (d *Decoder) Bool() bool {
 // F64 reads a float64 bit pattern.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// len reads a length prefix, bounding it by the bytes that remain so a
-// corrupt length cannot force a huge allocation.
+// Count reads a u32 element count and fails — returning 0 — if the
+// bytes that remain cannot hold that many elements of at least elemSize
+// bytes each, so a corrupt count cannot force a huge allocation or a
+// long loop over nothing.
+func (d *Decoder) Count(elemSize int) int { return d.lenPrefix("elements", elemSize) }
+
+// lenPrefix is Count naming what it reads in the error.
 func (d *Decoder) lenPrefix(want string, elemSize int) int {
 	n := int(d.U32())
 	if d.err != nil {
@@ -253,24 +282,14 @@ func (d *Decoder) Bools() []bool {
 //
 //	magic(4) version(u32) payload... crc32(u32)
 //
+// NewEncoder writes the head and Seal the checksum, so the payload is
+// encoded straight into its frame.
+//
 // where the checksum covers magic, version and payload. The magic keeps
 // unrelated files from being misread as snapshots; the version gates
 // format evolution (a reader rejects versions it does not understand
 // instead of misdecoding); the checksum turns torn or bit-rotted
 // payloads into clean errors.
-
-// Seal frames payload with magic (exactly 4 bytes) and version and
-// appends the checksum.
-func Seal(magic string, version uint32, payload []byte) []byte {
-	if len(magic) != 4 {
-		panic(fmt.Sprintf("snap: magic %q must be 4 bytes", magic))
-	}
-	out := make([]byte, 0, len(magic)+8+len(payload)+4)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-}
 
 // Open validates the frame around an artifact produced by Seal and
 // returns its version and payload. wantVersion bounds acceptance: a

@@ -129,7 +129,11 @@ func TestCorruptLengthPrefix(t *testing.T) {
 
 func TestSealOpen(t *testing.T) {
 	payload := []byte("payload bytes")
-	sealed := Seal("TEST", 3, payload)
+	e := NewEncoder("TEST", 3, 0)
+	for _, b := range payload {
+		e.U8(b)
+	}
+	sealed := e.Seal()
 
 	v, got, err := Open("TEST", 3, sealed)
 	if err != nil {

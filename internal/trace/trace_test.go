@@ -102,7 +102,7 @@ func TestMeanGapPositive(t *testing.T) {
 	a := mp3d.New(mp3d.ParamsFor(0))
 	c := trace.New(a.Raw, 4)
 	_, err := machine.RunTraced(machine.Config{Procs: 2, Threads: 2, Model: machine.SwitchOnLoad, Latency: 50},
-		a.Raw, a.Init, a.Check, c.Collect)
+		a.Raw, a.Init.Fill, a.Check, c.Collect)
 	if err != nil {
 		t.Fatal(err)
 	}

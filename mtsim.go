@@ -61,6 +61,9 @@ type (
 	DispatchMode = machine.DispatchMode
 	// Shared is the host view of simulated shared memory.
 	Shared = machine.Shared
+	// Image is a program's initial shared memory, built once and
+	// content-hashed; snapshots encode shared memory against it.
+	Image = machine.Image
 	// App is one benchmark application instance.
 	App = app.App
 	// Scale selects problem sizes.
@@ -145,18 +148,24 @@ const MetricsSchemaVersion = metrics.SchemaVersion
 // Machine.Snapshot and accepted by RestoreMachine.
 const SnapshotVersion = machine.SnapshotVersion
 
-// NewMachine builds a pausable machine for program p under cfg with
-// optional shared-memory init, positioned at cycle 0.
-func NewMachine(cfg Config, p *Program, init func(*Shared)) (*Machine, error) {
-	return machine.NewMachine(cfg, p, init)
+// NewImage returns the initial shared memory init leaves in p's layout
+// (App.Init is an application's), built once on first use.
+func NewImage(p *Program, init func(*Shared)) *Image { return machine.NewImage(p, init) }
+
+// NewMachine builds a pausable machine for program p under cfg, its
+// shared memory a copy of the optional initial image, positioned at
+// cycle 0.
+func NewMachine(cfg Config, p *Program, img *Image) (*Machine, error) {
+	return machine.NewMachine(cfg, p, img)
 }
 
 // RestoreMachine reconstructs a machine from Machine.Snapshot bytes.
-// The caller supplies the same program the snapshot was taken from
-// (snapshots carry a program fingerprint, not the code); a mismatch is
-// an error, as is any corruption or version skew.
-func RestoreMachine(data []byte, p *Program) (*Machine, error) {
-	return machine.RestoreMachine(data, p)
+// The caller supplies the same program and initial image the snapshot
+// was taken from (snapshots carry their fingerprints, not the code or
+// the image); a mismatch is an error, as is any corruption or version
+// skew.
+func RestoreMachine(data []byte, p *Program, img *Image) (*Machine, error) {
+	return machine.RestoreMachine(data, p, img)
 }
 
 // WriteMetricsJSON marshals a *RunMetrics or *BatchMetrics in the
