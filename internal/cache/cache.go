@@ -13,7 +13,10 @@
 // bandwidth overhead (§6.1).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config describes a processor cache. Sizes are in memory cells (one
 // simulated 64-bit cell holds one integer word or one double).
@@ -206,6 +209,19 @@ func (c *Cache) Invalidate(addr int64) (present, wasDirty bool) {
 	return false, false
 }
 
+// EachLine calls f with every line the cache holds and whether it
+// holds it dirty, stopping at the first error f returns.
+func (c *Cache) EachLine(f func(line int64, dirty bool) error) error {
+	for i, valid := range c.valid {
+		if valid {
+			if err := f(c.tags[i], c.dirty[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // HitRate returns the fraction of lookups that hit.
 func (c *Cache) HitRate() float64 {
 	total := c.Hits + c.Misses
@@ -261,6 +277,18 @@ func (d *Directory) RemoveSharer(line int64, p int32) {
 // Sharers appends the processors caching line to dst and returns it.
 func (d *Directory) Sharers(line int64, dst []int32) []int32 {
 	return append(dst, d.sharers[line]...)
+}
+
+// Lines appends every line some processor caches to dst, in ascending
+// order, and returns it.
+func (d *Directory) Lines(dst []int64) []int64 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(d.sharers))
+	for line := range d.sharers {
+		dst = append(dst, line)
+	}
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Window is the §5.2 grouping-estimation device: a one-line, 32-word

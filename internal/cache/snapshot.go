@@ -2,120 +2,114 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+
+	"mtsim/internal/snap"
 )
 
-// This file is the checkpoint layer's view of the package: every piece
+// This file is the package's share of the machine snapshot: every piece
 // of mutable run state — cache arrays, LRU clock, directory sharer
-// lists, window contents, statistics — exported as plain-value state
-// structs that restore bit-exactly. Configuration is deliberately NOT
-// part of the state: the restoring side rebuilds from its own Config
-// and the state must match it, which catches snapshot/config mismatches
-// instead of silently misindexing.
+// lists, window contents, statistics — encoded by its runtime and
+// decoded back bit-exactly into an instance built from the restoring
+// side's own Config. The configuration is deliberately not part of the
+// state: the state must fit the instance it built, which catches
+// snapshot/config mismatches instead of silently misindexing.
 
-// CacheState is the serializable mutable state of a Cache.
-type CacheState struct {
-	Tags    []int64
-	Valid   []bool
-	Dirty   []bool
-	Age     []int64
-	AgeTick int64
-
-	Hits, Misses int64
-	Evictions    int64
-	Invals       int64
+// EncodeState writes the cache's mutable state.
+func (c *Cache) EncodeState(e *snap.Encoder) {
+	e.I64s(c.tags)
+	e.Bools(c.valid)
+	e.Bools(c.dirty)
+	e.I64s(c.age)
+	e.I64(c.ageTick)
+	e.I64(c.Hits)
+	e.I64(c.Misses)
+	e.I64(c.Evictions)
+	e.I64(c.Invals)
 }
 
-// Snapshot captures the cache's mutable state. The returned slices are
-// copies; mutating them does not affect the cache.
-func (c *Cache) Snapshot() CacheState {
-	return CacheState{
-		Tags:    append([]int64(nil), c.tags...),
-		Valid:   append([]bool(nil), c.valid...),
-		Dirty:   append([]bool(nil), c.dirty...),
-		Age:     append([]int64(nil), c.age...),
-		AgeTick: c.ageTick,
-		Hits:    c.Hits, Misses: c.Misses,
-		Evictions: c.Evictions, Invals: c.Invals,
-	}
+// DecodeState overwrites the cache's mutable state with what
+// EncodeState wrote from a cache of the same configuration; arrays of
+// any other length are rejected.
+func (c *Cache) DecodeState(d *snap.Decoder) error {
+	d.I64sInto(c.tags)
+	d.BoolsInto(c.valid)
+	d.BoolsInto(c.dirty)
+	d.I64sInto(c.age)
+	c.ageTick = d.I64()
+	c.Hits, c.Misses = d.I64(), d.I64()
+	c.Evictions, c.Invals = d.I64(), d.I64()
+	return d.Err()
 }
 
-// Restore overwrites the cache's mutable state from a snapshot taken
-// from a cache of the same configuration.
-func (c *Cache) Restore(st CacheState) error {
-	if len(st.Tags) != len(c.tags) || len(st.Valid) != len(c.valid) ||
-		len(st.Dirty) != len(c.dirty) || len(st.Age) != len(c.age) {
-		return fmt.Errorf("cache: snapshot has %d lines, cache has %d (config mismatch)", len(st.Tags), len(c.tags))
-	}
-	copy(c.tags, st.Tags)
-	copy(c.valid, st.Valid)
-	copy(c.dirty, st.Dirty)
-	copy(c.age, st.Age)
-	c.ageTick = st.AgeTick
-	c.Hits, c.Misses = st.Hits, st.Misses
-	c.Evictions, c.Invals = st.Evictions, st.Invals
-	return nil
-}
-
-// DirectoryState is the serializable state of a Directory: parallel
-// slices sorted by line address, each sharer list in its original
-// insertion order (sharer order is observable through Sharers, so a
-// restored run must see the same order, while the line order of the
-// underlying map is not — sorting makes equal directories encode
-// equally).
-type DirectoryState struct {
-	Lines   []int64
-	Sharers [][]int32
-}
-
-// Snapshot captures the directory contents.
-func (d *Directory) Snapshot() DirectoryState {
-	st := DirectoryState{
-		Lines:   make([]int64, 0, len(d.sharers)),
-		Sharers: make([][]int32, 0, len(d.sharers)),
-	}
-	for line := range d.sharers {
-		st.Lines = append(st.Lines, line)
-	}
-	sort.Slice(st.Lines, func(i, j int) bool { return st.Lines[i] < st.Lines[j] })
-	for _, line := range st.Lines {
-		st.Sharers = append(st.Sharers, append([]int32(nil), d.sharers[line]...))
-	}
-	return st
-}
-
-// RestoreDirectory rebuilds a directory from a snapshot.
-func RestoreDirectory(st DirectoryState) (*Directory, error) {
-	if len(st.Lines) != len(st.Sharers) {
-		return nil, fmt.Errorf("cache: directory snapshot has %d lines but %d sharer lists", len(st.Lines), len(st.Sharers))
-	}
-	d := NewDirectory()
-	for i, line := range st.Lines {
-		if len(st.Sharers[i]) == 0 {
-			return nil, fmt.Errorf("cache: directory snapshot line %d has no sharers", line)
+// EncodeState writes the directory's lines in ascending order (the
+// map's order must not leak into the bytes, so equal directories encode
+// equally), each with its sharers in insertion order, which Sharers
+// makes observable.
+func (d *Directory) EncodeState(e *snap.Encoder) {
+	lines := d.Lines(nil)
+	e.U32(uint32(len(lines)))
+	for _, line := range lines {
+		s := d.sharers[line]
+		e.I64(line)
+		e.U32(uint32(len(s)))
+		for _, p := range s {
+			e.I64(int64(p))
 		}
-		d.sharers[line] = append([]int32(nil), st.Sharers[i]...)
 	}
-	return d, nil
 }
 
-// WindowState is the serializable state of a grouping Window.
-type WindowState struct {
-	Line    int64
-	ReadyAt int64
-	Valid   bool
-
-	Hits, Misses int64
+// DecodeState replaces the directory's contents with what EncodeState
+// wrote for a machine of procs processors. It rejects anything
+// EncodeState cannot write: lines out of order, and a sharer list that
+// is empty, names a processor outside [0, procs) or names one twice.
+func (d *Directory) DecodeState(dec *snap.Decoder, procs int) error {
+	clear(d.sharers)
+	n := dec.Count(8 + 4)
+	var prev int64
+	for i := 0; i < n; i++ {
+		line := dec.I64()
+		ns := dec.Count(8)
+		switch {
+		case dec.Err() != nil:
+			return dec.Err()
+		case i > 0 && line <= prev:
+			return fmt.Errorf("cache: directory lines out of order")
+		case ns == 0:
+			return fmt.Errorf("cache: directory line %d has no sharers", line)
+		}
+		s := make([]int32, 0, ns)
+		for j := 0; j < ns; j++ {
+			p := dec.I64()
+			switch {
+			case dec.Err() != nil:
+				return dec.Err()
+			case p < 0 || p >= int64(procs):
+				return fmt.Errorf("cache: directory line %d sharer %d out of range [0,%d)", line, p, procs)
+			case slices.Contains(s, int32(p)):
+				return fmt.Errorf("cache: directory line %d lists sharer %d twice", line, p)
+			}
+			s = append(s, int32(p))
+		}
+		d.sharers[line] = s
+		prev = line
+	}
+	return dec.Err()
 }
 
-// Snapshot captures the window's state.
-func (w *Window) Snapshot() WindowState {
-	return WindowState{Line: w.line, ReadyAt: w.readyAt, Valid: w.valid, Hits: w.Hits, Misses: w.Misses}
+// EncodeState writes the window's state (the line-size shift is
+// configuration).
+func (w *Window) EncodeState(e *snap.Encoder) {
+	e.I64(w.line)
+	e.I64(w.readyAt)
+	e.Bool(w.valid)
+	e.I64(w.Hits)
+	e.I64(w.Misses)
 }
 
-// Restore overwrites the window's state (the line-size shift is
-// configuration and stays as built).
-func (w *Window) Restore(st WindowState) {
-	w.line, w.readyAt, w.valid = st.Line, st.ReadyAt, st.Valid
-	w.Hits, w.Misses = st.Hits, st.Misses
+// DecodeState overwrites the window's state with what EncodeState wrote.
+func (w *Window) DecodeState(d *snap.Decoder) error {
+	w.line, w.readyAt, w.valid = d.I64(), d.I64(), d.Bool()
+	w.Hits, w.Misses = d.I64(), d.I64()
+	return d.Err()
 }

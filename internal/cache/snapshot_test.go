@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+
+	"mtsim/internal/snap"
 )
 
 // exercise drives a cache through a deterministic access pattern.
@@ -21,21 +24,41 @@ func exercise(c *Cache, seed int64) {
 	}
 }
 
+// encodeState returns what encode writes.
+func encodeState(encode func(*snap.Encoder)) []byte {
+	var e snap.Encoder
+	encode(&e)
+	return e.Bytes()
+}
+
+// decodeState decodes b with decode, which must consume all of it.
+func decodeState(b []byte, decode func(*snap.Decoder) error) error {
+	d := snap.NewDecoder(b)
+	if err := decode(d); err != nil {
+		return err
+	}
+	return d.Finish()
+}
+
+// decodeDirectory decodes b into d for a machine of procs processors.
+func decodeDirectory(b []byte, d *Directory, procs int) error {
+	return decodeState(b, func(dec *snap.Decoder) error { return d.DecodeState(dec, procs) })
+}
+
 func TestCacheSnapshotRestore(t *testing.T) {
 	cfg := Config{Lines: 16, LineCells: 4, Assoc: 2}
 	a := MustNew(cfg)
 	exercise(a, 3)
 
-	st := a.Snapshot()
 	b := MustNew(cfg)
-	if err := b.Restore(st); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if err := decodeState(encodeState(a.EncodeState), b.DecodeState); err != nil {
+		t.Fatalf("DecodeState: %v", err)
 	}
 
 	// The restored cache must behave identically from here on.
 	exercise(a, 5)
 	exercise(b, 5)
-	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+	if !bytes.Equal(encodeState(a.EncodeState), encodeState(b.EncodeState)) {
 		t.Fatal("restored cache diverged from original")
 	}
 	if a.Hits != b.Hits || a.Misses != b.Misses || a.Evictions != b.Evictions || a.Invals != b.Invals {
@@ -43,21 +66,30 @@ func TestCacheSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestCacheSnapshotIsACopy: the encoding holds the cache's state at the
+// time it was written, whatever the cache does afterwards.
 func TestCacheSnapshotIsACopy(t *testing.T) {
-	c := MustNew(Config{Lines: 8, LineCells: 2, Assoc: 1})
+	cfg := Config{Lines: 8, LineCells: 2, Assoc: 1}
+	c := MustNew(cfg)
 	exercise(c, 1)
-	st := c.Snapshot()
-	st.Tags[0] = -999
-	st.Valid[0] = !st.Valid[0]
-	if c.Snapshot().Tags[0] == -999 {
-		t.Fatal("Snapshot aliases cache internals")
+	st := encodeState(c.EncodeState)
+	exercise(c, 2)
+	if bytes.Equal(encodeState(c.EncodeState), st) {
+		t.Fatal("exercise left the cache unchanged; the test proves nothing")
+	}
+	r := MustNew(cfg)
+	if err := decodeState(st, r.DecodeState); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeState(r.EncodeState), st) {
+		t.Fatal("encoded state aliases cache internals")
 	}
 }
 
 func TestCacheRestoreShapeMismatch(t *testing.T) {
 	small := MustNew(Config{Lines: 8, LineCells: 2, Assoc: 1})
 	big := MustNew(Config{Lines: 16, LineCells: 2, Assoc: 1})
-	if err := big.Restore(small.Snapshot()); err == nil {
+	if err := decodeState(encodeState(small.EncodeState), big.DecodeState); err == nil {
 		t.Fatal("restore across configs must fail")
 	}
 }
@@ -70,10 +102,11 @@ func TestDirectorySnapshotRestore(t *testing.T) {
 	d.AddSharer(3, 7)
 	d.RemoveSharer(10, 0) // swap-remove: order becomes [2 1]
 
-	st := d.Snapshot()
-	r, err := RestoreDirectory(st)
-	if err != nil {
-		t.Fatalf("RestoreDirectory: %v", err)
+	st := encodeState(d.EncodeState)
+	r := NewDirectory()
+	r.AddSharer(99, 1) // decoding replaces what was there
+	if err := decodeDirectory(st, r, 8); err != nil {
+		t.Fatalf("DecodeState: %v", err)
 	}
 
 	// Sharer order is observable; the restored directory must preserve
@@ -83,7 +116,7 @@ func TestDirectorySnapshotRestore(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("sharers of line 10: want %v, got %v", want, got)
 	}
-	if !reflect.DeepEqual(d.Snapshot(), r.Snapshot()) {
+	if !bytes.Equal(st, encodeState(r.EncodeState)) {
 		t.Fatal("round-trip changed directory contents")
 	}
 }
@@ -93,17 +126,42 @@ func TestDirectorySnapshotDeterministic(t *testing.T) {
 	for line := int64(0); line < 50; line++ {
 		d.AddSharer(line*13%17, int32(line%4))
 	}
-	if !reflect.DeepEqual(d.Snapshot(), d.Snapshot()) {
-		t.Fatal("Snapshot of the same directory differs between calls")
+	if !bytes.Equal(encodeState(d.EncodeState), encodeState(d.EncodeState)) {
+		t.Fatal("encoding of the same directory differs between calls")
 	}
 }
 
+// TestRestoreDirectoryRejectsMalformed: DecodeState rejects every
+// directory EncodeState cannot write.
 func TestRestoreDirectoryRejectsMalformed(t *testing.T) {
-	if _, err := RestoreDirectory(DirectoryState{Lines: []int64{1}, Sharers: nil}); err == nil {
-		t.Error("mismatched lengths accepted")
+	// section encodes lines, each with its sharer list.
+	section := func(lines []int64, sharers ...[]int64) []byte {
+		var e snap.Encoder
+		e.U32(uint32(len(lines)))
+		for i, line := range lines {
+			e.I64(line)
+			e.U32(uint32(len(sharers[i])))
+			for _, p := range sharers[i] {
+				e.I64(p)
+			}
+		}
+		return e.Bytes()
 	}
-	if _, err := RestoreDirectory(DirectoryState{Lines: []int64{1}, Sharers: [][]int32{{}}}); err == nil {
-		t.Error("empty sharer list accepted")
+	if err := decodeDirectory(section([]int64{1, 4}, []int64{0}, []int64{2, 1}), NewDirectory(), 4); err != nil {
+		t.Fatalf("well-formed directory rejected: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"lines out of order":    section([]int64{4, 1}, []int64{0}, []int64{1}),
+		"repeated line":         section([]int64{4, 4}, []int64{0}, []int64{1}),
+		"empty sharer list":     section([]int64{1}, []int64{}),
+		"sharer out of range":   section([]int64{1}, []int64{4}),
+		"negative sharer":       section([]int64{1}, []int64{-1}),
+		"repeated sharer":       section([]int64{1}, []int64{0, 1, 0}),
+		"truncated sharer list": section([]int64{1}, []int64{0, 1})[:4+8+4+8],
+	} {
+		if err := decodeDirectory(b, NewDirectory(), 4); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -114,7 +172,9 @@ func TestWindowSnapshotRestore(t *testing.T) {
 	a.Probe(400, 70)
 
 	b := NewWindow(16)
-	b.Restore(a.Snapshot())
+	if err := decodeState(encodeState(a.EncodeState), b.DecodeState); err != nil {
+		t.Fatal(err)
+	}
 
 	ra, ha := a.Probe(401, 99)
 	rb, hb := b.Probe(401, 99)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mtsim/internal/cache"
 	"mtsim/internal/isa"
@@ -1385,13 +1386,17 @@ func (sim *m) faaCoherence(pr *proc, in *isa.Instr, addr int64) {
 //
 //  1. a line with a dirty owner is cached dirty by that owner and by no
 //     other processor;
-//  2. every directory sharer actually holds the line;
+//  2. every directory sharer actually holds the line, and is listed
+//     once;
 //  3. no cache holds a line dirty without being its registered owner.
 func (sim *m) checkCoherence(line int64) error {
 	addr := line * int64(sim.lineSz)
 	owner, hasOwner := sim.dirtyOwner[line]
 	sim.shrBuf = sim.dir.Sharers(line, sim.shrBuf[:0])
-	for _, p := range sim.shrBuf {
+	for i, p := range sim.shrBuf {
+		if slices.Contains(sim.shrBuf[:i], p) {
+			return fmt.Errorf("machine: coherence: directory lists proc %d twice for line %d", p, line)
+		}
 		if !sim.procs[p].cache.Contains(addr) {
 			return fmt.Errorf("machine: coherence: directory lists proc %d for line %d but its cache lacks it", p, line)
 		}

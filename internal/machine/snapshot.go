@@ -7,9 +7,7 @@ import (
 	"hash/fnv"
 	"slices"
 
-	"mtsim/internal/cache"
 	"mtsim/internal/isa"
-	"mtsim/internal/metrics"
 	"mtsim/internal/net"
 	"mtsim/internal/prog"
 	"mtsim/internal/snap"
@@ -267,94 +265,161 @@ func (sim *m) encodeState(e *snap.Encoder, base *Image) {
 		e.I64(pr.busy)
 		e.I64(pr.spinBusy)
 		e.I64(pr.switchOverhead)
-		e.Bool(pr.cache != nil)
-		if pr.cache != nil {
-			encodeCache(e, pr.cache.Snapshot())
-		}
+		encodeOptional(e, pr.cache != nil, pr.cache.EncodeState)
 		for ti := range pr.threads {
 			encodeThread(e, &pr.threads[ti])
 		}
 	}
-
-	// Coherence directory + dirty owners (cache models only).
-	e.Bool(sim.dir != nil)
-	if sim.dir != nil {
-		ds := sim.dir.Snapshot()
-		e.U32(uint32(len(ds.Lines)))
-		for i, line := range ds.Lines {
-			e.I64(line)
-			e.U32(uint32(len(ds.Sharers[i])))
-			for _, p := range ds.Sharers[i] {
-				e.I64(int64(p))
-			}
-		}
-		// dirtyOwner, sorted by line for encoding determinism (map
-		// iteration order must not leak into the bytes).
-		lines := make([]int64, 0, len(sim.dirtyOwner))
-		for line := range sim.dirtyOwner {
-			lines = append(lines, line)
-		}
-		slices.Sort(lines)
-		e.U32(uint32(len(lines)))
-		for _, line := range lines {
-			e.I64(line)
-			e.I64(int64(sim.dirtyOwner[line]))
-		}
-	}
-
+	encodeOptional(e, sim.dir != nil, sim.encodeCoherence)
 	encodeResult(e, sim.res)
+	encodeOptional(e, sim.congestion != nil, sim.congestion.EncodeState)
+	encodeOptional(e, sim.faults != nil, sim.faults.EncodeState)
+	encodeOptional(e, sim.mx != nil, sim.mx.EncodeState)
+	// Appended by format version 3: the topology network's link queues.
+	encodeOptional(e, sim.topo != nil, sim.topo.EncodeState)
+}
 
-	e.Bool(sim.congestion != nil)
-	if sim.congestion != nil {
-		cs := sim.congestion.Snapshot()
-		e.I64(cs.LastUpdate)
-		e.F64(cs.WindowBits)
-		e.F64(cs.Msgs)
-		e.F64(cs.PeakUtilization)
+// encodeOptional writes the section of a runtime only some
+// configurations have: whether the machine has it, then, if it does,
+// the runtime's own encoding. encode is called only when live, so it
+// may be the method value of a nil runtime.
+func encodeOptional(e *snap.Encoder, live bool, encode func(*snap.Encoder)) {
+	e.Bool(live)
+	if live {
+		encode(e)
 	}
-	e.Bool(sim.faults != nil)
-	if sim.faults != nil {
-		fs := sim.faults.Snapshot()
-		e.U64(fs.Root)
-		e.U64(fs.Seq)
-		e.I64(fs.LastOverhead)
-		st := fs.Stats
-		for _, v := range [...]int64{st.Drops, st.Dups, st.Delays, st.Timeouts, st.Retries, st.BackoffCycles, st.HotAccesses, st.Exhausted} {
-			e.I64(v)
+}
+
+// decodeOptional reads back a section encodeOptional wrote. The
+// snapshot must carry it exactly when the configuration gives the
+// machine the runtime. decode reads it into the instance newSim built;
+// a state it rejects, unless the payload itself is malformed, is one no
+// encoder could have written, and so a mismatch.
+func decodeOptional(d *snap.Decoder, live bool, what string, decode func(*snap.Decoder) error) error {
+	has := d.Bool()
+	switch {
+	case d.Err() != nil:
+		return d.Err()
+	case has && !live:
+		return fmt.Errorf("%w: snapshot has %s state but the configuration disables it", ErrSnapshotMismatch, what)
+	case !has && live:
+		return fmt.Errorf("%w: configuration enables %s but the snapshot lacks its state", ErrSnapshotMismatch, what)
+	case !has:
+		return nil
+	}
+	if err := decode(d); err != nil {
+		if d.Err() != nil {
+			return d.Err()
+		}
+		return fmt.Errorf("%w: %w", ErrSnapshotMismatch, err)
+	}
+	return nil
+}
+
+// encodeCoherence writes the coherence directory, then the dirty owners
+// sorted by line (map iteration order must not leak into the bytes).
+func (sim *m) encodeCoherence(e *snap.Encoder) {
+	sim.dir.EncodeState(e)
+	lines := make([]int64, 0, len(sim.dirtyOwner))
+	for line := range sim.dirtyOwner {
+		lines = append(lines, line)
+	}
+	slices.Sort(lines)
+	e.U32(uint32(len(lines)))
+	for _, line := range lines {
+		e.I64(line)
+		e.I64(int64(sim.dirtyOwner[line]))
+	}
+}
+
+// decodeCoherence reads what encodeCoherence wrote, then checks it
+// against the restored caches (checkRestoredCoherence).
+func (sim *m) decodeCoherence(d *snap.Decoder) error {
+	if err := sim.dir.DecodeState(d, len(sim.procs)); err != nil {
+		return err
+	}
+	n := d.Count(8 + 8)
+	var prev int64
+	for i := 0; i < n; i++ {
+		line, owner := d.I64(), d.I64()
+		switch {
+		case d.Err() != nil:
+			return d.Err()
+		case owner < 0 || owner >= int64(len(sim.procs)):
+			return fmt.Errorf("dirty owner %d out of range", owner)
+		case i > 0 && line <= prev:
+			return fmt.Errorf("dirty-owner lines out of order")
+		}
+		sim.dirtyOwner[line] = int32(owner)
+		prev = line
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	return sim.checkRestoredCoherence()
+}
+
+// checkRestoredCoherence holds every restored cached copy, directory
+// line and dirty owner to the invariants checkCoherence enforces line
+// by line during a run: no cache holds a line dirty without owning it,
+// every directory sharer holds the line, and a dirty owner holds its
+// line dirty and is its only sharer. It also checks what installLine
+// and every invalidation maintain: each cached copy is listed in the
+// directory once. checkCoherence probes every processor's cache for
+// each line it checks; this looks the copies up in one map instead, so
+// restore stays linear in the snapshot's size whatever the processor
+// count and associativity.
+func (sim *m) checkRestoredCoherence() error {
+	type copyOf struct {
+		line int64
+		proc int32
+	}
+	dirty := make(map[copyOf]bool) // every cached copy: whether it is dirty
+	copies, sharers := 0, 0
+	for pi := range sim.procs {
+		pr := &sim.procs[pi]
+		err := pr.cache.EachLine(func(line int64, d bool) error {
+			copies++
+			dirty[copyOf{line, pr.id}] = d
+			if owner, ok := sim.dirtyOwner[line]; d && (!ok || owner != pr.id) {
+				return fmt.Errorf("coherence: proc %d holds line %d dirty without ownership", pr.id, line)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
-	e.Bool(sim.mx != nil)
-	if sim.mx != nil {
-		ms := sim.mx.Snapshot()
-		encodeAccts := func(as []metrics.AcctState) {
-			e.U32(uint32(len(as)))
-			for i := range as {
-				e.I64(as[i].LastEnd)
-				e.I64(as[i].FaultDebt)
-				for _, v := range as[i].States {
-					e.I64(v)
-				}
+	owned := 0
+	for _, line := range sim.dir.Lines(nil) {
+		sim.shrBuf = sim.dir.Sharers(line, sim.shrBuf[:0])
+		sharers += len(sim.shrBuf)
+		for _, p := range sim.shrBuf {
+			if _, ok := dirty[copyOf{line, p}]; !ok {
+				return fmt.Errorf("coherence: directory lists proc %d for line %d but its cache lacks it", p, line)
 			}
 		}
-		encodeAccts(ms.Procs)
-		encodeAccts(ms.Threads)
-		e.Bool(ms.Hit)
-	}
-	// Appended by format version 3: the topology network's link queues.
-	e.Bool(sim.topo != nil)
-	if sim.topo != nil {
-		ts := sim.topo.Snapshot()
-		e.U32(uint32(len(ts.FreeAt)))
-		for i := range ts.FreeAt {
-			e.I64(ts.FreeAt[i])
-			e.I64(ts.Enqueued[i])
-			e.I64(ts.Drained[i])
-			e.I64s(ts.Pending[i])
+		owner, ok := sim.dirtyOwner[line]
+		if !ok {
+			continue
 		}
-		e.I64(ts.Requests)
-		e.I64(ts.PeakQueue)
-		e.I64(ts.MaxLatency)
+		owned++
+		if !dirty[copyOf{line, owner}] {
+			return fmt.Errorf("coherence: line %d owner %d holds it clean", line, owner)
+		}
+		if len(sim.shrBuf) != 1 || sim.shrBuf[0] != owner {
+			return fmt.Errorf("coherence: dirty line %d has sharers %v (owner %d)", line, sim.shrBuf, owner)
+		}
 	}
+	if owned != len(sim.dirtyOwner) {
+		return fmt.Errorf("coherence: %d dirty owners hold lines the directory does not list", len(sim.dirtyOwner)-owned)
+	}
+	// Every sharer has its own copy, so equal counts leave no copy
+	// unlisted and none held twice.
+	if copies != sharers {
+		return fmt.Errorf("coherence: caches hold %d copies but the directory lists %d", copies, sharers)
+	}
+	return nil
 }
 
 // encodeShared writes shared memory as its delta against base (nil:
@@ -497,22 +562,14 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 	sim.now = d.I64()
 	sim.nowApprox = d.I64()
 	sim.live = d.Int()
-	wakes := d.I64s()
-	if d.Err() == nil && len(wakes) != len(sim.procs) {
-		return nil, fmt.Errorf("%w: wake vector for %d procs, machine has %d", ErrSnapshotMismatch, len(wakes), len(sim.procs))
-	}
 	sim.wakes = make([]int64, len(sim.procs))
-	copy(sim.wakes, wakes)
+	d.I64sInto(sim.wakes)
 	if version >= 4 {
 		if err := decodeShared(d, sim.sh, base.cells()); err != nil {
 			return nil, err
 		}
 	} else {
-		sh := d.I64s()
-		if d.Err() == nil && len(sh) != len(sim.sh) {
-			return nil, fmt.Errorf("%w: shared memory of %d cells, program needs %d", ErrSnapshotMismatch, len(sh), len(sim.sh))
-		}
-		copy(sim.sh, sh)
+		d.I64sInto(sim.sh)
 	}
 
 	for pi := range sim.procs {
@@ -525,17 +582,8 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 		pr.busy = d.I64()
 		pr.spinBusy = d.I64()
 		pr.switchOverhead = d.I64()
-		hasCache := d.Bool()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if hasCache != (pr.cache != nil) {
-			return nil, fmt.Errorf("%w: proc %d cache presence differs from model %s", ErrSnapshotMismatch, pi, cfg.Model)
-		}
-		if hasCache {
-			if err := pr.cache.Restore(decodeCache(d)); err != nil {
-				return nil, err
-			}
+		if err := decodeOptional(d, pr.cache != nil, "cache", pr.cache.DecodeState); err != nil {
+			return nil, err
 		}
 		for ti := range pr.threads {
 			if err := decodeThread(d, &pr.threads[ti], sim); err != nil {
@@ -548,141 +596,24 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 		}
 	}
 
-	hasDir := d.Bool()
-	if d.Err() != nil {
-		return nil, d.Err()
+	if err := decodeOptional(d, sim.dir != nil, "coherence directory", sim.decodeCoherence); err != nil {
+		return nil, err
 	}
-	if hasDir != (sim.dir != nil) {
-		return nil, fmt.Errorf("%w: directory presence differs from model %s", ErrSnapshotMismatch, cfg.Model)
+	if err := decodeResult(d, sim.res); err != nil {
+		return nil, err
 	}
-	if hasDir {
-		nlines := d.Count(8 + 4)
-		ds := cache.DirectoryState{Lines: make([]int64, 0, nlines), Sharers: make([][]int32, 0, nlines)}
-		for i := 0; i < nlines && d.Err() == nil; i++ {
-			line := d.I64()
-			if i > 0 && line <= ds.Lines[i-1] {
-				return nil, fmt.Errorf("%w: directory lines out of order", ErrSnapshotMismatch)
-			}
-			ds.Lines = append(ds.Lines, line)
-			ns := d.Count(8)
-			sharers := make([]int32, 0, ns)
-			for j := 0; j < ns && d.Err() == nil; j++ {
-				v := d.I64()
-				if v < 0 || v >= int64(len(sim.procs)) {
-					return nil, fmt.Errorf("%w: directory sharer %d out of range", ErrSnapshotMismatch, v)
-				}
-				sharers = append(sharers, int32(v))
-			}
-			ds.Sharers = append(ds.Sharers, sharers)
-		}
-		if d.Err() == nil {
-			dir, err := cache.RestoreDirectory(ds)
-			if err != nil {
-				return nil, err
-			}
-			sim.dir = dir
-		}
-		nown := d.Count(8 + 8)
-		var prev int64
-		for i := 0; i < nown && d.Err() == nil; i++ {
-			line := d.I64()
-			owner := d.I64()
-			if owner < 0 || owner >= int64(len(sim.procs)) {
-				return nil, fmt.Errorf("%w: dirty owner %d out of range", ErrSnapshotMismatch, owner)
-			}
-			if i > 0 && line <= prev {
-				return nil, fmt.Errorf("%w: dirty-owner lines out of order", ErrSnapshotMismatch)
-			}
-			sim.dirtyOwner[line] = int32(owner)
-			prev = line
-		}
+	if err := decodeOptional(d, sim.congestion != nil, "congestion", sim.congestion.DecodeState); err != nil {
+		return nil, err
 	}
-
-	decodeResult(d, sim.res)
-
-	if d.Bool() {
-		if sim.congestion == nil {
-			return nil, fmt.Errorf("%w: snapshot has congestion state but config disables it", ErrSnapshotMismatch)
-		}
-		sim.congestion.Restore(net.CongestionState{
-			LastUpdate: d.I64(), WindowBits: d.F64(), Msgs: d.F64(), PeakUtilization: d.F64(),
-		})
-	} else if sim.congestion != nil {
-		return nil, fmt.Errorf("%w: config enables congestion but snapshot lacks its state", ErrSnapshotMismatch)
+	if err := decodeOptional(d, sim.faults != nil, "fault-plan", sim.faults.DecodeState); err != nil {
+		return nil, err
 	}
-	if d.Bool() {
-		if sim.faults == nil {
-			return nil, fmt.Errorf("%w: snapshot has fault-plan state but config disables it", ErrSnapshotMismatch)
-		}
-		fs := net.FaultPlanState{Root: d.U64(), Seq: d.U64(), LastOverhead: d.I64()}
-		st := &fs.Stats
-		for _, f := range [...]*int64{&st.Drops, &st.Dups, &st.Delays, &st.Timeouts, &st.Retries, &st.BackoffCycles, &st.HotAccesses, &st.Exhausted} {
-			*f = d.I64()
-		}
-		if d.Err() == nil {
-			if err := sim.faults.Restore(fs); err != nil {
-				return nil, err
-			}
-		}
-	} else if sim.faults != nil {
-		return nil, fmt.Errorf("%w: config enables fault injection but snapshot lacks its state", ErrSnapshotMismatch)
-	}
-	if d.Bool() {
-		if sim.mx == nil {
-			return nil, fmt.Errorf("%w: snapshot has metrics state but config disables collection", ErrSnapshotMismatch)
-		}
-		decodeAccts := func() []metrics.AcctState {
-			n := d.Count(8 + 8 + 8*len(metrics.AcctState{}.States))
-			as := make([]metrics.AcctState, 0, n)
-			for i := 0; i < n && d.Err() == nil; i++ {
-				a := metrics.AcctState{LastEnd: d.I64(), FaultDebt: d.I64()}
-				for s := range a.States {
-					a.States[s] = d.I64()
-				}
-				as = append(as, a)
-			}
-			return as
-		}
-		ms := metrics.CollectorState{Procs: decodeAccts(), Threads: decodeAccts()}
-		ms.Hit = d.Bool()
-		if d.Err() == nil {
-			mx, err := metrics.RestoreCollector(cfg.Procs, cfg.Threads, ms)
-			if err != nil {
-				return nil, err
-			}
-			sim.mx = mx
-		}
-	} else if sim.mx != nil {
-		return nil, fmt.Errorf("%w: config enables metrics but snapshot lacks collector state", ErrSnapshotMismatch)
+	if err := decodeOptional(d, sim.mx != nil, "metrics", sim.mx.DecodeState); err != nil {
+		return nil, err
 	}
 	if version >= 3 {
-		if d.Bool() {
-			if sim.topo == nil {
-				return nil, fmt.Errorf("%w: snapshot has topology state but config disables it", ErrSnapshotMismatch)
-			}
-			nlinks := d.Count(3*8 + 4)
-			ts := net.TopologyState{
-				FreeAt:   make([]int64, 0, nlinks),
-				Enqueued: make([]int64, 0, nlinks),
-				Drained:  make([]int64, 0, nlinks),
-				Pending:  make([][]int64, 0, nlinks),
-			}
-			for i := 0; i < nlinks && d.Err() == nil; i++ {
-				ts.FreeAt = append(ts.FreeAt, d.I64())
-				ts.Enqueued = append(ts.Enqueued, d.I64())
-				ts.Drained = append(ts.Drained, d.I64())
-				ts.Pending = append(ts.Pending, d.I64s())
-			}
-			ts.Requests = d.I64()
-			ts.PeakQueue = d.I64()
-			ts.MaxLatency = d.I64()
-			if d.Err() == nil {
-				if err := sim.topo.Restore(ts); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrSnapshotMismatch, err)
-				}
-			}
-		} else if sim.topo != nil {
-			return nil, fmt.Errorf("%w: config enables a topology but snapshot lacks its state", ErrSnapshotMismatch)
+		if err := decodeOptional(d, sim.topo != nil, "topology", sim.topo.DecodeState); err != nil {
+			return nil, err
 		}
 	}
 
@@ -724,15 +655,7 @@ func encodeThread(e *snap.Encoder, t *thread) {
 	e.I64(t.sinceSwitch)
 	e.I64(int64(t.crit))
 	e.I64s(t.local)
-	e.Bool(t.window != nil)
-	if t.window != nil {
-		ws := t.window.Snapshot()
-		e.I64(ws.Line)
-		e.I64(ws.ReadyAt)
-		e.Bool(ws.Valid)
-		e.I64(ws.Hits)
-		e.I64(ws.Misses)
-	}
+	encodeOptional(e, t.window != nil, t.window.EncodeState)
 }
 
 func decodeThread(d *snap.Decoder, t *thread, sim *m) error {
@@ -756,8 +679,7 @@ func decodeThread(d *snap.Decoder, t *thread, sim *m) error {
 	t.sinceSwitch = d.I64()
 	crit := d.I64()
 	t.crit = int32(crit)
-	local := d.I64s()
-	hasWindow := d.Bool()
+	d.I64sInto(t.local)
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -768,40 +690,7 @@ func decodeThread(d *snap.Decoder, t *thread, sim *m) error {
 		return fmt.Errorf("%w: thread critical-region depth %d out of range", ErrSnapshotMismatch, crit)
 	}
 	t.pc = int32(pc)
-	if len(local) != len(t.local) && !(len(local) == 0 && len(t.local) == 0) {
-		return fmt.Errorf("%w: thread local memory of %d words, program needs %d", ErrSnapshotMismatch, len(local), len(t.local))
-	}
-	copy(t.local, local)
-	if hasWindow != (t.window != nil) {
-		return fmt.Errorf("%w: grouping-window presence differs from config", ErrSnapshotMismatch)
-	}
-	if hasWindow {
-		ws := cache.WindowState{Line: d.I64(), ReadyAt: d.I64(), Valid: d.Bool(), Hits: d.I64(), Misses: d.I64()}
-		if d.Err() == nil {
-			t.window.Restore(ws)
-		}
-	}
-	return d.Err()
-}
-
-func encodeCache(e *snap.Encoder, st cache.CacheState) {
-	e.I64s(st.Tags)
-	e.Bools(st.Valid)
-	e.Bools(st.Dirty)
-	e.I64s(st.Age)
-	e.I64(st.AgeTick)
-	e.I64(st.Hits)
-	e.I64(st.Misses)
-	e.I64(st.Evictions)
-	e.I64(st.Invals)
-}
-
-func decodeCache(d *snap.Decoder) cache.CacheState {
-	return cache.CacheState{
-		Tags: d.I64s(), Valid: d.Bools(), Dirty: d.Bools(), Age: d.I64s(),
-		AgeTick: d.I64(), Hits: d.I64(), Misses: d.I64(),
-		Evictions: d.I64(), Invals: d.I64(),
-	}
+	return decodeOptional(d, t.window != nil, "grouping-window", t.window.DecodeState)
 }
 
 // encodeResult writes the incrementally-updated Result counters. The
@@ -825,16 +714,10 @@ func encodeResult(e *snap.Encoder, r *Result) {
 	e.I64(r.RunLengths.Sum)
 	e.I64(r.RunLengths.Min)
 	e.I64(r.RunLengths.Max)
-	ts := r.Traffic.Snapshot()
-	for i := 0; i < net.NumMsgTypes; i++ {
-		e.I64(ts.Count[i])
-		e.I64(ts.Bits[i])
-	}
-	e.I64(ts.SpinCount)
-	e.I64(ts.SpinBits)
+	r.Traffic.EncodeState(e)
 }
 
-func decodeResult(d *snap.Decoder, r *Result) {
+func decodeResult(d *snap.Decoder, r *Result) error {
 	r.Instrs = d.I64()
 	r.SharedLoads = d.I64()
 	r.SharedStores = d.I64()
@@ -852,14 +735,7 @@ func decodeResult(d *snap.Decoder, r *Result) {
 	r.RunLengths.Sum = d.I64()
 	r.RunLengths.Min = d.I64()
 	r.RunLengths.Max = d.I64()
-	var ts net.TrafficState
-	for i := 0; i < net.NumMsgTypes; i++ {
-		ts.Count[i] = d.I64()
-		ts.Bits[i] = d.I64()
-	}
-	ts.SpinCount = d.I64()
-	ts.SpinBits = d.I64()
-	r.Traffic.Restore(ts)
+	return r.Traffic.DecodeState(d)
 }
 
 // encodeConfig writes every Config field in declaration order. The

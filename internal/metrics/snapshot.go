@@ -1,65 +1,65 @@
 package metrics
 
-import "fmt"
+import (
+	"fmt"
 
-// This file exports the Collector's mid-run state for the checkpoint
-// layer. A paused-and-resumed run must produce a RunMetrics record
+	"mtsim/internal/snap"
+)
+
+// This file is the Collector's share of the machine snapshot. A
+// paused-and-resumed run must produce a RunMetrics record
 // byte-identical to an uninterrupted one, so the state carries every
 // timeline exactly: the open end of each accounted span, the pending
-// fault-recovery debt, and the six state counters.
+// fault-recovery debt, and the state counters.
 
-// AcctState is the serializable state of one accounted timeline.
-type AcctState struct {
-	LastEnd   int64
-	FaultDebt int64
-	States    [NumStates]int64
-}
-
-// CollectorState is the serializable state of a Collector. Threads is
-// proc-major, matching the collector's internal layout. Hit is the
-// between-BeginExec-and-EndExec cache-hit mark; the machine only pauses
-// at instruction boundaries, where it is always false, but it is
+// EncodeState writes the processor timelines, the thread timelines
+// (proc-major, the collector's own layout), then the
+// between-BeginExec-and-EndExec cache-hit mark. The machine pauses only
+// at instruction boundaries, where the mark is always false, but it is
 // carried so the state is complete by construction.
-type CollectorState struct {
-	Procs   []AcctState
-	Threads []AcctState
-	Hit     bool
+func (c *Collector) EncodeState(e *snap.Encoder) {
+	encodeAccts(e, c.procs)
+	encodeAccts(e, c.threads)
+	e.Bool(c.hit)
 }
 
-// Snapshot captures the collector's state.
-func (c *Collector) Snapshot() CollectorState {
-	st := CollectorState{
-		Procs:   make([]AcctState, len(c.procs)),
-		Threads: make([]AcctState, len(c.threads)),
-		Hit:     c.hit,
+// DecodeState overwrites the collector's state with what EncodeState
+// wrote from a collector of the same shape; any other shape is
+// rejected.
+func (c *Collector) DecodeState(d *snap.Decoder) error {
+	if err := decodeAccts(d, c.procs); err != nil {
+		return err
 	}
-	for i := range c.procs {
-		a := &c.procs[i]
-		st.Procs[i] = AcctState{LastEnd: a.lastEnd, FaultDebt: a.faultDebt, States: a.states}
+	if err := decodeAccts(d, c.threads); err != nil {
+		return err
 	}
-	for i := range c.threads {
-		a := &c.threads[i]
-		st.Threads[i] = AcctState{LastEnd: a.lastEnd, FaultDebt: a.faultDebt, States: a.states}
-	}
-	return st
+	c.hit = d.Bool()
+	return d.Err()
 }
 
-// RestoreCollector rebuilds a collector for procs processors of
-// nthreads thread contexts each from a snapshot of the same shape.
-func RestoreCollector(procs, nthreads int, st CollectorState) (*Collector, error) {
-	if len(st.Procs) != procs || len(st.Threads) != procs*nthreads {
-		return nil, fmt.Errorf("metrics: snapshot shape %dx%d does not match %d procs x %d threads",
-			len(st.Procs), len(st.Threads), procs, nthreads)
+func encodeAccts(e *snap.Encoder, as []acct) {
+	e.U32(uint32(len(as)))
+	for i := range as {
+		a := &as[i]
+		e.I64(a.lastEnd)
+		e.I64(a.faultDebt)
+		for _, v := range a.states {
+			e.I64(v)
+		}
 	}
-	c := NewCollector(procs, nthreads)
-	for i := range c.procs {
-		s := &st.Procs[i]
-		c.procs[i] = acct{lastEnd: s.LastEnd, faultDebt: s.FaultDebt, states: s.States}
+}
+
+func decodeAccts(d *snap.Decoder, as []acct) error {
+	if n := d.U32(); int64(n) != int64(len(as)) && d.Err() == nil {
+		return fmt.Errorf("metrics: snapshot has %d timelines where the collector has %d", n, len(as))
 	}
-	for i := range c.threads {
-		s := &st.Threads[i]
-		c.threads[i] = acct{lastEnd: s.LastEnd, faultDebt: s.FaultDebt, states: s.States}
+	for i := range as {
+		a := &as[i]
+		a.lastEnd = d.I64()
+		a.faultDebt = d.I64()
+		for s := range a.states {
+			a.states[s] = d.I64()
+		}
 	}
-	c.hit = st.Hit
-	return c, nil
+	return d.Err()
 }

@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
+
+	"mtsim/internal/snap"
 )
 
 // drive runs a deterministic mixed workload against a collector.
@@ -22,18 +24,34 @@ func drive(c *Collector, from, to int64) {
 	}
 }
 
+// encodeState returns c's encoded state.
+func encodeState(c *Collector) []byte {
+	var e snap.Encoder
+	c.EncodeState(&e)
+	return e.Bytes()
+}
+
+// decodeState decodes b into c, which must consume all of it.
+func decodeState(b []byte, c *Collector) error {
+	d := snap.NewDecoder(b)
+	if err := c.DecodeState(d); err != nil {
+		return err
+	}
+	return d.Finish()
+}
+
 func TestCollectorSnapshotRestoreByteIdentity(t *testing.T) {
 	// Uninterrupted run.
 	full := NewCollector(2, 2)
 	drive(full, 0, 1000)
 	want := full.Finish(1100)
 
-	// Same workload, paused at the midpoint via snapshot/restore.
+	// Same workload, paused at the midpoint via encode/decode.
 	first := NewCollector(2, 2)
 	drive(first, 0, 500)
-	resumed, err := RestoreCollector(2, 2, first.Snapshot())
-	if err != nil {
-		t.Fatalf("RestoreCollector: %v", err)
+	resumed := NewCollector(2, 2)
+	if err := decodeState(encodeState(first), resumed); err != nil {
+		t.Fatalf("DecodeState: %v", err)
 	}
 	drive(resumed, 500, 1000)
 	got := resumed.Finish(1100)
@@ -54,23 +72,22 @@ func TestCollectorSnapshotRestoreByteIdentity(t *testing.T) {
 func TestCollectorSnapshotRoundTrip(t *testing.T) {
 	c := NewCollector(3, 4)
 	drive(c, 0, 700)
-	st := c.Snapshot()
-	r, err := RestoreCollector(3, 4, st)
-	if err != nil {
-		t.Fatalf("RestoreCollector: %v", err)
+	st := encodeState(c)
+	r := NewCollector(3, 4)
+	if err := decodeState(st, r); err != nil {
+		t.Fatalf("DecodeState: %v", err)
 	}
-	if !reflect.DeepEqual(st, r.Snapshot()) {
-		t.Fatal("snapshot -> restore -> snapshot is not the identity")
+	if !bytes.Equal(st, encodeState(r)) {
+		t.Fatal("encode -> decode -> encode is not the identity")
 	}
 }
 
 func TestRestoreCollectorShapeMismatch(t *testing.T) {
-	c := NewCollector(2, 2)
-	st := c.Snapshot()
-	if _, err := RestoreCollector(3, 2, st); err == nil {
+	st := encodeState(NewCollector(2, 2))
+	if err := decodeState(st, NewCollector(3, 2)); err == nil {
 		t.Error("wrong proc count accepted")
 	}
-	if _, err := RestoreCollector(2, 3, st); err == nil {
+	if err := decodeState(st, NewCollector(2, 3)); err == nil {
 		t.Error("wrong thread count accepted")
 	}
 }

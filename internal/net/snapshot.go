@@ -4,160 +4,136 @@ import (
 	"fmt"
 
 	"mtsim/internal/rng"
+	"mtsim/internal/snap"
 )
 
-// This file exports the package's mutable run state for the checkpoint
-// layer. Each runtime (Traffic, Congestion, FaultPlan) gets a plain
-// state struct that captures exactly the fields its behavior depends
-// on; configuration is rebuilt by the restoring side and is not part of
-// the state. Floats are carried as float64 values and must be encoded
-// bit-exactly (snap.Encoder.F64) — the congestion model's decayed
-// window is extremely sensitive to rounding.
+// This file is the package's share of the machine snapshot: each
+// runtime (Traffic, Congestion, Network, FaultPlan) encodes exactly the
+// fields its behavior depends on, and decodes them back into an
+// instance built from the same configuration, which is not part of the
+// state. Floats are encoded bit-exactly (snap.Encoder.F64): the
+// congestion model's decayed window is extremely sensitive to rounding.
 
-// TrafficState is the serializable state of a Traffic accumulator
-// (Count is exported on Traffic itself, but bits is not — the state
-// struct carries both so a restore is a single assignment).
-type TrafficState struct {
-	Count [NumMsgTypes]int64
-	Bits  [NumMsgTypes]int64
-
-	SpinCount int64
-	SpinBits  int64
-}
-
-// Snapshot captures the accumulator.
-func (tr *Traffic) Snapshot() TrafficState {
-	return TrafficState{Count: tr.Count, Bits: tr.bits, SpinCount: tr.SpinCount, SpinBits: tr.SpinBits}
-}
-
-// Restore overwrites the accumulator.
-func (tr *Traffic) Restore(st TrafficState) {
-	tr.Count = st.Count
-	tr.bits = st.Bits
-	tr.SpinCount = st.SpinCount
-	tr.SpinBits = st.SpinBits
-}
-
-// CongestionState is the serializable state of a Congestion runtime.
-// WindowBits and Msgs are the exponentially-decayed averages; restoring
-// them bit-exactly (together with LastUpdate) reproduces every future
-// latency sample exactly.
-type CongestionState struct {
-	LastUpdate      int64
-	WindowBits      float64
-	Msgs            float64
-	PeakUtilization float64
-}
-
-// Snapshot captures the runtime state.
-func (g *Congestion) Snapshot() CongestionState {
-	return CongestionState{
-		LastUpdate:      g.lastUpdate,
-		WindowBits:      g.windowBits,
-		Msgs:            g.msgs,
-		PeakUtilization: g.PeakUtilization,
+// EncodeState writes the accumulator's counters.
+func (tr *Traffic) EncodeState(e *snap.Encoder) {
+	for i := range tr.Count {
+		e.I64(tr.Count[i])
+		e.I64(tr.bits[i])
 	}
+	e.I64(tr.SpinCount)
+	e.I64(tr.SpinBits)
 }
 
-// Restore overwrites the runtime state.
-func (g *Congestion) Restore(st CongestionState) {
-	g.lastUpdate = st.LastUpdate
-	g.windowBits = st.WindowBits
-	g.msgs = st.Msgs
-	g.PeakUtilization = st.PeakUtilization
+// DecodeState overwrites the accumulator with the counters EncodeState
+// wrote.
+func (tr *Traffic) DecodeState(d *snap.Decoder) error {
+	for i := range tr.Count {
+		tr.Count[i] = d.I64()
+		tr.bits[i] = d.I64()
+	}
+	tr.SpinCount = d.I64()
+	tr.SpinBits = d.I64()
+	return d.Err()
 }
 
-// TopologyState is the serializable state of a Network runtime: every
-// link's FIFO queue (busy-until time, counters, and the departure times
-// of in-flight messages) plus the observability counters. Configuration
-// and geometry are rebuilt by the restoring side from the effective
-// TopologyConfig.
-type TopologyState struct {
-	FreeAt   []int64
-	Enqueued []int64
-	Drained  []int64
-	Pending  [][]int64
-
-	Requests   int64
-	PeakQueue  int64
-	MaxLatency int64
+// EncodeState writes the runtime state. The decayed averages, restored
+// bit-exactly together with the last update time, reproduce every
+// future latency sample exactly.
+func (g *Congestion) EncodeState(e *snap.Encoder) {
+	e.I64(g.lastUpdate)
+	e.F64(g.windowBits)
+	e.F64(g.msgs)
+	e.F64(g.PeakUtilization)
 }
 
-// Snapshot captures the network's run state.
-func (n *Network) Snapshot() TopologyState {
-	st := TopologyState{
-		FreeAt:     make([]int64, len(n.links)),
-		Enqueued:   make([]int64, len(n.links)),
-		Drained:    make([]int64, len(n.links)),
-		Pending:    make([][]int64, len(n.links)),
-		Requests:   n.Requests,
-		PeakQueue:  n.PeakQueue,
-		MaxLatency: n.MaxLatency,
+// DecodeState overwrites the runtime state with what EncodeState wrote.
+func (g *Congestion) DecodeState(d *snap.Decoder) error {
+	g.lastUpdate = d.I64()
+	g.windowBits = d.F64()
+	g.msgs = d.F64()
+	g.PeakUtilization = d.F64()
+	return d.Err()
+}
+
+// EncodeState writes every link's FIFO queue (busy-until time,
+// counters, and the departure times of in-flight messages), then the
+// observability counters.
+func (n *Network) EncodeState(e *snap.Encoder) {
+	e.U32(uint32(len(n.links)))
+	for i := range n.links {
+		lk := &n.links[i]
+		e.I64(lk.freeAt)
+		e.I64(lk.enqueued)
+		e.I64(lk.drained)
+		e.I64s(lk.pending)
+	}
+	e.I64(n.Requests)
+	e.I64(n.PeakQueue)
+	e.I64(n.MaxLatency)
+}
+
+// DecodeState overwrites the network's run state with what EncodeState
+// wrote. The configuration's geometry pins the link count, so a
+// different count means the snapshot was taken under another topology;
+// a link's counters must balance against its in-flight messages.
+func (n *Network) DecodeState(d *snap.Decoder) error {
+	if links := d.U32(); int64(links) != int64(len(n.links)) && d.Err() == nil {
+		return fmt.Errorf("net: topology snapshot has %d links, network has %d", links, len(n.links))
 	}
 	for i := range n.links {
 		lk := &n.links[i]
-		st.FreeAt[i] = lk.freeAt
-		st.Enqueued[i] = lk.enqueued
-		st.Drained[i] = lk.drained
-		if len(lk.pending) > 0 {
-			st.Pending[i] = append([]int64(nil), lk.pending...)
+		lk.freeAt = d.I64()
+		lk.enqueued = d.I64()
+		lk.drained = d.I64()
+		lk.pending = d.I64s()
+		if d.Err() != nil {
+			return d.Err()
 		}
-	}
-	return st
-}
-
-// Restore overwrites the network's run state. The link count is pinned
-// by the configuration's geometry, so a mismatch means the snapshot was
-// taken under a different topology.
-func (n *Network) Restore(st TopologyState) error {
-	if len(st.FreeAt) != len(n.links) || len(st.Enqueued) != len(n.links) ||
-		len(st.Drained) != len(n.links) || len(st.Pending) != len(n.links) {
-		return fmt.Errorf("net: topology snapshot has %d links, network has %d", len(st.FreeAt), len(n.links))
-	}
-	for i := range n.links {
-		lk := &n.links[i]
-		lk.freeAt = st.FreeAt[i]
-		lk.enqueued = st.Enqueued[i]
-		lk.drained = st.Drained[i]
-		lk.pending = append(lk.pending[:0], st.Pending[i]...)
 		if lk.enqueued != lk.drained+int64(len(lk.pending)) {
 			return fmt.Errorf("net: topology snapshot link %d counters inconsistent (%d enqueued != %d drained + %d pending)",
 				i, lk.enqueued, lk.drained, len(lk.pending))
 		}
 	}
-	n.Requests = st.Requests
-	n.PeakQueue = st.PeakQueue
-	n.MaxLatency = st.MaxLatency
-	return nil
+	n.Requests = d.I64()
+	n.PeakQueue = d.I64()
+	n.MaxLatency = d.I64()
+	return d.Err()
 }
 
-// FaultPlanState is the serializable state of a FaultPlan. Because Fork
-// derives each access's substream from the root's state *without
-// advancing it* (see rng.Fork), the root state plus the sequence
-// counter pin every future delivery decision; no per-substream position
-// needs saving.
-type FaultPlanState struct {
-	Root         uint64
-	Seq          uint64
-	LastOverhead int64
-	Stats        FaultStats
+// EncodeState writes the plan's run state. Because Fork derives each
+// access's substream from the root's state without advancing it (see
+// rng.Fork), the root state plus the sequence counter pin every future
+// delivery decision; no per-substream position needs saving.
+func (f *FaultPlan) EncodeState(e *snap.Encoder) {
+	e.U64(f.root.State())
+	e.U64(f.seq)
+	e.I64(f.lastOverhead)
+	for _, v := range f.Stats.counters() {
+		e.I64(*v)
+	}
 }
 
-// Snapshot captures the plan's run state.
-func (f *FaultPlan) Snapshot() FaultPlanState {
-	return FaultPlanState{Root: f.root.State(), Seq: f.seq, LastOverhead: f.lastOverhead, Stats: f.Stats}
-}
-
-// Restore overwrites the plan's run state. The root state of a live
-// generator is never zero; a zero means a corrupt or hand-built
-// snapshot.
-func (f *FaultPlan) Restore(st FaultPlanState) error {
-	if st.Root == 0 {
+// DecodeState overwrites the plan's run state with what EncodeState
+// wrote. The root state of a live generator is never zero; a zero
+// means a corrupt or hand-built snapshot.
+func (f *FaultPlan) DecodeState(d *snap.Decoder) error {
+	root := d.U64()
+	f.seq = d.U64()
+	f.lastOverhead = d.I64()
+	for _, v := range f.Stats.counters() {
+		*v = d.I64()
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if root == 0 {
 		return fmt.Errorf("net: fault-plan snapshot has zero rng state")
 	}
-	f.root = rng.FromState(st.Root)
-	f.seq = st.Seq
-	f.lastOverhead = st.LastOverhead
-	f.Stats = st.Stats
+	f.root = rng.FromState(root)
 	return nil
+}
+
+// counters lists the statistics in their snapshot order.
+func (s *FaultStats) counters() [8]*int64 {
+	return [...]*int64{&s.Drops, &s.Dups, &s.Delays, &s.Timeouts, &s.Retries, &s.BackoffCycles, &s.HotAccesses, &s.Exhausted}
 }

@@ -1,9 +1,36 @@
 package net
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"mtsim/internal/snap"
 )
+
+// encodeState returns what encode writes.
+func encodeState(encode func(*snap.Encoder)) []byte {
+	var e snap.Encoder
+	encode(&e)
+	return e.Bytes()
+}
+
+// decodeState decodes b with decode, which must consume all of it.
+func decodeState(b []byte, decode func(*snap.Decoder) error) error {
+	d := snap.NewDecoder(b)
+	if err := decode(d); err != nil {
+		return err
+	}
+	return d.Finish()
+}
+
+// roundTrip decodes what encode writes with decode.
+func roundTrip(t *testing.T, encode func(*snap.Encoder), decode func(*snap.Decoder) error) {
+	t.Helper()
+	if err := decodeState(encodeState(encode), decode); err != nil {
+		t.Fatalf("DecodeState: %v", err)
+	}
+}
 
 func TestTrafficSnapshotRestore(t *testing.T) {
 	var a Traffic
@@ -13,7 +40,7 @@ func TestTrafficSnapshotRestore(t *testing.T) {
 	a.AddSpin(FaaReq, WordBits)
 
 	var b Traffic
-	b.Restore(a.Snapshot())
+	roundTrip(t, a.EncodeState, b.DecodeState)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("restored traffic differs: %+v vs %+v", a, b)
 	}
@@ -32,7 +59,7 @@ func TestCongestionSnapshotRestore(t *testing.T) {
 	}
 
 	b := NewCongestion(cfg, 16)
-	b.Restore(a.Snapshot())
+	roundTrip(t, a.EncodeState, b.DecodeState)
 
 	// Identical state must yield bit-identical future samples: the
 	// decayed floats are restored via their exact values.
@@ -58,11 +85,8 @@ func TestFaultPlanSnapshotRestore(t *testing.T) {
 		a.Deliver(i*10, 200)
 	}
 
-	st := a.Snapshot()
 	b := NewFaultPlan(cfg, 200)
-	if err := b.Restore(st); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
+	roundTrip(t, a.EncodeState, b.DecodeState)
 
 	// Every future delivery — outcome, overhead, stats — must match.
 	for i := int64(300); i < 600; i++ {
@@ -81,7 +105,9 @@ func TestFaultPlanSnapshotRestore(t *testing.T) {
 
 func TestFaultPlanRestoreRejectsZeroState(t *testing.T) {
 	p := NewFaultPlan(FaultConfig{Enabled: true, Seed: 1}, 100)
-	if err := p.Restore(FaultPlanState{Root: 0}); err == nil {
+	b := encodeState(p.EncodeState)
+	binary.LittleEndian.PutUint64(b, 0) // the rng root comes first
+	if err := decodeState(b, p.DecodeState); err == nil {
 		t.Fatal("zero rng state accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -220,11 +221,8 @@ func TestTopologySnapshotRoundtrip(t *testing.T) {
 			n.RoundTrip(now, int(r.Intn(16)), r.Intn(1<<16), Bits(ReadReq, 0), Bits(ReadReply, WordBits))
 			now += r.Intn(2)
 		}
-		st := n.Snapshot()
 		m := NewNetwork(cfg, 16, 200)
-		if err := m.Restore(st); err != nil {
-			t.Fatalf("%s: Restore: %v", kind, err)
-		}
+		roundTrip(t, n.EncodeState, m.DecodeState)
 		for i := 0; i < 2000; i++ {
 			src := int(r.Intn(16))
 			addr := r.Intn(1 << 16)
@@ -243,14 +241,16 @@ func TestTopologySnapshotRoundtrip(t *testing.T) {
 
 func TestTopologyRestoreRejectsBadState(t *testing.T) {
 	n := NewNetwork(TopologyConfig{Kind: TopoMesh}, 16, 200)
-	st := n.Snapshot()
-	st.FreeAt = st.FreeAt[:len(st.FreeAt)-1]
-	if err := n.Restore(st); err == nil {
-		t.Error("Restore accepted a truncated link array")
+	// The state opens with the link count, then link 0's freeAt and
+	// enqueued counter.
+	b := encodeState(n.EncodeState)
+	binary.LittleEndian.PutUint32(b, uint32(n.NumLinks()-1))
+	if err := decodeState(b, n.DecodeState); err == nil {
+		t.Error("DecodeState accepted a truncated link array")
 	}
-	st = n.Snapshot()
-	st.Enqueued[0] = 5 // books no longer balance: 5 enqueued, 0 drained+pending
-	if err := n.Restore(st); err == nil {
-		t.Error("Restore accepted inconsistent queue counters")
+	b = encodeState(n.EncodeState)
+	binary.LittleEndian.PutUint64(b[4+8:], 5) // books no longer balance: 5 enqueued, 0 drained+pending
+	if err := decodeState(b, n.DecodeState); err == nil {
+		t.Error("DecodeState accepted inconsistent queue counters")
 	}
 }

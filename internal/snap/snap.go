@@ -265,17 +265,37 @@ func (d *Decoder) I64s() []int64 {
 	return out
 }
 
-// Bools reads a length-prefixed []bool. An empty sequence decodes nil.
-func (d *Decoder) Bools() []bool {
-	n := d.lenPrefix("[]bool", 1)
-	if n == 0 || d.err != nil {
-		return nil
+// I64sInto reads a length-prefixed []int64 into dst, failing unless
+// the encoded length is len(dst). A runtime decodes its fixed-size
+// arrays this way, straight into the instance its configuration built.
+func (d *Decoder) I64sInto(dst []int64) {
+	if b := d.fixed("[]int64", len(dst), 8); b != nil {
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.Bool()
+}
+
+// BoolsInto reads a length-prefixed []bool into dst, failing unless
+// the encoded length is len(dst) and every byte is 0 or 1.
+func (d *Decoder) BoolsInto(dst []bool) {
+	b := d.fixed("[]bool", len(dst), 1)
+	for i, v := range b {
+		if v > 1 {
+			d.err = fmt.Errorf("snap: invalid bool byte at offset %d", d.off-len(b)+i)
+			return
+		}
+		dst[i] = v == 1
 	}
-	return out
+}
+
+// fixed reads a length prefix that must equal n, then the n elements'
+// bytes; it returns nil once decoding has failed.
+func (d *Decoder) fixed(want string, n, elemSize int) []byte {
+	if got := d.U32(); int64(got) != int64(n) && d.err == nil {
+		d.err = fmt.Errorf("snap: %s of %d elements at offset %d, want %d", want, got, d.off-4, n)
+	}
+	return d.take(want, n*elemSize)
 }
 
 // Framing: every checkpoint artifact is

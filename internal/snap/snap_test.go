@@ -57,7 +57,8 @@ func TestRoundTrip(t *testing.T) {
 	if got := d.I64s(); len(got) != 3 || got[0] != -1 || got[2] != 1 {
 		t.Errorf("I64s = %v", got)
 	}
-	if got := d.Bools(); len(got) != 3 || !got[0] || got[1] {
+	got := make([]bool, 3)
+	if d.BoolsInto(got); !got[0] || got[1] || !got[2] {
 		t.Errorf("Bools = %v", got)
 	}
 	if err := d.Finish(); err != nil {
@@ -124,6 +125,37 @@ func TestCorruptLengthPrefix(t *testing.T) {
 	}
 	if d.Err() == nil {
 		t.Fatal("want truncation error from corrupt length prefix")
+	}
+}
+
+// TestFixedLengthReads: I64sInto and BoolsInto fill a caller's array
+// in place and reject an encoded length other than the array's, or a
+// bool byte other than 0 or 1.
+func TestFixedLengthReads(t *testing.T) {
+	var e Encoder
+	e.I64s([]int64{4, -5})
+	e.Bools([]bool{false, true})
+	d := NewDecoder(e.Bytes())
+	ints, bools := make([]int64, 2), make([]bool, 2)
+	d.I64sInto(ints)
+	d.BoolsInto(bools)
+	if err := d.Finish(); err != nil || ints[0] != 4 || ints[1] != -5 || bools[0] || !bools[1] {
+		t.Fatalf("got %v %v (err %v)", ints, bools, err)
+	}
+
+	d = NewDecoder(e.Bytes())
+	d.I64sInto(make([]int64, 3))
+	if d.Err() == nil || !strings.Contains(d.Err().Error(), "want 3") {
+		t.Errorf("length mismatch: err = %v", d.Err())
+	}
+
+	bad := append([]byte(nil), e.Bytes()...)
+	bad[len(bad)-1] = 2
+	d = NewDecoder(bad)
+	d.I64sInto(ints)
+	d.BoolsInto(bools)
+	if d.Err() == nil || !strings.Contains(d.Err().Error(), "bool") {
+		t.Errorf("bool byte 2: err = %v", d.Err())
 	}
 }
 
