@@ -206,13 +206,13 @@ func TestParseChaos(t *testing.T) {
 
 func TestParseChaosErrors(t *testing.T) {
 	bad := []string{
-		"from=2s,partition",            // missing peer
-		"peer=n2,drop=1.5",             // probability out of range
-		"peer=n2,delay=0.5",            // delay without @range
-		"peer=n2,delay=1@500ms-200ms",  // max < min
-		"peer=n2,banana=1",             // unknown field
-		"peer=n2,from=soon,partition",  // unparseable duration
-		"peer=n2,nonsense",             // bare field that is not "partition"
+		"from=2s,partition",           // missing peer
+		"peer=n2,drop=1.5",            // probability out of range
+		"peer=n2,delay=0.5",           // delay without @range
+		"peer=n2,delay=1@500ms-200ms", // max < min
+		"peer=n2,banana=1",            // unknown field
+		"peer=n2,from=soon,partition", // unparseable duration
+		"peer=n2,nonsense",            // bare field that is not "partition"
 	}
 	for _, spec := range bad {
 		if _, err := ParseChaos(spec); err == nil {

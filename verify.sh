@@ -5,6 +5,8 @@ set -eux
 
 go build ./...
 go vet ./...
+# Every Go file, the workbench module's included, is gofmt-clean.
+test -z "$(gofmt -l .)"
 go test ./...
 # The workload benchmark is its own module (workbench/go.mod), so the
 # root ./... never builds it: vet and test it here, so an internal API
