@@ -124,6 +124,8 @@ func TestRunEndpointValidation(t *testing.T) {
 		{"bad threads", `{"app":"sor","config":{"procs":2,"threads":-3,"model":"ideal"}}`, http.StatusBadRequest, "Threads -3 < 1"},
 		{"bad scale", `{"app":"sor","scale":"galactic","config":{"procs":1,"threads":1,"model":"ideal"}}`, http.StatusBadRequest, "unknown scale"},
 		{"faults on ideal", `{"app":"sor","config":{"procs":1,"threads":1,"model":"ideal","faults":{"seed":1,"drop_rate":0.1}}}`, http.StatusBadRequest, "fault injection"},
+		{"too many contexts", `{"app":"sor","config":{"procs":100000,"threads":100,"model":"ideal"}}`, http.StatusBadRequest, "thread contexts"},
+		{"too many nodes", `{"app":"sor","config":{"procs":4,"threads":1,"model":"switch-on-load","topology":{"kind":"mesh","nodes":1073741824}}}`, http.StatusBadRequest, "nodes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,6 +142,44 @@ func TestRunEndpointValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzConfigRequest feeds arbitrary bytes to the wire config decoder.
+// Neither decoding nor ToMachine may panic, and every config ToMachine
+// accepts must validate and stay within the wire size bounds, since a
+// request is what sizes the machine a worker allocates.
+func FuzzConfigRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"procs":16,"threads":4,"model":"conditional-switch","latency":200}`,
+		`{"procs":8,"threads":6,"model":"explicit-switch","group_window":true,"window_cells":16,"crit_priority":true}`,
+		`{"procs":4,"threads":2,"model":"switch-on-load","topology":{"kind":"dragonfly","nodes":8}}`,
+		`{"procs":2,"threads":2,"model":"switch-on-use","faults":{"seed":7,"drop_rate":0.05,"delay_rate":0.05}}`,
+		`{"procs":100000,"threads":100,"model":"ideal"}`,
+		`{"procs":4,"threads":1,"model":"switch-on-load","topology":{"kind":"mesh","nodes":1073741824}}`,
+		`{"procs":-1,"threads":0,"model":""}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c ConfigRequest
+		if json.Unmarshal(data, &c) != nil {
+			return
+		}
+		cfg, err := c.ToMachine()
+		if err != nil {
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted config does not validate: %v", err)
+		}
+		eff := cfg.Effective()
+		if eff.Procs > maxWireContexts || eff.Threads > maxWireContexts || eff.Procs*eff.Threads > maxWireContexts {
+			t.Fatalf("accepted %d procs × %d threads", eff.Procs, eff.Threads)
+		}
+		if eff.Topology.Nodes > maxWireNodes {
+			t.Fatalf("accepted a topology of %d nodes", eff.Topology.Nodes)
+		}
+	})
 }
 
 // TestBatchEndpointPartialAligned: a batch response is job-aligned, and

@@ -168,6 +168,12 @@ func TestV2ErrorEnvelope(t *testing.T) {
 		{"invalid run", "POST", "/v2/jobs",
 			`{"run":{"app":"no-such-app","config":{"procs":1,"threads":1,"model":"switch-on-use"}}}`,
 			"", http.StatusBadRequest, "bad_request"},
+		{"oversized run", "POST", "/v2/jobs",
+			`{"run":{"app":"sor","config":{"procs":100000,"threads":100,"model":"switch-on-use"}}}`,
+			"", http.StatusBadRequest, "bad_request"},
+		{"oversized batch job", "POST", "/v2/jobs",
+			`{"batch":{"jobs":[{"app":"sor","config":{"procs":4,"threads":1,"model":"switch-on-load","topology":{"kind":"mesh","nodes":1073741824}}}]}}`,
+			"", http.StatusBadRequest, "bad_request"},
 		{"unknown API key", "POST", "/v2/jobs", `{"run":` + sorRun + `}`,
 			"Bearer nope", http.StatusUnauthorized, "unauthorized"},
 		{"job without journal", "GET", "/v2/jobs/b-0000000000000000", "", "", http.StatusNotFound, "not_found"},
