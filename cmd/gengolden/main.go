@@ -37,7 +37,7 @@ func main() {
 		write("internal/apps/testdata/"+a.Name+".grouped.mt", []byte(asm.Format(g)))
 		fmt.Println(a.Name)
 	}
-	set, err := exp.GoldenSetContext(ctx)
+	set, err := exp.GoldenSetContext(ctx, false)
 	if err != nil {
 		fatal(err)
 	}

@@ -32,19 +32,24 @@ import (
 //   - ablation-topology.golden.txt: the irregular-kernel x topology
 //     sweep, pinning the routed networks' cycle-exact queueing and the
 //     kernels' workload generators (rendered in its own session so the
-//     batch-metrics golden stays the figure1 aggregate).
+//     batch-metrics golden stays the figure1 aggregate);
+//   - <id>.golden.txt for every other experiment in All() and
+//     Ablations(): the quick-scale render of each paper table, figure
+//     and ablation, in a session of their own for the same reason.
+//     short skips these renders (seconds of CPU each for the
+//     multithreading-level searches), as the -short race pass does.
 //
 // Everything is deterministic: fixed seeds, fixed problem scales, and
 // the engine's byte-identical-at-any-width contract.
-func GoldenSet() (map[string][]byte, error) {
-	return GoldenSetContext(context.Background())
+func GoldenSet(short bool) (map[string][]byte, error) {
+	return GoldenSetContext(context.Background(), short)
 }
 
 // GoldenSetContext is GoldenSet under a context: cancellation aborts
 // the regeneration's simulations cooperatively (cmd/gengolden wires
 // SIGINT/SIGTERM here so an interrupted regeneration exits cleanly
 // instead of half-writing testdata).
-func GoldenSetContext(ctx context.Context) (map[string][]byte, error) {
+func GoldenSetContext(ctx context.Context, short bool) (map[string][]byte, error) {
 	out := make(map[string][]byte)
 
 	// Pin the worker width: the engine's request stream (prefetch, and
@@ -98,6 +103,23 @@ func GoldenSetContext(ctx context.Context) (map[string][]byte, error) {
 		return nil, err
 	}
 	out["run_metrics.golden.json"] = rb.Bytes()
+	if short {
+		return out, nil
+	}
+
+	var rest []*Experiment
+	for _, e := range append(All(), Ablations()...) {
+		if out[e.ID+".golden.txt"] == nil {
+			rest = append(rest, e)
+		}
+	}
+	renders, _, err := Rendered(New(io.Discard, WithScale(app.Quick), WithContext(ctx)), rest)
+	if err != nil {
+		return nil, fmt.Errorf("golden %w", err)
+	}
+	for i, e := range rest {
+		out[e.ID+".golden.txt"] = []byte(renders[i])
+	}
 	return out, nil
 }
 

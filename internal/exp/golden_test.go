@@ -12,14 +12,34 @@ import (
 )
 
 // TestGoldenArtifacts regenerates the deterministic golden set and
-// diffs it against the committed files. A legitimate behavior change
-// (kernel, optimizer, accounting, schema) is re-pinned with:
+// diffs it against the committed files; -short leaves out the renders
+// of the experiments beyond figure1, figure4 and ablation-topology. A
+// legitimate behavior change (kernel, optimizer, accounting, schema) is
+// re-pinned with:
 //
 //	go run ./cmd/gengolden
 func TestGoldenArtifacts(t *testing.T) {
-	got, err := exp.GoldenSet()
+	got, err := exp.GoldenSet(testing.Short())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !testing.Short() {
+		// Every experiment is pinned, and no committed golden outlives
+		// the experiment it pinned.
+		for _, e := range append(exp.All(), exp.Ablations()...) {
+			if got[e.ID+".golden.txt"] == nil {
+				t.Errorf("experiment %s has no golden render", e.ID)
+			}
+		}
+		committed, err := filepath.Glob(filepath.Join("testdata", "*.golden.*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range committed {
+			if got[filepath.Base(path)] == nil {
+				t.Errorf("%s is no longer generated; delete it", path)
+			}
+		}
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {
