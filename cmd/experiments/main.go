@@ -3,12 +3,18 @@
 // Usage:
 //
 //	experiments [-scale quick|medium|full] [-latency N] [-maxmt N] [-j N]
-//	            [-faults R] [-jitter N] [-seed N] [id ...]
+//	            [-ablations] [-faults R] [-jitter N] [-seed N]
+//	            [-kernels LIST] [-topologies LIST] [-metrics FILE]
+//	            [-pprof ADDR] [-report FILE] [-list] [id ...]
 //
-// With no ids, every experiment runs in paper order. Ids are the paper
-// artifact names: figure1..figure4, table1..table8.
+// With no ids, every paper artifact runs in paper order, followed by
+// the ablations with -ablations. Ids are the paper artifact names
+// (figure1..figure4, table1..table8) and the ablation names
+// (ablation-latency, ablation-faults, ...); -list prints them all.
+// -report writes every experiment as EXPERIMENTS.md-style markdown and
+// ignores the ids.
 //
-// -j sets the worker-goroutine count (default GOMAXPROCS; 1 runs
+// -j sets the session's worker width (default GOMAXPROCS; 1 runs
 // sequentially). Independent experiments render into per-experiment
 // buffers and simulations deduplicate through the session memo, so the
 // output is byte-identical at every -j setting.

@@ -3,9 +3,9 @@
 //
 // The paper's efficiency is speedup / processors, with speedup measured
 // against an ideal single processor: a 1-processor, 1-thread, zero-latency
-// run of the same program (§3.2, Figure 2). A Session caches that
-// baseline per application and memoizes simulation runs, since several
-// tables sweep overlapping configurations.
+// run of the same program (§3.2, Figure 2). A Session memoizes
+// simulation runs, that baseline among them, since several tables sweep
+// overlapping configurations.
 //
 // A Session is safe for concurrent use. Run deduplicates in-flight work
 // singleflight-style: the first caller for a configuration simulates,
@@ -95,10 +95,9 @@ type inflight struct {
 	err  error
 }
 
-// Session runs applications and caches baselines and results.
+// Session runs applications and memoizes their results.
 type Session struct {
 	mu       sync.Mutex
-	baseline map[string]int64
 	results  map[runKey]*machine.Result
 	running  map[runKey]*inflight
 	sims     atomic.Int64
@@ -122,15 +121,15 @@ type Session struct {
 // NewSession returns an empty session with verification on.
 func NewSession() *Session {
 	return &Session{
-		baseline: make(map[string]int64),
-		results:  make(map[runKey]*machine.Result),
-		running:  make(map[runKey]*inflight),
-		Verify:   true,
+		results: make(map[runKey]*machine.Result),
+		running: make(map[runKey]*inflight),
+		Verify:  true,
 	}
 }
 
-// workers resolves the effective pool size.
-func (s *Session) workers() int {
+// Width resolves the effective worker-pool width: Workers, or
+// GOMAXPROCS when Workers is zero or negative.
+func (s *Session) Width() int {
 	if s.Workers > 0 {
 		return s.Workers
 	}
@@ -178,22 +177,25 @@ func (s *Session) Run(a *app.App, cfg machine.Config) (*machine.Result, error) {
 // RunContext is Run under a context. A canceled or expired ctx aborts
 // the caller's own simulation cooperatively (the memo stays clean:
 // errors are never memoized) and unblocks a singleflight follower
-// waiting on another caller's in-flight run. If the leader of a shared
-// key is canceled, followers whose own context is still live retry the
-// key rather than inheriting the leader's cancellation, so one aborted
-// request cannot fail an unrelated one that raced onto the same
-// configuration.
+// waiting on another caller's in-flight run. A memo hit costs no work,
+// so it is served even under a dead ctx, as RunCheckpointedContext
+// serves it: a baseline lookup after a run's deadline still finds the
+// baseline. If the leader of a shared key is canceled, followers whose
+// own context is still live retry the key rather than inheriting the
+// leader's cancellation, so one aborted request cannot fail an
+// unrelated one that raced onto the same configuration.
 func (s *Session) RunContext(ctx context.Context, a *app.App, cfg machine.Config) (*machine.Result, error) {
 	k := runKey{a.Name, cfg}
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		s.mu.Lock()
 		if r, ok := s.results[k]; ok {
 			s.mu.Unlock()
 			s.memoHits.Add(1)
 			return r, nil
+		}
+		if err := ctx.Err(); err != nil {
+			s.mu.Unlock()
+			return nil, err
 		}
 		if fl, ok := s.running[k]; ok {
 			s.mu.Unlock()
@@ -310,7 +312,7 @@ func (s *Session) RunBatchContext(ctx context.Context, jobs []Job) ([]*machine.R
 	res := make([]*machine.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, s.workers())
+	sem := make(chan struct{}, s.Width())
 	for i, j := range jobs {
 		wg.Add(1)
 		go func(i int, j Job) {
@@ -338,27 +340,26 @@ func (s *Session) RunBatchContext(ctx context.Context, jobs []Job) ([]*machine.R
 	return res, nil
 }
 
+// BaselineJob is the run whose cycle count is a's efficiency baseline:
+// one processor, one thread, zero latency (the ideal machine).
+func BaselineJob(a *app.App) Job {
+	return Job{App: a, Cfg: machine.Config{Procs: 1, Threads: 1, Model: machine.Ideal}}
+}
+
 // Baseline returns the ideal single-processor cycle count for a. It is
 // BaselineContext with context.Background().
 func (s *Session) Baseline(a *app.App) (int64, error) {
 	return s.BaselineContext(context.Background(), a)
 }
 
-// BaselineContext is Baseline under a context.
+// BaselineContext is Baseline under a context: the memoized run of
+// BaselineJob(a), so a repeated lookup is an ordinary memo hit.
 func (s *Session) BaselineContext(ctx context.Context, a *app.App) (int64, error) {
-	s.mu.Lock()
-	if c, ok := s.baseline[a.Name]; ok {
-		s.mu.Unlock()
-		return c, nil
-	}
-	s.mu.Unlock()
-	r, err := s.RunContext(ctx, a, machine.Config{Procs: 1, Threads: 1, Model: machine.Ideal})
+	j := BaselineJob(a)
+	r, err := s.RunContext(ctx, j.App, j.Cfg)
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	s.baseline[a.Name] = r.Cycles
-	s.mu.Unlock()
 	return r.Cycles, nil
 }
 
@@ -415,7 +416,7 @@ func (s *Session) MTSearchContext(ctx context.Context, a *app.App, cfg machine.C
 	levels = make([]int, len(targets))
 	found := 0
 	var sweepErrs []error
-	wave := s.workers()
+	wave := s.Width()
 	for lo := 1; lo <= maxMT; lo += wave {
 		if cerr := ctx.Err(); cerr != nil {
 			sweepErrs = append(sweepErrs, fmt.Errorf("search stopped before threads=%d: %w", lo, cerr))

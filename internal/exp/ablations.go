@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mtsim/internal/app"
 	"mtsim/internal/apps/mp3d"
 	"mtsim/internal/core"
 	"mtsim/internal/machine"
@@ -126,26 +127,32 @@ func AblationLineSize(o *Options) error {
 	for _, s := range sizes {
 		t.Header = append(t.Header, fmt.Sprintf("hit@%d", s), fmt.Sprintf("b/c@%d", s))
 	}
-	var warm []core.Job
-	for _, name := range []string{"sor", "mp3d"} {
-		if a, err := o.App(name); err == nil {
-			for _, s := range sizes {
-				warm = append(warm, core.Job{App: a, Cfg: lineSizeCfg(o, a, s)})
+	set, err := o.appsNamed("sor", "mp3d")
+	if err != nil {
+		return err
+	}
+	var jobs []core.Job
+	for _, a := range set {
+		for _, s := range sizes {
+			cfg := machine.Config{
+				Procs: a.TableProcs, Threads: 6,
+				Model: machine.ConditionalSwitch, Latency: o.Latency,
 			}
+			cfg.Cache.LineCells = s
+			cfg.Cache.Lines = 4096 / s // constant capacity
+			cfg.Cache.Assoc = 4
+			jobs = append(jobs, core.Job{App: a, Cfg: cfg})
 		}
 	}
-	o.prefetch(warm)
-	for _, name := range []string{"sor", "mp3d"} {
-		a, err := o.App(name)
-		if err != nil {
-			return err
-		}
+	res, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	next := cursor(res)
+	for _, a := range set {
 		row := []string{a.Name}
-		for _, s := range sizes {
-			r, err := o.Sess.RunContext(o.Context(), a, lineSizeCfg(o, a, s))
-			if err != nil {
-				return err
-			}
+		for range sizes {
+			r := next()
 			row = append(row, fmt.Sprintf("%.2f", r.CacheHitRate()), fmt.Sprintf("%.1f", r.BitsPerCycle()))
 		}
 		t.AddRow(row...)
@@ -153,19 +160,6 @@ func AblationLineSize(o *Options) error {
 	t.AddNote("capacity held at 4096 cells; sor gains from longer lines, mp3d's scattered lookups waste them")
 	o.printf("%s\n", t)
 	return nil
-}
-
-// lineSizeCfg is the constant-capacity cache configuration AblationLineSize
-// sweeps.
-func lineSizeCfg(o *Options, a *appPkg, lineCells int) machine.Config {
-	cfg := machine.Config{
-		Procs: a.TableProcs, Threads: 6,
-		Model: machine.ConditionalSwitch, Latency: o.Latency,
-	}
-	cfg.Cache.LineCells = lineCells
-	cfg.Cache.Lines = 4096 / lineCells // constant capacity
-	cfg.Cache.Assoc = 4
-	return cfg
 }
 
 // AblationSwitchCost sweeps the pipeline-flush cost of switch-on-miss.
@@ -178,31 +172,24 @@ func AblationSwitchCost(o *Options) error {
 	if err != nil {
 		return err
 	}
-	base, err := o.Sess.BaselineContext(o.Context(), a)
-	if err != nil {
-		return err
-	}
-	t := &stats.Table{
-		Title:  fmt.Sprintf("Ablation: switch-on-miss pipeline-flush cost (mp3d, %d procs, 6 threads)", a.TableProcs),
-		Header: []string{"switch cost", "cycles", "efficiency", "overhead cycles"},
-	}
-	var warm []core.Job
+	jobs := []core.Job{core.BaselineJob(a)}
 	for _, c := range costs {
-		warm = append(warm, core.Job{App: a, Cfg: machine.Config{
+		jobs = append(jobs, core.Job{App: a, Cfg: machine.Config{
 			Procs: a.TableProcs, Threads: 6,
 			Model: machine.SwitchOnMiss, Latency: o.Latency, SwitchCost: c,
 		}})
 	}
-	o.prefetch(warm)
-	for _, c := range costs {
-		cfg := machine.Config{
-			Procs: a.TableProcs, Threads: 6,
-			Model: machine.SwitchOnMiss, Latency: o.Latency, SwitchCost: c,
-		}
-		r, err := o.Sess.RunContext(o.Context(), a, cfg)
-		if err != nil {
-			return err
-		}
+	res, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	base := res[0].Cycles
+	t := &stats.Table{
+		Title:  fmt.Sprintf("Ablation: switch-on-miss pipeline-flush cost (mp3d, %d procs, 6 threads)", a.TableProcs),
+		Header: []string{"switch cost", "cycles", "efficiency", "overhead cycles"},
+	}
+	for i, c := range costs {
+		r := res[1+i]
 		shown := c
 		if c < 0 {
 			shown = 0
@@ -232,43 +219,36 @@ func AblationNetwork(o *Options) error {
 		t.Header = append(t.Header, fmt.Sprintf("%dt", th))
 	}
 	t.Header = append(t.Header, "peak-util", "final-lat")
-	var warm []core.Job
-	for _, name := range []string{"sor", "mp3d"} {
-		if a, err := o.App(name); err == nil {
-			for _, model := range []machine.Model{machine.ExplicitSwitch, machine.ConditionalSwitch} {
-				for _, th := range threads {
-					warm = append(warm, core.Job{App: a, Cfg: machine.Config{
-						Procs: a.TableProcs, Threads: th, Model: model,
-						Latency: o.Latency, Congestion: congest,
-					}})
-				}
+	set, err := o.appsNamed("sor", "mp3d")
+	if err != nil {
+		return err
+	}
+	models := []machine.Model{machine.ExplicitSwitch, machine.ConditionalSwitch}
+	var jobs []core.Job
+	for _, a := range set {
+		jobs = append(jobs, core.BaselineJob(a))
+		for _, model := range models {
+			for _, th := range threads {
+				jobs = append(jobs, core.Job{App: a, Cfg: machine.Config{
+					Procs: a.TableProcs, Threads: th, Model: model,
+					Latency: o.Latency, Congestion: congest,
+				}})
 			}
 		}
 	}
-	o.prefetch(warm)
-	for _, name := range []string{"sor", "mp3d"} {
-		a, err := o.App(name)
-		if err != nil {
-			return err
-		}
-		base, err := o.Sess.BaselineContext(o.Context(), a)
-		if err != nil {
-			return err
-		}
-		for _, model := range []machine.Model{machine.ExplicitSwitch, machine.ConditionalSwitch} {
+	res, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	next := cursor(res)
+	for _, a := range set {
+		base := next().Cycles
+		for _, model := range models {
 			row := []string{fmt.Sprintf("%s / %s", a.Name, model)}
 			var last *machine.Result
-			for _, th := range threads {
-				cfg := machine.Config{
-					Procs: a.TableProcs, Threads: th, Model: model,
-					Latency: o.Latency, Congestion: congest,
-				}
-				r, err := o.Sess.RunContext(o.Context(), a, cfg)
-				if err != nil {
-					return err
-				}
-				row = append(row, fmt.Sprintf("%.2f", r.Efficiency(base)))
-				last = r
+			for range threads {
+				last = next()
+				row = append(row, fmt.Sprintf("%.2f", last.Efficiency(base)))
 			}
 			row = append(row,
 				fmt.Sprintf("%.2f", last.NetPeakUtilization),
@@ -313,30 +293,34 @@ func AblationTopology(o *Options) error {
 		t.Header = append(t.Header, fmt.Sprintf("%dt", th))
 	}
 	t.Header = append(t.Header, "max-lat", "peak-queue")
-	var warm []core.Job
+	// The topology's node count, hop cost and channel width stay at their
+	// Procs-derived defaults (TopologyConfig.WithDefaults).
+	var jobs []core.Job
 	for _, a := range kernels {
+		jobs = append(jobs, core.BaselineJob(a))
 		for _, k := range kinds {
 			for _, th := range threads {
-				warm = append(warm, core.Job{App: a, Cfg: topoCfg(o, a, k, th)})
+				jobs = append(jobs, core.Job{App: a, Cfg: machine.Config{
+					Procs: a.TableProcs, Threads: th,
+					Model: machine.SwitchOnLoad, Latency: o.Latency,
+					Topology: net.TopologyConfig{Kind: k},
+				}})
 			}
 		}
 	}
-	o.prefetch(warm)
+	res, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	next := cursor(res)
 	for _, a := range kernels {
-		base, err := o.Sess.BaselineContext(o.Context(), a)
-		if err != nil {
-			return err
-		}
+		base := next().Cycles
 		for _, k := range kinds {
 			row := []string{fmt.Sprintf("%s / %s", a.Name, k)}
 			var last *machine.Result
-			for _, th := range threads {
-				r, err := o.Sess.RunContext(o.Context(), a, topoCfg(o, a, k, th))
-				if err != nil {
-					return err
-				}
-				row = append(row, fmt.Sprintf("%.3f", r.Efficiency(base)))
-				last = r
+			for range threads {
+				last = next()
+				row = append(row, fmt.Sprintf("%.3f", last.Efficiency(base)))
 			}
 			row = append(row, fmt.Sprint(last.TopoMaxLatency), fmt.Sprint(last.TopoPeakQueue))
 			t.AddRow(row...)
@@ -347,18 +331,6 @@ func AblationTopology(o *Options) error {
 	t.AddNote("dependent-load kernels with queueing that grows as the extra threads inject more scattered traffic")
 	o.printf("%s\n", t)
 	return nil
-}
-
-// topoCfg is the per-cell configuration AblationTopology sweeps. The
-// topology's node count, hop cost and channel width stay at their
-// Procs-derived defaults (TopologyConfig.WithDefaults).
-func topoCfg(o *Options, a *appPkg, kind net.TopologyKind, threads int) machine.Config {
-	cfg := machine.Config{
-		Procs: a.TableProcs, Threads: threads,
-		Model: machine.SwitchOnLoad, Latency: o.Latency,
-	}
-	cfg.Topology = net.TopologyConfig{Kind: kind}
-	return cfg
 }
 
 // AblationMP3DSort answers the paper's closing wish for mp3d: lay the
@@ -376,7 +348,7 @@ func AblationMP3DSort(o *Options) error {
 		Title:  fmt.Sprintf("Ablation: mp3d particle layout (conditional-switch, %d procs, 6 threads, latency %d)", procs, o.Latency),
 		Header: []string{"layout", "cycles", "hit-rate", "b/cyc", "taken switches", "skipped"},
 	}
-	layouts := []*appPkg{plainApp, sortedApp}
+	layouts := []*app.App{plainApp, sortedApp}
 	runs := make([]*machine.Result, len(layouts))
 	err := o.forEach(len(layouts), func(i int) error {
 		a := layouts[i]
@@ -575,37 +547,39 @@ func AblationFaults(o *Options) error {
 		t.Header = append(t.Header, fmt.Sprintf("r=%.3f", r), fmt.Sprintf("r=%.3f±j", r))
 	}
 	t.Header = append(t.Header, "retries@worst")
-	var warm []core.Job
-	for _, a := range o.Apps() {
+	set := o.Apps()
+	var jobs []core.Job
+	for _, a := range set {
+		jobs = append(jobs, core.BaselineJob(a))
 		for _, r := range rates {
 			for _, j := range []int{0, jitter} {
-				warm = append(warm, core.Job{App: a, Cfg: faultsCfg(o, a, r, j)})
+				jobs = append(jobs, core.Job{App: a, Cfg: faultsCfg(o, a, r, j)})
 			}
 		}
 	}
-	o.prefetch(warm)
-	for _, a := range o.Apps() {
-		base, err := o.Sess.BaselineContext(o.Context(), a)
-		if err != nil {
-			return err
+	res, errs := o.batch(jobs)
+	k := 0
+	for _, a := range set {
+		if errs[k] != nil {
+			return errs[k]
 		}
+		base := res[k].Cycles
+		k++
 		row := []string{fmt.Sprintf("%s (%d)", a.Name, a.TableProcs)}
 		var worst *machine.Result
-		for _, r := range rates {
-			for _, j := range []int{0, jitter} {
-				res, err := o.Sess.RunContext(o.Context(), a, faultsCfg(o, a, r, j))
-				switch {
-				case err == nil:
-					row = append(row, fmt.Sprintf("%.3f", res.Efficiency(base)))
-					worst = res
-				case errors.Is(err, machine.ErrMaxCycles):
-					// Fault-induced stall (or livelock): report the cell,
-					// keep the sweep going.
-					row = append(row, "stall")
-				default:
-					return err
-				}
+		for range 2 * len(rates) {
+			switch err := errs[k]; {
+			case err == nil:
+				row = append(row, fmt.Sprintf("%.3f", res[k].Efficiency(base)))
+				worst = res[k]
+			case errors.Is(err, machine.ErrMaxCycles):
+				// Fault-induced stall (or livelock): report the cell,
+				// keep the sweep going.
+				row = append(row, "stall")
+			default:
+				return err
 			}
+			k++
 		}
 		retries := "-"
 		if worst != nil && worst.Config.Faults.Enabled {
@@ -623,7 +597,7 @@ func AblationFaults(o *Options) error {
 // faultsCfg is the per-cell configuration AblationFaults sweeps. Rate
 // drives drops and delays fully and duplicates at half weight;
 // protocol constants stay at their latency-derived defaults.
-func faultsCfg(o *Options, a *appPkg, rate float64, jitter int) machine.Config {
+func faultsCfg(o *Options, a *app.App, rate float64, jitter int) machine.Config {
 	cfg := machine.Config{
 		Procs: a.TableProcs, Threads: 6,
 		Model: machine.ConditionalSwitch, Latency: o.Latency,
@@ -650,31 +624,31 @@ func AblationJitter(o *Options) error {
 	for _, f := range fracs {
 		t.Header = append(t.Header, fmt.Sprintf("±%.0f%%", 100*f))
 	}
-	var warm []core.Job
-	for _, name := range []string{"sieve", "sor", "water"} {
-		if a, err := o.App(name); err == nil {
-			for _, f := range fracs {
-				warm = append(warm, core.Job{App: a, Cfg: jitterCfg(o, a, f)})
-			}
+	set, err := o.appsNamed("sieve", "sor", "water")
+	if err != nil {
+		return err
+	}
+	var jobs []core.Job
+	for _, a := range set {
+		jobs = append(jobs, core.BaselineJob(a))
+		for _, f := range fracs {
+			jobs = append(jobs, core.Job{App: a, Cfg: machine.Config{
+				Procs: a.TableProcs, Threads: 8,
+				Model: machine.ExplicitSwitch, Latency: o.Latency,
+				LatencyJitter: int(f * float64(o.Latency)),
+			}})
 		}
 	}
-	o.prefetch(warm)
-	for _, name := range []string{"sieve", "sor", "water"} {
-		a, err := o.App(name)
-		if err != nil {
-			return err
-		}
-		base, err := o.Sess.BaselineContext(o.Context(), a)
-		if err != nil {
-			return err
-		}
+	res, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	next := cursor(res)
+	for _, a := range set {
+		base := next().Cycles
 		row := []string{a.Name}
-		for _, f := range fracs {
-			r, err := o.Sess.RunContext(o.Context(), a, jitterCfg(o, a, f))
-			if err != nil {
-				return err
-			}
-			row = append(row, fmt.Sprintf("%.3f", r.Efficiency(base)))
+		for range fracs {
+			row = append(row, fmt.Sprintf("%.3f", next().Efficiency(base)))
 		}
 		t.AddRow(row...)
 	}
@@ -682,13 +656,4 @@ func AblationJitter(o *Options) error {
 	t.AddNote("threads barely cover the latency (sor at 8): unordered replies idle the round-robin schedule")
 	o.printf("%s\n", t)
 	return nil
-}
-
-// jitterCfg is the per-fraction configuration AblationJitter sweeps.
-func jitterCfg(o *Options, a *appPkg, frac float64) machine.Config {
-	return machine.Config{
-		Procs: a.TableProcs, Threads: 8,
-		Model: machine.ExplicitSwitch, Latency: o.Latency,
-		LatencyJitter: int(frac * float64(o.Latency)),
-	}
 }

@@ -8,9 +8,9 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -34,14 +34,10 @@ type Options struct {
 	MaxMT int
 	// Out receives the rendered tables.
 	Out io.Writer
-	// Sess memoizes runs across experiments.
+	// Sess memoizes runs across experiments. Its worker width
+	// (Sess.Width) also bounds the experiments Rendered renders at once
+	// and the direct runs a generator spreads with forEach.
 	Sess *core.Session
-	// Jobs bounds the worker goroutines used to prefetch simulations and
-	// render independent experiments (cmd/experiments -j). Zero or
-	// negative means GOMAXPROCS; 1 disables parallelism. Output is
-	// byte-identical at every setting: workers only warm the session
-	// memo or fill per-experiment buffers that are emitted in order.
-	Jobs int
 	// FaultSeed seeds the robustness ablation's deterministic fault
 	// streams (cmd/experiments -seed).
 	FaultSeed uint64
@@ -90,15 +86,11 @@ func WithMaxMT(n int) Option {
 	return func(o *Options) { o.MaxMT = n }
 }
 
-// WithJobs bounds the worker goroutines used to prefetch simulations
-// and render independent experiments, for both the options and their
-// session (1 disables parallelism; 0 or negative means GOMAXPROCS).
-// Output is byte-identical at every width.
+// WithJobs sets the session's worker width, Sess.Workers (1 disables
+// parallelism; 0 or negative means GOMAXPROCS). A later WithSession
+// brings its own width. Output is byte-identical at every width.
 func WithJobs(n int) Option {
-	return func(o *Options) {
-		o.Jobs = n
-		o.Sess.Workers = n
-	}
+	return func(o *Options) { o.Sess.Workers = n }
 }
 
 // WithMetrics turns the session's cycle-accounting collection on or off
@@ -117,9 +109,9 @@ func WithContext(ctx context.Context) Option {
 }
 
 // WithSession substitutes a caller-owned session, sharing its memo (and
-// its Workers/CollectMetrics settings) across several options values —
-// the serving layer uses this to reuse one session cache across
-// requests.
+// its Workers/CollectMetrics settings, so the options fan out exactly
+// as wide as the session) across several options values — the serving
+// layer uses this to reuse one session cache across requests.
 func WithSession(s *core.Session) Option {
 	return func(o *Options) { o.Sess = s }
 }
@@ -165,7 +157,6 @@ func New(out io.Writer, opts ...Option) *Options {
 		MaxMT:      defaultMaxMT(app.Quick),
 		Out:        out,
 		Sess:       core.NewSession(),
-		Jobs:       runtime.GOMAXPROCS(0),
 		FaultSeed:  1,
 		FaultRate:  0.05,
 		Kernels:    apps.IrregularNames(),
@@ -227,26 +218,42 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// jobs resolves the effective worker count.
-func (o *Options) jobs() int {
-	if o.Jobs > 0 {
-		return o.Jobs
+// batch simulates a generator's job list as one session batch and
+// returns the results and errors in job order.
+func (o *Options) batch(jobs []core.Job) ([]*machine.Result, []error) {
+	res, err := o.Sess.RunBatchContext(o.Context(), jobs)
+	var be *core.BatchError
+	if errors.As(err, &be) {
+		return res, be.Errs
 	}
-	return runtime.GOMAXPROCS(0)
+	return res, make([]error, len(jobs))
 }
 
-// prefetch warms the session memo with the given runs on the worker
-// pool. Errors are deliberately dropped: the sequential render path
-// re-issues the same configurations and reports the first failure at the
-// same point a serial run would have. A no-op at Jobs <= 1.
-func (o *Options) prefetch(jobs []core.Job) {
-	if o.jobs() <= 1 || len(jobs) < 2 {
-		return
+// run is batch for a generator that fails on any job's error.
+// Generators list their jobs in render order, so the error returned is
+// the first failing job's: the one a serial render would have stopped
+// at.
+func (o *Options) run(jobs []core.Job) ([]*machine.Result, error) {
+	res, errs := o.batch(jobs)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	_, _ = o.Sess.RunBatchContext(o.Context(), jobs)
+	return res, nil
 }
 
-// forEach calls f(0..n-1) on min(Jobs, n) workers and returns the
+// cursor hands out a batch's results in job order, to a render loop
+// that walks the nesting the job list was built in.
+func cursor(res []*machine.Result) func() *machine.Result {
+	return func() *machine.Result {
+		r := res[0]
+		res = res[1:]
+		return r
+	}
+}
+
+// forEach calls f(0..n-1) on min(Sess.Width(), n) workers and returns the
 // lowest-index error, mirroring where a sequential loop would have
 // stopped. Generators use it for work that bypasses the session memo
 // (direct machine runs). A canceled options context stops new items and
@@ -254,7 +261,7 @@ func (o *Options) prefetch(jobs []core.Job) {
 // matches where a sequential loop would have stopped.
 func (o *Options) forEach(n int, f func(i int) error) error {
 	ctx := o.Context()
-	w := o.jobs()
+	w := o.Sess.Width()
 	if w > n {
 		w = n
 	}
@@ -298,12 +305,12 @@ func (o *Options) forEach(n int, f func(i int) error) error {
 	return nil
 }
 
-// Rendered runs the given experiments — concurrently when Jobs allows —
-// each into its own buffer, and returns the rendered outputs and wall
-// times in input order. The outputs are byte-identical to running the
-// experiments sequentially: each one owns its buffer, and the shared
-// session's singleflight memo returns identical results regardless of
-// which experiment simulates a configuration first.
+// Rendered runs the given experiments — concurrently when the session's
+// width allows — each into its own buffer, and returns the rendered
+// outputs and wall times in input order. The outputs are byte-identical
+// to running the experiments sequentially: each one owns its buffer,
+// and the shared session's singleflight memo returns identical results
+// regardless of which experiment simulates a configuration first.
 func Rendered(o *Options, exps []*Experiment) ([]string, []time.Duration, error) {
 	outs := make([]string, len(exps))
 	times := make([]time.Duration, len(exps))
@@ -331,8 +338,14 @@ func (o *Options) Apps() []*app.App {
 // KernelApps returns the topology ablation's kernel set: the Kernels
 // names at the options scale.
 func (o *Options) KernelApps() ([]*app.App, error) {
-	set := make([]*app.App, 0, len(o.Kernels))
-	for _, n := range o.Kernels {
+	return o.appsNamed(o.Kernels...)
+}
+
+// appsNamed returns the named applications at the options scale, in
+// the order given.
+func (o *Options) appsNamed(names ...string) ([]*app.App, error) {
+	set := make([]*app.App, 0, len(names))
+	for _, n := range names {
 		a, err := apps.New(n, o.Scale)
 		if err != nil {
 			return nil, err

@@ -19,25 +19,21 @@ func Figure1(o *Options) error {
 	if err != nil {
 		return err
 	}
-	warm := []core.Job{{App: a, Cfg: machine.Config{Procs: 1, Threads: 1, Model: machine.Ideal}}}
+	jobs := []core.Job{core.BaselineJob(a)}
 	for m := machine.Model(0); int(m) < machine.NumModels; m++ {
-		warm = append(warm, core.Job{App: a, Cfg: machine.Config{Procs: 4, Threads: 4, Model: m, Latency: o.Latency}})
+		jobs = append(jobs, core.Job{App: a, Cfg: machine.Config{Procs: 4, Threads: 4, Model: m, Latency: o.Latency}})
 	}
-	o.prefetch(warm)
-	base, err := o.Sess.BaselineContext(o.Context(), a)
+	res, err := o.run(jobs)
 	if err != nil {
 		return err
 	}
+	base := res[0].Cycles
 	t := &stats.Table{
 		Title:  "Figure 1: multithreading model taxonomy (sieve, 4 procs x 4 threads, latency " + fmt.Sprint(o.Latency) + ")",
 		Header: []string{"model", "code", "cycles", "efficiency", "switches", "skipped", "hit-rate"},
 	}
-	for m := machine.Model(0); int(m) < machine.NumModels; m++ {
-		cfg := machine.Config{Procs: 4, Threads: 4, Model: m, Latency: o.Latency}
-		r, err := o.Sess.RunContext(o.Context(), a, cfg)
-		if err != nil {
-			return err
-		}
+	for _, r := range res[1:] {
+		m := r.Config.Model
 		code := "raw"
 		if m.UsesGrouping() {
 			code = "grouped"
@@ -78,26 +74,40 @@ func Figure2(o *Options) error {
 		procCounts = append(procCounts, p)
 		table.Header = append(table.Header, fmt.Sprint(p))
 	}
-	var warm []core.Job
-	for _, a := range o.Apps() {
+	ideal := func(p int) machine.Config { return machine.Config{Procs: p, Threads: 1, Model: machine.Ideal} }
+	set := o.Apps()
+	var jobs []core.Job
+	for _, a := range set {
+		jobs = append(jobs, core.BaselineJob(a))
 		for _, p := range procCounts {
-			warm = append(warm, core.Job{App: a, Cfg: machine.Config{Procs: p, Threads: 1, Model: machine.Ideal}})
+			jobs = append(jobs, core.Job{App: a, Cfg: ideal(p)})
 		}
 	}
-	if a, err := o.App("water"); err == nil && a.TableProcs > 1 {
-		warm = append(warm,
-			core.Job{App: a, Cfg: machine.Config{Procs: a.TableProcs, Threads: 1, Model: machine.Ideal}},
-			core.Job{App: a, Cfg: machine.Config{Procs: a.TableProcs + 1, Threads: 1, Model: machine.Ideal}})
+	// The water divisibility effect, explicitly, with the per-processor
+	// imbalance that causes it: rendered after the plot.
+	water, err := o.App("water")
+	if err != nil {
+		return err
 	}
-	o.prefetch(warm)
-	for _, a := range o.Apps() {
+	tp := water.TableProcs
+	if tp > 1 {
+		jobs = append(jobs, core.Job{App: water, Cfg: ideal(tp)}, core.Job{App: water, Cfg: ideal(tp + 1)})
+	}
+	res, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	next := cursor(res)
+	var waterBase int64
+	for _, a := range set {
+		base := next().Cycles
+		if a.Name == water.Name {
+			waterBase = base
+		}
 		s := &stats.Series{Name: a.Name}
 		row := []string{a.Name}
 		for _, p := range procCounts {
-			eff, err := o.Sess.EfficiencyContext(o.Context(), a, machine.Config{Procs: p, Threads: 1, Model: machine.Ideal})
-			if err != nil {
-				return err
-			}
+			eff := next().Efficiency(base)
 			s.Append(float64(p), eff)
 			row = append(row, fmt.Sprintf("%.2f", eff))
 		}
@@ -106,29 +116,12 @@ func Figure2(o *Options) error {
 	}
 	o.printf("%s\n", table)
 	o.printf("%s\n", stats.AsciiPlot("Figure 2 (plot): efficiency vs processors, ideal machine", series, 60, 12))
-
-	// The water divisibility effect, explicitly, with the per-processor
-	// imbalance that causes it.
-	if a, err := o.App("water"); err == nil {
-		tp := a.TableProcs
-		if tp > 1 {
-			base, err := o.Sess.BaselineContext(o.Context(), a)
-			if err != nil {
-				return err
-			}
-			div, err := o.Sess.RunContext(o.Context(), a, machine.Config{Procs: tp, Threads: 1, Model: machine.Ideal})
-			if err != nil {
-				return err
-			}
-			off, err := o.Sess.RunContext(o.Context(), a, machine.Config{Procs: tp + 1, Threads: 1, Model: machine.Ideal})
-			if err != nil {
-				return err
-			}
-			o.printf("water static balance: %d procs (divides molecules) eff=%.2f imbalance=%.2f"+
-				" vs %d procs eff=%.2f imbalance=%.2f\n\n",
-				tp, div.Efficiency(base), div.Imbalance(),
-				tp+1, off.Efficiency(base), off.Imbalance())
-		}
+	if tp > 1 {
+		div, off := next(), next()
+		o.printf("water static balance: %d procs (divides molecules) eff=%.2f imbalance=%.2f"+
+			" vs %d procs eff=%.2f imbalance=%.2f\n\n",
+			tp, div.Efficiency(waterBase), div.Imbalance(),
+			tp+1, off.Efficiency(waterBase), off.Imbalance())
 	}
 	return nil
 }
@@ -151,18 +144,23 @@ func Figure3(o *Options) error {
 	}
 	levels := []int{1, 2, 4, 6, 8, 10, 12}
 
-	var warm []core.Job
+	jobs := []core.Job{core.BaselineJob(a)}
 	for _, p := range procCounts {
-		warm = append(warm, core.Job{App: a, Cfg: machine.Config{Procs: p, Threads: 1, Model: machine.Ideal}})
+		jobs = append(jobs, core.Job{App: a, Cfg: machine.Config{Procs: p, Threads: 1, Model: machine.Ideal}})
 	}
 	for _, mt := range levels {
 		for _, p := range procCounts {
-			warm = append(warm, core.Job{App: a, Cfg: machine.Config{
+			jobs = append(jobs, core.Job{App: a, Cfg: machine.Config{
 				Procs: p, Threads: mt, Model: machine.SwitchOnLoad, Latency: o.Latency,
 			}})
 		}
 	}
-	o.prefetch(warm)
+	res, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	next := cursor(res)
+	base := next().Cycles
 
 	table := &stats.Table{
 		Title:  fmt.Sprintf("Figure 3: sieve efficiency vs processors (switch-on-load, latency %d)", o.Latency),
@@ -176,10 +174,7 @@ func Figure3(o *Options) error {
 	ideal := &stats.Series{Name: "ideal"}
 	row := []string{"ideal"}
 	for _, p := range procCounts {
-		eff, err := o.Sess.EfficiencyContext(o.Context(), a, machine.Config{Procs: p, Threads: 1, Model: machine.Ideal})
-		if err != nil {
-			return err
-		}
+		eff := next().Efficiency(base)
 		ideal.Append(float64(p), eff)
 		row = append(row, fmt.Sprintf("%.2f", eff))
 	}
@@ -190,12 +185,7 @@ func Figure3(o *Options) error {
 		s := &stats.Series{Name: fmt.Sprintf("mt=%d", mt)}
 		row := []string{fmt.Sprint(mt)}
 		for _, p := range procCounts {
-			eff, err := o.Sess.EfficiencyContext(o.Context(), a, machine.Config{
-				Procs: p, Threads: mt, Model: machine.SwitchOnLoad, Latency: o.Latency,
-			})
-			if err != nil {
-				return err
-			}
+			eff := next().Efficiency(base)
 			s.Append(float64(p), eff)
 			row = append(row, fmt.Sprintf("%.2f", eff))
 		}

@@ -52,9 +52,9 @@ func GoldenSet(short bool) (map[string][]byte, error) {
 func GoldenSetContext(ctx context.Context, short bool) (map[string][]byte, error) {
 	out := make(map[string][]byte)
 
-	// Pin the worker width: the engine's request stream (prefetch, and
-	// in general speculative MTSearch probes) varies with it, so the
-	// aggregate golden must not inherit the host's GOMAXPROCS.
+	// Pin the worker width: MTSearch's speculative probes make the
+	// engine's request stream vary with it, so an aggregate golden must
+	// not inherit the host's GOMAXPROCS.
 	o := New(io.Discard,
 		WithScale(app.Quick),
 		WithMetrics(true),

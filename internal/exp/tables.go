@@ -9,9 +9,6 @@ import (
 	"mtsim/internal/stats"
 )
 
-// appPkg shortens the application type within this file.
-type appPkg = app.App
-
 // Table1 reproduces the application inventory: program size, problem
 // size, and single-processor (zero latency) cycle counts.
 func Table1(o *Options) error {
@@ -19,16 +16,20 @@ func Table1(o *Options) error {
 		Title:  fmt.Sprintf("Table 1: parallel applications (%s scale)", o.Scale),
 		Header: []string{"application", "instrs", "cycles", "shared ld/st", "description & problem size"},
 	}
-	o.prefetch(baselineJobs(o))
-	for _, a := range o.Apps() {
-		base, err := o.Sess.BaselineContext(o.Context(), a)
-		if err != nil {
-			return err
-		}
+	set := o.Apps()
+	jobs := make([]core.Job, len(set))
+	for i, a := range set {
+		jobs[i] = core.BaselineJob(a)
+	}
+	base, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	for i, a := range set {
 		ld, st := a.Raw.CountShared()
 		t.AddRow(a.Name,
 			fmt.Sprint(len(a.Raw.Instrs)),
-			formatCycles(base),
+			formatCycles(base[i].Cycles),
 			fmt.Sprintf("%d/%d", ld, st),
 			a.Description+" — "+a.Problem)
 	}
@@ -57,14 +58,13 @@ func Table2(o *Options) error {
 		Title:  fmt.Sprintf("Table 2: switch-on-load run-length distribution (%% of run-lengths, latency %d)", o.Latency),
 		Header: append(append([]string{"application"}, bucketHeaders()...), "mean"),
 	}
-	o.prefetch(runLengthJobs(o, machine.SwitchOnLoad))
-	for _, a := range o.Apps() {
-		cfg := runLengthCfg(o, a, machine.SwitchOnLoad)
-		r, err := o.Sess.RunContext(o.Context(), a, cfg)
-		if err != nil {
-			return err
-		}
-		t.AddRow(append([]string{a.Name}, r.RunLengths.Row()...)...)
+	set := o.Apps()
+	res, err := o.run(runLengthJobs(o, set, machine.SwitchOnLoad))
+	if err != nil {
+		return err
+	}
+	for i, a := range set {
+		t.AddRow(append([]string{a.Name}, res[i].RunLengths.Row()...)...)
 	}
 	t.AddNote("run-length: busy cycles between taken context switches; every shared load switches")
 	o.printf("%s\n", t)
@@ -93,15 +93,14 @@ func Table4(o *Options) error {
 		Title:  fmt.Sprintf("Table 4: explicit-switch (grouped) run-length distribution (%% of run-lengths, latency %d)", o.Latency),
 		Header: append(append([]string{"application"}, bucketHeaders()...), "mean", "grouping"),
 	}
-	o.prefetch(runLengthJobs(o, machine.ExplicitSwitch))
-	for _, a := range o.Apps() {
-		cfg := runLengthCfg(o, a, machine.ExplicitSwitch)
-		r, err := o.Sess.RunContext(o.Context(), a, cfg)
-		if err != nil {
-			return err
-		}
-		row := append([]string{a.Name}, r.RunLengths.Row()...)
-		row = append(row, fmt.Sprintf("%.2f", r.GroupingFactor()))
+	set := o.Apps()
+	res, err := o.run(runLengthJobs(o, set, machine.ExplicitSwitch))
+	if err != nil {
+		return err
+	}
+	for i, a := range set {
+		row := append([]string{a.Name}, res[i].RunLengths.Row()...)
+		row = append(row, fmt.Sprintf("%.2f", res[i].GroupingFactor()))
 		t.AddRow(row...)
 	}
 	t.AddNote("grouping: dynamic shared loads per taken context switch")
@@ -119,33 +118,32 @@ func Table5(o *Options) error {
 	set := o.Apps()
 	cells := make([]string, len(set))
 	err := o.forEach(len(set), func(i int) error {
-		a := appHandle{a: set[i]}
-		raw, err := o.Sess.RunContext(o.Context(), a.a, machine.Config{Procs: 1, Threads: 1, Model: machine.Ideal})
+		a := set[i]
+		raw, err := o.Sess.BaselineContext(o.Context(), a)
 		if err != nil {
 			return err
 		}
-		grouped, err := machineRunGrouped(o, a, machine.Config{Procs: 1, Threads: 1, Model: machine.Ideal})
+		g, _, err := a.Grouped()
 		if err != nil {
 			return err
 		}
-		if raw.Cycles <= 0 {
+		grouped, err := machine.RunChecked(core.BaselineJob(a).Cfg, g, a.Init.Fill, a.Check)
+		if err != nil {
+			return err
+		}
+		if raw <= 0 {
 			// A degenerate baseline makes the penalty undefined; render
 			// the paper's blank rather than an Inf/NaN percentage.
 			cells[i] = "-"
 			return nil
 		}
-		cells[i] = fmt.Sprintf("%+.1f%%", 100*(float64(grouped.Cycles)/float64(raw.Cycles)-1))
+		cells[i] = fmt.Sprintf("%+.1f%%", 100*(float64(grouped.Cycles)/float64(raw)-1))
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	byName := make(map[string]string, len(set))
-	for i, a := range set {
-		byName[a.Name] = cells[i]
-	}
-	penalty := func(a appHandle) (string, error) { return byName[a.a.Name], nil }
-	return mtTable(o, "Table 5", machine.ExplicitSwitch, &extraCol{name: "penalty", f: penalty})
+	return mtTable(o, "Table 5", machine.ExplicitSwitch, cells)
 }
 
 // Table6 reproduces the §5.2 inter-block grouping estimate for the two
@@ -158,29 +156,17 @@ func Table6(o *Options) error {
 		Header: append(append([]string{"application", "window-hits", "grouping", "grouping+win"},
 			effHeaders()...), "best"),
 	}
-	var warm []core.Job
-	for _, name := range []string{"ugray", "locus"} {
-		if a, err := o.App(name); err == nil {
-			plain := runLengthCfg(o, a, machine.ExplicitSwitch)
-			win := plain
-			win.GroupWindow = true
-			warm = append(warm, core.Job{App: a, Cfg: plain}, core.Job{App: a, Cfg: win})
-		}
-	}
-	o.prefetch(warm)
 	for _, name := range []string{"ugray", "locus"} {
 		a, err := o.App(name)
 		if err != nil {
 			return err
 		}
-		base := runLengthCfg(o, a, machine.ExplicitSwitch)
-		plain, err := o.Sess.RunContext(o.Context(), a, base)
-		if err != nil {
-			return err
-		}
-		win := base
+		// The application's search follows its two runs, as in a
+		// serial render.
+		plain := runLengthCfg(o, a, machine.ExplicitSwitch)
+		win := plain
 		win.GroupWindow = true
-		wres, err := o.Sess.RunContext(o.Context(), a, win)
+		res, err := o.run([]core.Job{{App: a, Cfg: plain}, {App: a, Cfg: win}})
 		if err != nil {
 			return err
 		}
@@ -194,9 +180,9 @@ func Table6(o *Options) error {
 		}
 		row := []string{
 			a.Name,
-			fmt.Sprintf("%.0f%%", 100*wres.WindowHitRate()),
-			fmt.Sprintf("%.2f", plain.GroupingFactor()),
-			fmt.Sprintf("%.2f", wres.GroupingFactor()),
+			fmt.Sprintf("%.0f%%", 100*res[1].WindowHitRate()),
+			fmt.Sprintf("%.2f", res[0].GroupingFactor()),
+			fmt.Sprintf("%.2f", res[1].GroupingFactor()),
 		}
 		row = append(row, core.FormatLevels(levels)...)
 		row = append(row, fmt.Sprintf("%.2f@%d", best, bestMT))
@@ -217,31 +203,22 @@ func Table7(o *Options) error {
 		Title:  fmt.Sprintf("Table 7: network bandwidth, %d threads/proc, latency %d (spin traffic excluded)", mt, o.Latency),
 		Header: []string{"application", "procs", "uncached b/cyc", "hit-rate", "cached b/cyc", "b/cyc ratio", "traffic ratio", "speedup"},
 	}
-	var warm []core.Job
-	for _, a := range o.Apps() {
+	set := o.Apps()
+	var jobs []core.Job
+	for _, a := range set {
 		for _, m := range []machine.Model{machine.ExplicitSwitch, machine.ConditionalSwitch} {
-			warm = append(warm, core.Job{App: a, Cfg: machine.Config{
+			jobs = append(jobs, core.Job{App: a, Cfg: machine.Config{
 				Procs: a.TableProcs, Threads: mt,
 				Model: m, Latency: o.Latency,
 			}})
 		}
 	}
-	o.prefetch(warm)
-	for _, a := range o.Apps() {
-		un, err := o.Sess.RunContext(o.Context(), a, machine.Config{
-			Procs: a.TableProcs, Threads: mt,
-			Model: machine.ExplicitSwitch, Latency: o.Latency,
-		})
-		if err != nil {
-			return err
-		}
-		ca, err := o.Sess.RunContext(o.Context(), a, machine.Config{
-			Procs: a.TableProcs, Threads: mt,
-			Model: machine.ConditionalSwitch, Latency: o.Latency,
-		})
-		if err != nil {
-			return err
-		}
+	res, err := o.run(jobs)
+	if err != nil {
+		return err
+	}
+	for i, a := range set {
+		un, ca := res[2*i], res[2*i+1]
 		ub, cb := un.BitsPerCycle(), ca.BitsPerCycle()
 		red, traf := "-", "-"
 		if cb > 0 {
@@ -272,26 +249,9 @@ func Table8(o *Options) error {
 	return mtTable(o, "Table 8", machine.ConditionalSwitch, nil)
 }
 
-// --- prefetch job lists shared by the table generators ---
-
-// baselineCfg is the ideal single-processor configuration every
-// efficiency number is measured against.
-func baselineCfg() machine.Config {
-	return machine.Config{Procs: 1, Threads: 1, Model: machine.Ideal}
-}
-
-// baselineJobs lists one baseline run per application.
-func baselineJobs(o *Options) []core.Job {
-	jobs := make([]core.Job, 0, len(o.Apps()))
-	for _, a := range o.Apps() {
-		jobs = append(jobs, core.Job{App: a, Cfg: baselineCfg()})
-	}
-	return jobs
-}
-
 // runLengthCfg is the 4-thread table-processor configuration the
 // run-length distribution tables (2, 4 and 6) share.
-func runLengthCfg(o *Options, a *appPkg, model machine.Model) machine.Config {
+func runLengthCfg(o *Options, a *app.App, model machine.Model) machine.Config {
 	return machine.Config{
 		Procs: a.TableProcs, Threads: 4,
 		Model: model, Latency: o.Latency,
@@ -299,26 +259,14 @@ func runLengthCfg(o *Options, a *appPkg, model machine.Model) machine.Config {
 	}
 }
 
-// runLengthJobs lists the run-length distribution run for every
-// application under one model.
-func runLengthJobs(o *Options, model machine.Model) []core.Job {
-	jobs := make([]core.Job, 0, len(o.Apps()))
-	for _, a := range o.Apps() {
-		jobs = append(jobs, core.Job{App: a, Cfg: runLengthCfg(o, a, model)})
+// runLengthJobs lists Table 2's or Table 4's run for every application
+// of set under one model.
+func runLengthJobs(o *Options, set []*app.App, model machine.Model) []core.Job {
+	jobs := make([]core.Job, len(set))
+	for i, a := range set {
+		jobs[i] = core.Job{App: a, Cfg: runLengthCfg(o, a, model)}
 	}
 	return jobs
-}
-
-// --- shared machinery for the multithreading-level tables ---
-
-// appHandle lets per-table extra columns receive the application without
-// re-importing the app package type throughout this file.
-type appHandle struct{ a *appPkg }
-
-// extraCol is an optional per-application extra column.
-type extraCol struct {
-	name string
-	f    func(appHandle) (string, error)
 }
 
 func effHeaders() []string {
@@ -330,18 +278,19 @@ func effHeaders() []string {
 }
 
 // mtTable renders one "multithreading level needed to achieve X%
-// efficiency" table (the shape of Tables 3, 5 and 8).
-func mtTable(o *Options, title string, model machine.Model, extra *extraCol) error {
+// efficiency" table (the shape of Tables 3, 5 and 8); Table 5 adds its
+// per-application penalty column.
+func mtTable(o *Options, title string, model machine.Model, penalty []string) error {
 	header := append([]string{"application (procs)"}, effHeaders()...)
 	header = append(header, "best")
-	if extra != nil {
-		header = append(header, extra.name)
+	if penalty != nil {
+		header = append(header, "penalty")
 	}
 	t := &stats.Table{
 		Title:  fmt.Sprintf("%s: %s — multithreading level needed for target efficiency (latency %d)", title, model, o.Latency),
 		Header: header,
 	}
-	for _, a := range o.Apps() {
+	for i, a := range o.Apps() {
 		cfg := machine.Config{Procs: a.TableProcs, Model: model, Latency: o.Latency}
 		levels, best, bestMT, err := o.Sess.MTSearchContext(o.Context(), a, cfg, core.EffTargets, o.MaxMT)
 		if err != nil {
@@ -350,27 +299,12 @@ func mtTable(o *Options, title string, model machine.Model, extra *extraCol) err
 		row := []string{fmt.Sprintf("%s (%d)", a.Name, a.TableProcs)}
 		row = append(row, core.FormatLevels(levels)...)
 		row = append(row, fmt.Sprintf("%.2f@%d", best, bestMT))
-		if extra != nil {
-			cell, err := extra.f(appHandle{a: a})
-			if err != nil {
-				return err
-			}
-			row = append(row, cell)
+		if penalty != nil {
+			row = append(row, penalty[i])
 		}
 		t.AddRow(row...)
 	}
 	t.AddNote("'-' : target never reached with <= %d threads/processor", o.MaxMT)
 	o.printf("%s\n", t)
 	return nil
-}
-
-// machineRunGrouped runs the grouped program variant under cfg even for a
-// model that normally runs raw code (used by the Table 5 penalty column,
-// which compares grouped vs raw on the ideal machine).
-func machineRunGrouped(o *Options, a appHandle, cfg machine.Config) (*machine.Result, error) {
-	p, _, err := a.a.Grouped()
-	if err != nil {
-		return nil, err
-	}
-	return machine.RunChecked(cfg, p, a.a.Init.Fill, a.a.Check)
 }

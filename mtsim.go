@@ -359,9 +359,10 @@ var (
 	WithFaults = exp.WithFaults
 )
 
-// RenderExperiments runs the experiments — concurrently up to
-// o.Jobs workers — each into its own buffer, returning outputs and wall
-// times in input order, byte-identical to a sequential run.
+// RenderExperiments runs the experiments — concurrently up to the
+// session's worker width, o.Sess.Width() — each into its own buffer,
+// returning outputs and wall times in input order, byte-identical to a
+// sequential run.
 func RenderExperiments(o *ExpOptions, exps []*Experiment) ([]string, []time.Duration, error) {
 	return exp.Rendered(o, exps)
 }
