@@ -617,7 +617,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExperiment renders one paper table/figure as text/plain, reusing
-// the scale's shared session memo across requests.
+// the scale's shared session memo across requests. It admits the
+// tenant and takes the gate as a run does.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	e, err := exp.ByID(r.PathValue("id"))
 	if err != nil {
@@ -676,8 +677,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
+	t, ok := s.admitTenant(w, r, false)
+	if !ok {
+		return
+	}
 
-	release, err := s.gate.Acquire(ctx)
+	release, err := s.acquireGate(ctx, t)
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			s.rejectFull(w)
