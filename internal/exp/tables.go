@@ -59,7 +59,11 @@ func Table2(o *Options) error {
 		Header: append(append([]string{"application"}, bucketHeaders()...), "mean"),
 	}
 	set := o.Apps()
-	res, err := o.run(runLengthJobs(o, set, machine.SwitchOnLoad))
+	jobs := make([]core.Job, len(set))
+	for i, a := range set {
+		jobs[i] = core.Job{App: a, Cfg: runLengthCfg(o, a, machine.SwitchOnLoad)}
+	}
+	res, err := o.run(jobs)
 	if err != nil {
 		return err
 	}
@@ -94,7 +98,11 @@ func Table4(o *Options) error {
 		Header: append(append([]string{"application"}, bucketHeaders()...), "mean", "grouping"),
 	}
 	set := o.Apps()
-	res, err := o.run(runLengthJobs(o, set, machine.ExplicitSwitch))
+	jobs := make([]core.Job, len(set))
+	for i, a := range set {
+		jobs[i] = core.Job{App: a, Cfg: runLengthCfg(o, a, machine.ExplicitSwitch)}
+	}
+	res, err := o.run(jobs)
 	if err != nil {
 		return err
 	}
@@ -257,16 +265,6 @@ func runLengthCfg(o *Options, a *app.App, model machine.Model) machine.Config {
 		Model: model, Latency: o.Latency,
 		CollectRunLengths: true,
 	}
-}
-
-// runLengthJobs lists Table 2's or Table 4's run for every application
-// of set under one model.
-func runLengthJobs(o *Options, set []*app.App, model machine.Model) []core.Job {
-	jobs := make([]core.Job, len(set))
-	for i, a := range set {
-		jobs[i] = core.Job{App: a, Cfg: runLengthCfg(o, a, model)}
-	}
-	return jobs
 }
 
 func effHeaders() []string {
