@@ -81,15 +81,15 @@ percent ... in all cases overshadowed by the benefits".`,
 the paper measured 84% — because its horizontal cost-array walks step
 through consecutive addresses; ugray hits ~59% (paper: 42%) through its
 face-record fields. The estimated grouping factors roughly double, and
-the revised multithreading requirements drop sharply (ugray reaches 80%
-at moderate levels where it previously could not) — the paper's
+the revised multithreading requirements drop sharply (at medium scale
+ugray reaches 70% with 16 threads, where Table 5 reached no target) — the paper's
 "dramatic potential for compiler based grouping".`,
 
 	"table7": `The §6.1 bandwidth study under write-back directory coherence. Hit
 rates are >90% for the spatially-local codes and total traffic falls for
 every application (column "traffic ratio"), with sor and water cut by an
-order of magnitude; mp3d keeps the lowest hit rate and the highest
-absolute demand and benefits least — the paper's "very poor reference
+order of magnitude; mp3d keeps one of the two lowest hit rates and the
+highest absolute demand and benefits least — the paper's "very poor reference
 locality ... benefits little from caching". Note the per-cycle demand of
 the fast-improving apps can *rise* because the cached run finishes much
 sooner; the paper saw the same non-proportionality ("the bandwidth does
