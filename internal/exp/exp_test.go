@@ -1,6 +1,8 @@
 package exp_test
 
 import (
+	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -151,5 +153,30 @@ func TestOptionsAppLookup(t *testing.T) {
 	}
 	if got := len(o.Apps()); got != 7 {
 		t.Errorf("app set size = %d", got)
+	}
+}
+
+// TestCanceledRenderFails: under a canceled context every generator
+// that simulates returns the context's error and starts no simulation,
+// whether its work goes through a session batch, MTSearch or forEach.
+// figure4 only prints the optimizer's output, so it still renders.
+func TestCanceledRenderFails(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := exp.New(io.Discard, exp.WithContext(ctx))
+	for _, e := range append(exp.All(), exp.Ablations()...) {
+		err := e.Run(o)
+		if e.ID == "figure4" {
+			if err != nil {
+				t.Errorf("figure4: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", e.ID, err)
+		}
+	}
+	if n := o.Sess.SimCount(); n != 0 {
+		t.Errorf("%d simulations ran under a canceled context", n)
 	}
 }

@@ -36,8 +36,9 @@ import (
 //   - <id>.golden.txt for every other experiment in All() and
 //     Ablations(): the quick-scale render of each paper table, figure
 //     and ablation, in a session of their own for the same reason.
-//     short skips these renders (seconds of CPU each for the
-//     multithreading-level searches), as the -short race pass does.
+//     short skips these renders, whose multithreading-level searches
+//     cost seconds of CPU each, for callers such as the race
+//     detector's -short pass.
 //
 // Everything is deterministic: fixed seeds, fixed problem scales, and
 // the engine's byte-identical-at-any-width contract.
