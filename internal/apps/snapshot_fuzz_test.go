@@ -15,7 +15,7 @@ import (
 // contract across the whole application suite — the paper's seven
 // benchmarks plus the irregular kernels — on every switch model and
 // every network topology: for any app, model, topology and pause
-// cycle, running to the pause, serializing the machine (link queues
+// cycle, running to the pause, serializing the machine (link state
 // included), restoring it from the bytes and running on must reproduce
 // the uninterrupted run's Result — Metrics included — byte for byte,
 // and still pass the application's own correctness check.
@@ -24,8 +24,8 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 	f.Add(uint8(3), uint8(7), uint8(0), uint64(1))
 	f.Add(uint8(6), uint8(2), uint8(0), uint64(1<<40))
 	f.Add(uint8(2), uint8(0), uint8(0), uint64(12345))
-	// Irregular kernels on routed topologies: the link-queue half of the
-	// v3 snapshot only matters when a non-constant network is live.
+	// Irregular kernels on routed topologies: the snapshot's link state
+	// only matters when a non-constant network is live.
 	f.Add(uint8(7), uint8(2), uint8(1), uint64(700))
 	f.Add(uint8(8), uint8(4), uint8(2), uint64(333))
 	f.Add(uint8(9), uint8(2), uint8(3), uint64(4096))

@@ -231,11 +231,11 @@ type Config struct {
 	// the same round trip).
 	Topology net.TopologyConfig
 	// Faults enables fault injection on shared-memory round trips
-	// (drop/duplicate/delay plus degraded latency distributions) and the
-	// requester-side recovery protocol: timeout, NACK-retry with capped
-	// exponential backoff, sequence-number dedup. Deterministic per
-	// (Seed, config), so faulted runs memoize like clean ones. The zero
-	// value is the paper's perfect network.
+	// (drop/duplicate/delay) and the requester-side recovery protocol:
+	// timeout, NACK-retry with capped exponential backoff,
+	// sequence-number dedup, its constants derived from Latency.
+	// Deterministic per (Seed, config), so faulted runs memoize like
+	// clean ones. The zero value is the paper's perfect network.
 	Faults net.FaultConfig
 	// GroupWindow enables the §5.2 inter-block grouping estimate: each
 	// thread carries a one-line window of WindowCells cells, and a
@@ -331,7 +331,6 @@ func (cfg Config) withDefaults() Config {
 		cfg.MaxCycles = defaultMaxCycles
 	}
 	cfg.Topology = cfg.Topology.WithDefaults(cfg.Procs)
-	cfg.Faults = cfg.Faults.WithDefaults(cfg.Latency)
 	return cfg
 }
 

@@ -502,7 +502,6 @@ func (sim *m) finish(end int64) {
 		sim.res.NetFinalLatency = sim.congestion.Latency(end)
 	}
 	if sim.topo != nil {
-		sim.topo.Quiesce(end)
 		sim.res.TopoMaxLatency = sim.topo.MaxLatency
 		sim.res.TopoPeakQueue = sim.topo.PeakQueue
 		sim.res.TopoRequests = sim.topo.Requests

@@ -224,9 +224,9 @@ func (r *Result) Summary() string {
 			r.Config.Topology.Kind, r.Config.Topology.Nodes, r.TopoRequests, r.TopoMaxLatency, r.TopoPeakQueue)
 	}
 	if r.Config.Faults.Enabled {
-		fmt.Fprintf(&b, "faults: drops=%d dups=%d delays=%d timeouts=%d retries=%d backoff-cycles=%d hot=%d exhausted=%d\n",
+		fmt.Fprintf(&b, "faults: drops=%d dups=%d delays=%d timeouts=%d retries=%d backoff-cycles=%d exhausted=%d\n",
 			r.Faults.Drops, r.Faults.Dups, r.Faults.Delays, r.Faults.Timeouts,
-			r.Faults.Retries, r.Faults.BackoffCycles, r.Faults.HotAccesses, r.Faults.Exhausted)
+			r.Faults.Retries, r.Faults.BackoffCycles, r.Faults.Exhausted)
 	}
 	if r.RunLengths.N > 0 {
 		fmt.Fprintf(&b, "run-length: mean=%.1f max=%d grouping=%.2f\n",

@@ -45,8 +45,15 @@ import (
 // Version 4 records the content hash of the initial Image after the
 // program hash and encodes shared memory as delta runs against that
 // image instead of word by word; older snapshots carry shared memory
-// whole and restore without consulting the image.
-const SnapshotVersion = 4
+// whole and restore without consulting the image. Version 5 drops what
+// timing never read: the topology section keeps each link's busy-until
+// cycle but not its message counters and in-flight departure times, the
+// configuration loses the nine fault fields of a removed delay
+// distribution and of the recovery protocol, whose constants now follow
+// from Latency, and the fault-plan counters lose the hot-spot count.
+// An older snapshot restores only if those fields hold what its
+// configuration implies (legacyFaults).
+const SnapshotVersion = 5
 
 // snapMagic brands machine snapshots.
 const snapMagic = "MTSN"
@@ -487,12 +494,12 @@ func decodeShared(d *snap.Decoder, sh, base []int64) error {
 }
 
 // fitsPayload reports whether rem payload bytes can hold the encoded
-// state of a machine under the effective cfg running p. A snapshot's
-// configuration sizes the machine restore builds before reading that
-// state, so this check is what keeps a hostile snapshot from making
-// restore allocate far beyond the snapshot's own size. Every bound
-// below is a lower bound on what encodeState writes.
-func fitsPayload(cfg Config, p *prog.Program, rem int) bool {
+// state of a machine under the effective cfg running p, in format
+// version. A snapshot's configuration sizes the machine restore builds
+// before reading that state, so this check is what keeps a hostile
+// snapshot from making restore allocate far beyond the snapshot's own
+// size. Every bound below is a lower bound on what encodeState writes.
+func fitsPayload(cfg Config, p *prog.Program, rem int, version uint32) bool {
 	r := int64(rem)
 	procs, threads := int64(cfg.Procs), int64(cfg.Threads)
 	perThread := int64(8*(2*isa.NumIntRegs+2*isa.NumFPRegs+6)+6) + 8*p.Local.Size()
@@ -509,12 +516,18 @@ func fitsPayload(cfg Config, p *prog.Program, rem int) bool {
 	}
 	need := procs*perProc + procs*threads*perThread
 	if cfg.Topology.Enabled() {
-		// Every node has at least one outgoing link of 28 bytes.
+		// Every node has at least one outgoing link: its busy-until
+		// cycle, and in formats 3 and 4 also two counters and the
+		// length of its in-flight list.
+		perLink := int64(8)
+		if version < 5 {
+			perLink = 28
+		}
 		nodes := int64(cfg.Topology.Nodes)
-		if nodes > r/28 {
+		if nodes > r/perLink {
 			return false
 		}
-		need += 28 * nodes
+		need += perLink * nodes
 	}
 	return need <= r
 }
@@ -528,7 +541,7 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 	if version >= 4 {
 		baseHash = d.U64()
 	}
-	cfg := decodeConfig(d, version)
+	cfg, faults := decodeConfig(d, version)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -544,7 +557,10 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if !fitsPayload(cfg.withDefaults(), p, d.Remaining()) {
+	if version < 5 && faults != impliedFaults(cfg) {
+		return nil, fmt.Errorf("%w: snapshot fault fields %+v are not the ones its latency implies", ErrSnapshotMismatch, faults)
+	}
+	if !fitsPayload(cfg.withDefaults(), p, d.Remaining(), version) {
 		return nil, fmt.Errorf("%w: %d payload bytes cannot hold the state of a %dx%d machine", ErrSnapshotMismatch, d.Remaining(), cfg.Procs, cfg.Threads)
 	}
 	// newSim re-validates cfg and rebuilds every derived structure at
@@ -605,14 +621,19 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 	if err := decodeOptional(d, sim.congestion != nil, "congestion", sim.congestion.DecodeState); err != nil {
 		return nil, err
 	}
-	if err := decodeOptional(d, sim.faults != nil, "fault-plan", sim.faults.DecodeState); err != nil {
+	legacy := version < 5
+	if err := decodeOptional(d, sim.faults != nil, "fault-plan", func(d *snap.Decoder) error {
+		return sim.faults.DecodeState(d, legacy)
+	}); err != nil {
 		return nil, err
 	}
 	if err := decodeOptional(d, sim.mx != nil, "metrics", sim.mx.DecodeState); err != nil {
 		return nil, err
 	}
 	if version >= 3 {
-		if err := decodeOptional(d, sim.topo != nil, "topology", sim.topo.DecodeState); err != nil {
+		if err := decodeOptional(d, sim.topo != nil, "topology", func(d *snap.Decoder) error {
+			return sim.topo.DecodeState(d, legacy)
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -762,18 +783,9 @@ func encodeConfig(e *snap.Encoder, cfg Config) {
 	e.Int(cfg.Congestion.Window)
 	e.Bool(cfg.Faults.Enabled)
 	e.U64(cfg.Faults.Seed)
-	e.Int(int(cfg.Faults.Dist))
-	e.Int(cfg.Faults.Spread)
-	e.F64(cfg.Faults.HotRate)
-	e.Int(cfg.Faults.HotFactor)
 	e.F64(cfg.Faults.DropRate)
 	e.F64(cfg.Faults.DupRate)
 	e.F64(cfg.Faults.DelayRate)
-	e.Int(cfg.Faults.DelayCycles)
-	e.Int(cfg.Faults.TimeoutCycles)
-	e.Int(cfg.Faults.MaxRetries)
-	e.Int(cfg.Faults.BackoffBase)
-	e.Int(cfg.Faults.BackoffMax)
 	e.Bool(cfg.GroupWindow)
 	e.Int(cfg.WindowCells)
 	e.I64(cfg.MaxCycles)
@@ -789,8 +801,33 @@ func encodeConfig(e *snap.Encoder, cfg Config) {
 	e.Int(cfg.Topology.MemCycles)
 }
 
-func decodeConfig(d *snap.Decoder, version uint32) Config {
+// legacyFaults are the fault fields formats 1 to 4 encoded beside the
+// five FaultConfig keeps: a round-trip distribution (its kind, uniform
+// spread, hot-spot rate and factor) and the recovery protocol's
+// constants. No caller set them, so every snapshot an encoder wrote
+// holds what the configuration implies (impliedFaults).
+type legacyFaults struct {
+	dist, spread int
+	hotRate      float64
+	hotFactor    int
+	recovery     net.Recovery
+}
+
+// impliedFaults is what format 4's defaulting wrote for cfg: all zero
+// for a disabled fault model; otherwise the constant distribution, a
+// hot-spot factor of 4 and the protocol that cfg's latency implies.
+func impliedFaults(cfg Config) legacyFaults {
+	if !cfg.Faults.Enabled {
+		return legacyFaults{}
+	}
+	return legacyFaults{hotFactor: 4, recovery: net.RecoveryFor(cfg.Latency)}
+}
+
+// decodeConfig reads what encodeConfig wrote in format version, and
+// the fault fields formats before 5 carried besides.
+func decodeConfig(d *snap.Decoder, version uint32) (Config, legacyFaults) {
 	var cfg Config
+	var lf legacyFaults
 	cfg.Procs = d.Int()
 	cfg.Threads = d.Int()
 	cfg.Model = Model(d.Int())
@@ -811,18 +848,22 @@ func decodeConfig(d *snap.Decoder, version uint32) Config {
 	cfg.Congestion.Window = d.Int()
 	cfg.Faults.Enabled = d.Bool()
 	cfg.Faults.Seed = d.U64()
-	cfg.Faults.Dist = net.DelayDist(d.Int())
-	cfg.Faults.Spread = d.Int()
-	cfg.Faults.HotRate = d.F64()
-	cfg.Faults.HotFactor = d.Int()
+	if version < 5 {
+		lf.dist = d.Int()
+		lf.spread = d.Int()
+		lf.hotRate = d.F64()
+		lf.hotFactor = d.Int()
+	}
 	cfg.Faults.DropRate = d.F64()
 	cfg.Faults.DupRate = d.F64()
 	cfg.Faults.DelayRate = d.F64()
-	cfg.Faults.DelayCycles = d.Int()
-	cfg.Faults.TimeoutCycles = d.Int()
-	cfg.Faults.MaxRetries = d.Int()
-	cfg.Faults.BackoffBase = d.Int()
-	cfg.Faults.BackoffMax = d.Int()
+	if version < 5 {
+		lf.recovery.Delay = d.I64()
+		lf.recovery.Timeout = d.I64()
+		lf.recovery.Retries = d.Int()
+		lf.recovery.BackoffBase = d.I64()
+		lf.recovery.BackoffMax = d.I64()
+	}
 	cfg.GroupWindow = d.Bool()
 	cfg.WindowCells = d.Int()
 	cfg.MaxCycles = d.I64()
@@ -839,5 +880,5 @@ func decodeConfig(d *snap.Decoder, version uint32) Config {
 		cfg.Topology.ChannelBits = d.Int()
 		cfg.Topology.MemCycles = d.Int()
 	}
-	return cfg
+	return cfg, lf
 }

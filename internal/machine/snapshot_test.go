@@ -97,8 +97,8 @@ func TestPauseResumeByteIdenticalExtensions(t *testing.T) {
 		{"metrics", machine.Config{Procs: 4, Threads: 2, Model: machine.SwitchOnUse, CollectMetrics: true}},
 		{"window-metrics", machine.Config{Procs: 2, Threads: 4, Model: machine.ExplicitSwitch, GroupWindow: true, CollectMetrics: true, CollectRunLengths: true}},
 		{"conditional-invariants", machine.Config{Procs: 4, Threads: 2, Model: machine.ConditionalSwitch, CheckInvariants: true, CollectMetrics: true}},
-		{"faults", machine.Config{Procs: 4, Threads: 2, Model: machine.SwitchOnUse, CollectMetrics: true,
-			Faults: net.FaultConfig{Enabled: true, Seed: 99, Dist: net.DistUniform, Spread: 40, DropRate: 0.1, DupRate: 0.05, DelayRate: 0.1}}},
+		{"faults", machine.Config{Procs: 4, Threads: 2, Model: machine.SwitchOnUse, CollectMetrics: true, LatencyJitter: 40,
+			Faults: net.FaultConfig{Enabled: true, Seed: 99, DropRate: 0.1, DupRate: 0.05, DelayRate: 0.1}}},
 		{"congestion", machine.Config{Procs: 4, Threads: 2, Model: machine.SwitchOnLoad,
 			Congestion: net.CongestionConfig{Enabled: true}}},
 		{"jitter", machine.Config{Procs: 4, Threads: 2, Model: machine.SwitchOnUse, LatencyJitter: 31}},

@@ -76,17 +76,14 @@ func TestCongestionSnapshotRestore(t *testing.T) {
 }
 
 func TestFaultPlanSnapshotRestore(t *testing.T) {
-	cfg := FaultConfig{
-		Enabled: true, Seed: 42, Dist: DistUniform, Spread: 30,
-		DropRate: 0.2, DupRate: 0.1, DelayRate: 0.15,
-	}
+	cfg := FaultConfig{Enabled: true, Seed: 42, DropRate: 0.2, DupRate: 0.1, DelayRate: 0.15}
 	a := NewFaultPlan(cfg, 200)
 	for i := int64(0); i < 300; i++ {
 		a.Deliver(i*10, 200)
 	}
 
 	b := NewFaultPlan(cfg, 200)
-	roundTrip(t, a.EncodeState, b.DecodeState)
+	roundTrip(t, a.EncodeState, func(d *snap.Decoder) error { return b.DecodeState(d, false) })
 
 	// Every future delivery — outcome, overhead, stats — must match.
 	for i := int64(300); i < 600; i++ {
@@ -107,7 +104,36 @@ func TestFaultPlanRestoreRejectsZeroState(t *testing.T) {
 	p := NewFaultPlan(FaultConfig{Enabled: true, Seed: 1}, 100)
 	b := encodeState(p.EncodeState)
 	binary.LittleEndian.PutUint64(b, 0) // the rng root comes first
-	if err := decodeState(b, p.DecodeState); err == nil {
+	if err := decodeState(b, func(d *snap.Decoder) error { return p.DecodeState(d, false) }); err == nil {
 		t.Fatal("zero rng state accepted")
+	}
+}
+
+// TestFaultPlanRestoresHotLayout: the layout of machine snapshot
+// formats 1 to 4 counts hot-spot accesses between BackoffCycles and
+// Exhausted. A zero count restores the other counters in place; a
+// nonzero one was drawn by a delay model this package no longer has.
+func TestFaultPlanRestoresHotLayout(t *testing.T) {
+	legacy := func(hot int64) []byte {
+		var e snap.Encoder
+		e.U64(1234) // rng root
+		e.U64(9)    // seq
+		e.I64(3)    // lastOverhead
+		for _, v := range []int64{1, 2, 3, 4, 5, 6, hot, 7} {
+			e.I64(v)
+		}
+		return e.Bytes()
+	}
+	p := NewFaultPlan(FaultConfig{Enabled: true, Seed: 1}, 100)
+	hot := func(d *snap.Decoder) error { return p.DecodeState(d, true) }
+	if err := decodeState(legacy(0), hot); err != nil {
+		t.Fatalf("zero hot-spot count rejected: %v", err)
+	}
+	want := FaultStats{Drops: 1, Dups: 2, Delays: 3, Timeouts: 4, Retries: 5, BackoffCycles: 6, Exhausted: 7}
+	if p.Stats != want || p.LastOverhead() != 3 {
+		t.Errorf("restored %+v (overhead %d), want %+v (overhead 3)", p.Stats, p.LastOverhead(), want)
+	}
+	if err := decodeState(legacy(1), hot); err == nil {
+		t.Error("nonzero hot-spot count accepted")
 	}
 }

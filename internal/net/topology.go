@@ -158,23 +158,9 @@ func (c TopologyConfig) Validate() error {
 // chased pointer's neighbors together) while blocks spread round-robin.
 const memInterleaveShift = 3
 
-// link is one directed channel's FIFO queue. A message entering at
-// cycle t starts serializing at max(t, freeAt), occupies the channel
-// for its serialization time, and is delivered one HopCycles
-// propagation later. Departure times are FIFO-monotonic per link, so
-// the pending queue drains lazily in order.
-type link struct {
-	freeAt   int64
-	enqueued int64
-	drained  int64
-	// pending holds the departure times of messages still in flight on
-	// this link (departure > the last drain point), in FIFO order.
-	pending []int64
-}
-
-// Network is the runtime state of a topology: the link queues plus
-// observability counters. It is owned by one simulation and is not safe
-// for concurrent use.
+// Network is the runtime state of a topology: each link's busy-until
+// cycle plus observability counters. It is owned by one simulation and
+// is not safe for concurrent use.
 type Network struct {
 	cfg  TopologyConfig
 	base int64 // constant round trip when Kind == TopoConstant
@@ -186,7 +172,12 @@ type Network struct {
 	// Dragonfly group size.
 	groupSize int
 
-	links []link
+	// freeAt holds each directed link's busy-until cycle. A link is a
+	// FIFO channel: a message entering at cycle t starts serializing at
+	// max(t, freeAt), occupies the channel for its serialization time,
+	// and is delivered one HopCycles propagation later, so the cycle the
+	// channel frees up is all the queue state timing needs.
+	freeAt []int64
 	// path is the scratch route buffer, reused across round trips.
 	path []int
 
@@ -222,7 +213,7 @@ func NewNetwork(cfg TopologyConfig, procs int, baseLatency int) *Network {
 		n.meshW, n.meshH = w, h
 		// Four directed link classes (+x, -x, +y, -y), indexed by the
 		// source coordinate.
-		n.links = make([]link, 4*w*h)
+		n.freeAt = make([]int64, 4*w*h)
 	case TopoFatTree:
 		depth := 0
 		for 1<<depth < nodes {
@@ -237,7 +228,7 @@ func NewNetwork(cfg TopologyConfig, procs int, baseLatency int) *Network {
 		// node. Internal nodes: 2^depth - 1; links: up and down per
 		// child edge = 2 * (2^depth - 1) directed pairs, but indexing by
 		// (level, node-at-level, direction) is simplest.
-		n.links = make([]link, 2*((1<<depth)-1)*2)
+		n.freeAt = make([]int64, 2*((1<<depth)-1)*2)
 	case TopoDragonfly:
 		g := 1
 		for g*g < nodes {
@@ -248,7 +239,7 @@ func NewNetwork(cfg TopologyConfig, procs int, baseLatency int) *Network {
 		// Local links: directed router-to-router within a group,
 		// indexed (group, src-in-group, dst-in-group). Global links:
 		// directed group-to-group, indexed (srcGroup, dstGroup).
-		n.links = make([]link, groups*g*g+groups*groups)
+		n.freeAt = make([]int64, groups*g*g+groups*groups)
 	}
 	return n
 }
@@ -414,29 +405,12 @@ func (n *Network) serviceTime(linkID int, bits int64) int64 {
 // traverse sends a message of the given size over one link starting at
 // cycle t and returns its arrival time at the far node.
 func (n *Network) traverse(linkID int, t, bits int64) int64 {
-	lk := &n.links[linkID]
-	// Drain messages that have already departed: their departure times
-	// are FIFO-monotonic, so a prefix scan suffices.
-	d := 0
-	for d < len(lk.pending) && lk.pending[d] <= t {
-		d++
-	}
-	if d > 0 {
-		lk.drained += int64(d)
-		lk.pending = lk.pending[:copy(lk.pending, lk.pending[d:])]
-	}
-	start := t
-	if lk.freeAt > start {
-		start = lk.freeAt
-	}
+	start := max(t, n.freeAt[linkID])
 	if wait := start - t; wait > n.PeakQueue {
 		n.PeakQueue = wait
 	}
-	depart := start + n.serviceTime(linkID, bits)
-	lk.freeAt = depart
-	lk.enqueued++
-	lk.pending = append(lk.pending, depart)
-	return depart + int64(n.cfg.HopCycles)
+	n.freeAt[linkID] = start + n.serviceTime(linkID, bits)
+	return n.freeAt[linkID] + int64(n.cfg.HopCycles)
 }
 
 // RoundTrip routes one shared-memory access issued by processor src at
@@ -474,42 +448,6 @@ func (n *Network) RoundTrip(now int64, src int, addr, reqBits, replyBits int64) 
 	return lat
 }
 
-// Quiesce drains every link queue up to cycle now (a time at or past
-// the last departure drains everything). It exists for the
-// conservation property — after quiesce at the end of a run, Enqueued
-// == Drained — and for snapshot compaction.
-func (n *Network) Quiesce(now int64) {
-	for i := range n.links {
-		lk := &n.links[i]
-		d := 0
-		for d < len(lk.pending) && lk.pending[d] <= now {
-			d++
-		}
-		if d > 0 {
-			lk.drained += int64(d)
-			lk.pending = lk.pending[:copy(lk.pending, lk.pending[d:])]
-		}
-	}
-}
-
-// Enqueued returns the total messages accepted by all link queues.
-func (n *Network) Enqueued() int64 {
-	var sum int64
-	for i := range n.links {
-		sum += n.links[i].enqueued
-	}
-	return sum
-}
-
-// Drained returns the total messages that have left all link queues.
-func (n *Network) Drained() int64 {
-	var sum int64
-	for i := range n.links {
-		sum += n.links[i].drained
-	}
-	return sum
-}
-
 // NumLinks returns the size of the link array (includes links no route
 // uses, e.g. mesh edges leaving the grid; they stay idle).
-func (n *Network) NumLinks() int { return len(n.links) }
+func (n *Network) NumLinks() int { return len(n.freeAt) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mtsim/internal/rng"
+	"mtsim/internal/snap"
 )
 
 // routedKinds are the kinds with an actual link graph.
@@ -99,47 +100,9 @@ func TestRouteTerminatesWithinDiameter(t *testing.T) {
 	}
 }
 
-// TestQueueConservation: under a seeded random load, every message
-// enqueued on a link eventually drains — after Quiesce at a time past
-// the last departure, enqueues == drains and nothing is pending.
-func TestQueueConservation(t *testing.T) {
-	for _, kind := range routedKinds {
-		r := rng.New(42)
-		n := NewNetwork(TopologyConfig{Kind: kind}, 16, 200)
-		var now int64
-		for i := 0; i < 5000; i++ {
-			src := int(r.Intn(16))
-			addr := r.Intn(1 << 20)
-			n.RoundTrip(now, src, addr, Bits(ReadReq, 0), Bits(ReadReply, WordBits))
-			now += r.Intn(3) // bursts: several requests per cycle
-		}
-		// Mid-run the books must still balance: enqueued = drained + in flight.
-		var pending int64
-		for i := range n.links {
-			pending += int64(len(n.links[i].pending))
-		}
-		if n.Enqueued() != n.Drained()+pending {
-			t.Fatalf("%s: mid-run enqueued %d != drained %d + pending %d", kind, n.Enqueued(), n.Drained(), pending)
-		}
-		if n.Enqueued() == 0 {
-			t.Fatalf("%s: no traffic routed", kind)
-		}
-		n.Quiesce(now + MaxRoundTrip)
-		if n.Enqueued() != n.Drained() {
-			t.Fatalf("%s: after quiesce enqueued %d != drained %d", kind, n.Enqueued(), n.Drained())
-		}
-		for i := range n.links {
-			if len(n.links[i].pending) != 0 {
-				t.Fatalf("%s: link %d still has %d pending after quiesce", kind, i, len(n.links[i].pending))
-			}
-		}
-	}
-}
-
 // TestRoundTripAllocatesNothing: the machine routes every shared access
-// through RoundTrip, so once each link's queue has room for its
-// steady-state backlog a round trip must allocate nothing on any
-// topology.
+// through RoundTrip, so once the route buffer has grown to the longest
+// path a round trip must allocate nothing on any topology.
 func TestRoundTripAllocatesNothing(t *testing.T) {
 	for _, kind := range append([]TopologyKind{TopoConstant}, routedKinds...) {
 		n := NewNetwork(TopologyConfig{Kind: kind}, 16, 200)
@@ -152,7 +115,7 @@ func TestRoundTripAllocatesNothing(t *testing.T) {
 				}
 			}
 		}
-		sweep() // the first touch of each link sizes its queue
+		sweep() // the first sweep sizes the route buffer
 		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
 			t.Errorf("%s: %v allocations per 256 round trips, want 0", kind, allocs)
 		}
@@ -222,7 +185,7 @@ func TestTopologySnapshotRoundtrip(t *testing.T) {
 			now += r.Intn(2)
 		}
 		m := NewNetwork(cfg, 16, 200)
-		roundTrip(t, n.EncodeState, m.DecodeState)
+		roundTrip(t, n.EncodeState, func(d *snap.Decoder) error { return m.DecodeState(d, false) })
 		for i := 0; i < 2000; i++ {
 			src := int(r.Intn(16))
 			addr := r.Intn(1 << 16)
@@ -239,18 +202,49 @@ func TestTopologySnapshotRoundtrip(t *testing.T) {
 	}
 }
 
+// TestTopologyRestoreRejectsBadState: the link count must be the
+// geometry's, and in the layout of machine snapshot formats 3 and 4 a
+// link's message counters must balance against its in-flight list.
 func TestTopologyRestoreRejectsBadState(t *testing.T) {
 	n := NewNetwork(TopologyConfig{Kind: TopoMesh}, 16, 200)
-	// The state opens with the link count, then link 0's freeAt and
-	// enqueued counter.
+	current := func(d *snap.Decoder) error { return n.DecodeState(d, false) }
+	queued := func(d *snap.Decoder) error { return n.DecodeState(d, true) }
+	// The state opens with the link count.
 	b := encodeState(n.EncodeState)
 	binary.LittleEndian.PutUint32(b, uint32(n.NumLinks()-1))
-	if err := decodeState(b, n.DecodeState); err == nil {
+	if err := decodeState(b, current); err == nil {
 		t.Error("DecodeState accepted a truncated link array")
 	}
-	b = encodeState(n.EncodeState)
-	binary.LittleEndian.PutUint64(b[4+8:], 5) // books no longer balance: 5 enqueued, 0 drained+pending
-	if err := decodeState(b, n.DecodeState); err == nil {
+	// Formats 3 and 4: per link its busy-until cycle, enqueued and
+	// drained counters and in-flight departure times.
+	legacy := func(enqueued int64) []byte {
+		var e snap.Encoder
+		e.U32(uint32(n.NumLinks()))
+		for i := 0; i < n.NumLinks(); i++ {
+			e.I64(int64(100 + i))
+			if i == 0 {
+				e.I64(enqueued)
+				e.I64(3)
+				e.I64s([]int64{90, 95})
+			} else {
+				e.I64(0)
+				e.I64(0)
+				e.I64s(nil)
+			}
+		}
+		e.I64(7) // Requests
+		e.I64(8) // PeakQueue
+		e.I64(9) // MaxLatency
+		return e.Bytes()
+	}
+	if err := decodeState(legacy(5), queued); err != nil {
+		t.Fatalf("balanced format-4 links rejected: %v", err)
+	}
+	if n.freeAt[0] != 100 || n.freeAt[len(n.freeAt)-1] != int64(99+n.NumLinks()) ||
+		n.Requests != 7 || n.PeakQueue != 8 || n.MaxLatency != 9 {
+		t.Errorf("format-4 state restored as links %v, counters %d %d %d", n.freeAt, n.Requests, n.PeakQueue, n.MaxLatency)
+	}
+	if err := decodeState(legacy(4), queued); err == nil {
 		t.Error("DecodeState accepted inconsistent queue counters")
 	}
 }

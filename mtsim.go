@@ -98,15 +98,13 @@ type (
 	// Sym names a region of simulated memory.
 	Sym = prog.Sym
 	// FaultConfig parameterizes fault injection on shared-memory round
-	// trips (Config.Faults): drop/duplicate/delay rates, degraded latency
-	// distributions, and the recovery protocol's timeout/backoff
-	// constants. Deterministic per (Seed, config).
+	// trips (Config.Faults): drop/duplicate/delay rates under a seed.
+	// The recovery protocol's timeout/backoff constants follow from
+	// Config.Latency. Deterministic per (Seed, config).
 	FaultConfig = net.FaultConfig
 	// FaultStats reports what a faulted run injected and recovered
 	// (Result.Faults).
 	FaultStats = net.FaultStats
-	// DelayDist selects a degraded round-trip distribution.
-	DelayDist = net.DelayDist
 	// TopologyConfig selects a load-dependent interconnect topology for
 	// Config.Topology (constant, mesh, fattree, dragonfly). The zero
 	// value keeps the paper's constant round trip.
@@ -179,13 +177,6 @@ func WriteMetricsFile(path string, bm *BatchMetrics) error { return exp.WriteMet
 // WriteMetricsSummary renders an aggregate's state breakdown and engine
 // counters in the experiment report's ASCII style.
 func WriteMetricsSummary(w io.Writer, bm *BatchMetrics) { exp.WriteMetricsSummary(w, bm) }
-
-// Degraded round-trip distributions for FaultConfig.Dist.
-const (
-	DistConstant = net.DistConstant
-	DistUniform  = net.DistUniform
-	DistHotSpot  = net.DistHotSpot
-)
 
 // Interconnect topologies for TopologyConfig.Kind.
 const (
