@@ -73,6 +73,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -111,8 +112,8 @@ func parseTenants(s string) ([]serve.TenantConfig, error) {
 		if tc.Weight, err = strconv.Atoi(fields[1]); err != nil || tc.Weight < 0 {
 			return nil, fmt.Errorf("bad -tenants entry %q: weight %q", part, fields[1])
 		}
-		rate, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || rate < 0 {
+		rate, ok := parseRate(fields[2])
+		if !ok {
 			return nil, fmt.Errorf("bad -tenants entry %q: rate %q", part, fields[2])
 		}
 		burst, err := strconv.Atoi(fields[3])
@@ -139,8 +140,8 @@ func parseQuota(s string) (serve.Quota, error) {
 	if !ok {
 		return serve.Quota{}, fmt.Errorf("bad -quota %q, want rate:burst", s)
 	}
-	rate, err := strconv.ParseFloat(rateStr, 64)
-	if err != nil || rate < 0 {
+	rate, ok := parseRate(rateStr)
+	if !ok {
 		return serve.Quota{}, fmt.Errorf("bad -quota %q: rate %q", s, rateStr)
 	}
 	burst, err := strconv.Atoi(burstStr)
@@ -148,6 +149,14 @@ func parseQuota(s string) (serve.Quota, error) {
 		return serve.Quota{}, fmt.Errorf("bad -quota %q: burst %q", s, burstStr)
 	}
 	return serve.Quota{Rate: rate, Burst: burst}, nil
+}
+
+// parseRate parses a token-bucket rate in requests per second: a finite
+// number, at least zero. ParseFloat also accepts "NaN" and "Inf", and a
+// bucket refilling at NaN never admits a request; NaN fails rate >= 0.
+func parseRate(s string) (float64, bool) {
+	rate, err := strconv.ParseFloat(s, 64)
+	return rate, err == nil && rate >= 0 && !math.IsInf(rate, 1)
 }
 
 // parsePeers decodes the -peers flag: "id1=url1,id2=url2,...".
@@ -180,8 +189,18 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window")
 	journal := flag.String("journal", "", "write-ahead job journal path; enables crash-tolerant async batch jobs")
 	ckptEvery := flag.Int64("checkpoint-every", 0, "cycles between async-job checkpoints (0 = 100000)")
-	tenants := flag.String("tenants", "", "declared tenants, name:weight:rate:burst[:apikey],...")
-	quota := flag.String("quota", "", "default admission quota for undeclared tenants, rate:burst (empty = unlimited)")
+	// A malformed -tenants or -quota value is a usage error, like any
+	// other malformed flag value.
+	var tenantList []serve.TenantConfig
+	flag.Func("tenants", "declared tenants, name:weight:rate:burst[:apikey],...", func(s string) (err error) {
+		tenantList, err = parseTenants(s)
+		return err
+	})
+	var defQuota serve.Quota
+	flag.Func("quota", "default admission quota for undeclared tenants, rate:burst (empty = unlimited)", func(s string) (err error) {
+		defQuota, err = parseQuota(s)
+		return err
+	})
 	dispatchers := flag.Int("dispatchers", 0, "async dispatcher pool size (0 = workers/2)")
 	nodeID := flag.String("node-id", "", "this node's cluster id; enables cluster mode with -peers (requires -journal)")
 	peers := flag.String("peers", "", "comma-separated id=url cluster membership, self included")
@@ -202,14 +221,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	tenantList, err := parseTenants(*tenants)
-	if err != nil {
-		log.Fatalf("mtsimd: %v", err)
-	}
-	defQuota, err := parseQuota(*quota)
-	if err != nil {
-		log.Fatalf("mtsimd: %v", err)
-	}
 	srv := serve.New(serve.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,

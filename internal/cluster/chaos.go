@@ -292,7 +292,8 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	// Written so that NaN, which ParseFloat accepts, fails too.
+	if !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	return p, nil

@@ -208,6 +208,7 @@ func TestParseChaosErrors(t *testing.T) {
 	bad := []string{
 		"from=2s,partition",           // missing peer
 		"peer=n2,drop=1.5",            // probability out of range
+		"peer=n2,drop=NaN",            // not a probability
 		"peer=n2,delay=0.5",           // delay without @range
 		"peer=n2,delay=1@500ms-200ms", // max < min
 		"peer=n2,banana=1",            // unknown field
@@ -222,4 +223,35 @@ func TestParseChaosErrors(t *testing.T) {
 	if rules, err := ParseChaos("  ;; "); err != nil || len(rules) != 0 {
 		t.Errorf("empty spec: rules=%v err=%v", rules, err)
 	}
+}
+
+// FuzzParseChaos: the -chaos parser never panics, and every rule it
+// accepts names a peer, has every probability in [0, 1] and a delay
+// range whose maximum is at least its minimum.
+func FuzzParseChaos(f *testing.F) {
+	for _, seed := range []string{
+		"peer=n2,from=2s,to=8s,partition; peer=*,drop=0.25,delay=0.5@50ms-200ms,corrupt=0.1",
+		"peer=*,drop=NaN",
+		"peer=n2,delay=nan@1ms-2ms",
+		"peer=n2,corrupt=+Inf",
+		"peer=n2,delay=1@500ms-200ms",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseChaos(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			for _, p := range []float64{r.Drop, r.DelayRate, r.Corrupt} {
+				if !(p >= 0 && p <= 1) {
+					t.Fatalf("ParseChaos(%q) accepted probability %v in %+v", spec, p, r)
+				}
+			}
+			if r.Peer == "" || r.DelayMax < r.DelayMin {
+				t.Fatalf("ParseChaos(%q) accepted %+v", spec, r)
+			}
+		}
+	})
 }

@@ -311,3 +311,24 @@ func TestReplayedJobWithBadBodyFails(t *testing.T) {
 		t.Fatalf("want a recorded error response, got: %s", got)
 	}
 }
+
+// FuzzParseEventID: the SSE Last-Event-ID parser never panics, and an
+// id it accepts names an event at a non-negative entry and cycle whose
+// own id parses back to it.
+func FuzzParseEventID(f *testing.F) {
+	for _, seed := range []string{"0-0", "3-150000", "-1-5", "1--5", "+2-07", "1-2-3", "x", "", "9223372036854775807-9223372036854775807"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		e, ok := parseEventID(s)
+		if !ok {
+			return
+		}
+		if e.Entry < 0 || e.Cycle < 0 {
+			t.Fatalf("parseEventID(%q) accepted %+v", s, e)
+		}
+		if back, ok := parseEventID(e.ID()); !ok || back != e {
+			t.Fatalf("parseEventID(%q) = %+v, whose id %q parses to %+v, %v", s, e, e.ID(), back, ok)
+		}
+	})
+}

@@ -182,6 +182,44 @@ func FuzzConfigRequest(f *testing.F) {
 	})
 }
 
+// FuzzBatchRequest feeds arbitrary bytes through the batch decoding
+// path: json.Unmarshal into a BatchRequest, then parseBatch. It must
+// not panic, and a batch it accepts has 1 to 256 jobs, each of which
+// validates and stays within the wire size bounds.
+func FuzzBatchRequest(f *testing.F) {
+	f.Add([]byte(`{"scale":"quick","jobs":[{"app":"sieve","config":{"procs":4,"threads":2,"model":"switch-on-use"}}]}`))
+	f.Add([]byte(`{"scale":"medium","jobs":[{"app":"sor","config":{"procs":4,"threads":2,"model":"switch-on-load","topology":{"kind":"mesh"},"faults":{"seed":3,"drop_rate":0.1}}}]}`))
+	f.Add([]byte(`{"jobs":[{"app":"sieve","config":{"procs":70000,"threads":1,"model":"switch-on-use"}}]}`))
+	job := `{"app":"sieve","config":{"procs":1,"threads":1,"model":"ideal"}}`
+	f.Add([]byte(`{"jobs":[` + strings.Repeat(job+",", maxBatchJobs) + job + `]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req BatchRequest
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		_, jobs, err := (*Server)(nil).parseBatch(&req)
+		if err != nil {
+			return
+		}
+		if len(jobs) < 1 || len(jobs) > maxBatchJobs || len(jobs) != len(req.Jobs) {
+			t.Fatalf("accepted a batch of %d jobs from %d", len(jobs), len(req.Jobs))
+		}
+		for i, j := range jobs {
+			if j.App == nil {
+				t.Fatalf("job %d: accepted without an application", i)
+			}
+			if err := j.Cfg.Validate(); err != nil {
+				t.Fatalf("job %d: accepted config does not validate: %v", i, err)
+			}
+			eff := j.Cfg.Effective()
+			if eff.Procs > maxWireContexts || eff.Threads > maxWireContexts || eff.Procs*eff.Threads > maxWireContexts ||
+				eff.Topology.Nodes > maxWireNodes {
+				t.Fatalf("job %d: accepted %d procs × %d threads on %d nodes", i, eff.Procs, eff.Threads, eff.Topology.Nodes)
+			}
+		}
+	})
+}
+
 // TestBatchEndpointPartialAligned: a batch response is job-aligned, and
 // job-level validation failures name the offending index.
 func TestBatchEndpointPartialAligned(t *testing.T) {
