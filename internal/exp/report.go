@@ -26,12 +26,14 @@ source lines, and single-processor cycle counts are smaller than the
 paper's 87M-1353M because problem sizes are scaled (flag-selectable);
 the relative ordering (blkmat compute-heavy, ugray largest code) matches.`,
 
-	"figure2": `Reproduces both Figure 2 observations: efficiency stays near 1 until the
-fixed-size problem is divided too finely, and water is the outlier whose
-efficiency jumps when the processor count divides the molecule count
-(the static-balance effect the paper highlights at 256 vs 343 procs).
-blkmat at quick scale runs out of block tasks first, mirroring how the
-paper's smaller codes left the linear region earliest.`,
+	"figure2": `Reproduces the first Figure 2 observation: efficiency stays near 1 until
+the fixed-size problem is divided too finely. water leaves the linear
+region first (0.91 at 16 processors) and blkmat falls fastest once it
+runs out of block tasks (0.56 at 128). The second observation, water's
+sensitivity to static balance (the paper's 256 vs 343 procs), shows
+only at quick scale, where 7 processors, a divisor of the molecule
+count, reach 0.96 against 0.92 at 8; at this scale both read 0.96 at
+the same 1.02 imbalance.`,
 
 	"table2": `The distribution shapes are the paper's: sor is dominated by 1-2 cycle
 run-lengths (paper: 39%+39%; ours concentrates even harder at 1 because
@@ -134,10 +136,14 @@ for, the run limit.`,
 	"ablation-network": `Extension implementing the paper's stated future work: per-hop M/D/1
 queueing that grows with the injected bandwidth. The feedback loop the
 constant-latency model hides appears immediately: the uncached model
-saturates the network (peak utilization pinned at the clamp) and needs
-many threads for moderate efficiency, while the cached model's frugal
-demand keeps the network fast and reaches high efficiency with a few
-threads — §6.1's bandwidth argument, closed through the network.`,
+saturates the network (peak utilization pinned at the 0.97 clamp) and
+needs many threads for moderate efficiency. The cache relieves the
+network only for a kernel with locality. sor under conditional-switch
+is the one row below the clamp (0.92) and reaches 0.93 efficiency with
+two threads. mp3d's poor locality saturates the network under
+conditional-switch too, and at 12 and 16 threads it falls below
+explicit-switch (0.45 and 0.48 against 0.58 and 0.69). This is §6.1's
+bandwidth argument, closed through the network.`,
 
 	"ablation-topology": `Extension replacing the constant round trip with routed networks for
 the irregular kernels, whose scattered, dependent loads pay per-link
@@ -145,12 +151,12 @@ FIFO queueing hop by hop. On the constant network efficiency roughly
 doubles with each doubling of threads, as the paper's latency-hiding
 model predicts. On the routed networks it barely moves: the added
 threads inject more scattered requests, the shared links queue them
-(peak queues in the thousands of messages), and the latency grows by
-about as much as the threads would have hidden. The fat tree is the
-slowest (its worst round trips run more than twice the mesh's); at two
-threads the dragonfly even beats the constant round trip. This is
-§6.1's bandwidth warning on a network whose latency depends on load:
-more threads buy nothing once the links saturate.`,
+(one message waits more than a thousand cycles for a single link), and
+the latency grows by about as much as the threads would have hidden.
+The fat tree is the slowest (its worst round trips run more than twice
+the mesh's); at two threads the dragonfly even beats the constant round
+trip. This is §6.1's bandwidth warning on a network whose latency
+depends on load: more threads buy nothing once the links saturate.`,
 
 	"ablation-mp3dsort": `Extension answering the paper's closing wish for mp3d. Laying particles
 out in space-cell order (same kernel, same instruction stream) raises
