@@ -216,7 +216,8 @@ func (c *corruptReader) Close() error { return c.rc.Close() }
 // separated rules, each a comma-separated field list:
 //
 //	peer=<id|*>            target peer (required)
-//	from=<dur> to=<dur>    active window since startup (default: always)
+//	from=<dur> to=<dur>    active window [from, to) since startup, with
+//	                       to > from (default: from 0, never expires)
 //	partition              drop everything in the window
 //	drop=<p>               drop probability in [0,1]
 //	delay=<p>@<min>-<max>  delay probability and seeded delay range
@@ -281,6 +282,12 @@ func ParseChaos(spec string) ([]ChaosRule, error) {
 		}
 		if rule.DelayMax < rule.DelayMin {
 			return nil, fmt.Errorf("chaos: rule %q has delay max < min", rs)
+		}
+		// decide reads To == 0 as "never expires", so a negative bound
+		// or a window that closes before it opens would never fire or
+		// never end.
+		if rule.From < 0 || rule.To < 0 || (rule.To > 0 && rule.To <= rule.From) {
+			return nil, fmt.Errorf("chaos: rule %q has an empty or negative window", rs)
 		}
 		rules = append(rules, rule)
 	}

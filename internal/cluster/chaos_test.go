@@ -206,14 +206,18 @@ func TestParseChaos(t *testing.T) {
 
 func TestParseChaosErrors(t *testing.T) {
 	bad := []string{
-		"from=2s,partition",           // missing peer
-		"peer=n2,drop=1.5",            // probability out of range
-		"peer=n2,drop=NaN",            // not a probability
-		"peer=n2,delay=0.5",           // delay without @range
-		"peer=n2,delay=1@500ms-200ms", // max < min
-		"peer=n2,banana=1",            // unknown field
-		"peer=n2,from=soon,partition", // unparseable duration
-		"peer=n2,nonsense",            // bare field that is not "partition"
+		"from=2s,partition",               // missing peer
+		"peer=n2,drop=1.5",                // probability out of range
+		"peer=n2,drop=NaN",                // not a probability
+		"peer=n2,delay=0.5",               // delay without @range
+		"peer=n2,delay=1@500ms-200ms",     // max < min
+		"peer=n2,banana=1",                // unknown field
+		"peer=n2,from=soon,partition",     // unparseable duration
+		"peer=n2,nonsense",                // bare field that is not "partition"
+		"peer=n2,from=8s,to=2s,partition", // window closes before it opens
+		"peer=n2,from=2s,to=2s,partition", // empty window
+		"peer=n2,from=-3s,partition",      // negative start
+		"peer=n2,to=-1s,partition",        // negative end, read as never expiring
 	}
 	for _, spec := range bad {
 		if _, err := ParseChaos(spec); err == nil {
@@ -226,8 +230,9 @@ func TestParseChaosErrors(t *testing.T) {
 }
 
 // FuzzParseChaos: the -chaos parser never panics, and every rule it
-// accepts names a peer, has every probability in [0, 1] and a delay
-// range whose maximum is at least its minimum.
+// accepts names a peer, has every probability in [0, 1], a delay range
+// whose maximum is at least its minimum, and a window that can fire:
+// From ≥ 0, To ≥ 0, and To == 0 (never expires) or To > From.
 func FuzzParseChaos(f *testing.F) {
 	for _, seed := range []string{
 		"peer=n2,from=2s,to=8s,partition; peer=*,drop=0.25,delay=0.5@50ms-200ms,corrupt=0.1",
@@ -235,6 +240,8 @@ func FuzzParseChaos(f *testing.F) {
 		"peer=n2,delay=nan@1ms-2ms",
 		"peer=n2,corrupt=+Inf",
 		"peer=n2,delay=1@500ms-200ms",
+		"peer=n2,from=8s,to=2s,partition",
+		"peer=n2,to=-1s,partition",
 	} {
 		f.Add(seed)
 	}
@@ -251,6 +258,9 @@ func FuzzParseChaos(f *testing.F) {
 			}
 			if r.Peer == "" || r.DelayMax < r.DelayMin {
 				t.Fatalf("ParseChaos(%q) accepted %+v", spec, r)
+			}
+			if r.From < 0 || r.To < 0 || (r.To != 0 && r.To <= r.From) {
+				t.Fatalf("ParseChaos(%q) accepted window [%v, %v)", spec, r.From, r.To)
 			}
 		}
 	})
