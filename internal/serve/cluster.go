@@ -169,6 +169,36 @@ type JobStateCkpt struct {
 	Snap  []byte `json:"snap,omitempty"`
 }
 
+// decodeJobState decodes a job state pushed to or fetched from a peer
+// for job id. It rejects a state for another or no job, one without
+// its submitted body (absent or null), and a negative entry or cycle
+// in a checkpoint or event: such an event would be served as an SSE id
+// that parseEventID rejects, so a client resuming from it would get a
+// 400.
+func decodeJobState(body []byte, id string) (*JobState, error) {
+	var st JobState
+	if err := json.Unmarshal(body, &st); err != nil {
+		return nil, err
+	}
+	switch {
+	case st.ID == "" || st.ID != id:
+		return nil, fmt.Errorf("state id %q does not match job id %q", st.ID, id)
+	case len(st.Body) == 0 || string(st.Body) == "null":
+		return nil, errors.New("job state needs a body")
+	}
+	for _, c := range st.Ckpts {
+		if c.Entry < 0 || c.Cycle < 0 {
+			return nil, fmt.Errorf("checkpoint of entry %d at cycle %d is negative", c.Entry, c.Cycle)
+		}
+	}
+	for _, e := range st.Events {
+		if e.Entry < 0 || e.Cycle < 0 {
+			return nil, fmt.Errorf("event of entry %d at cycle %d is negative", e.Entry, e.Cycle)
+		}
+	}
+	return &st, nil
+}
+
 // fresher reports whether a carries more completed work than b.
 func fresher(a, b *JobState) bool {
 	if b == nil {
@@ -522,13 +552,13 @@ func (s *Server) fetchJobState(p cluster.Peer, id string) (*JobState, error) {
 		s.cluster.node.ReportPeer(p.ID, true)
 		return nil, fmt.Errorf("serve: fetch job state: status %d", resp.StatusCode)
 	}
-	var st JobState
-	if err := json.Unmarshal(body, &st); err != nil {
+	st, err := decodeJobState(body, id)
+	if err != nil {
 		s.cluster.node.ReportPeer(p.ID, false)
-		return nil, err
+		return nil, fmt.Errorf("serve: fetch job state: %w", err)
 	}
 	s.cluster.node.ReportPeer(p.ID, true)
-	return &st, nil
+	return st, nil
 }
 
 // --- drain handoff ----------------------------------------------------
@@ -863,26 +893,18 @@ func (s *Server) handleJobStatePut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	var st JobState
-	if err := json.Unmarshal(body, &st); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if id := r.PathValue("id"); st.ID != id {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("state id %q does not match path id %q", st.ID, id)})
-		return
-	}
-	if st.ID == "" || len(st.Body) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "job state needs id and body"})
+	st, err := decodeJobState(body, r.PathValue("id"))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job state: " + err.Error()})
 		return
 	}
 	if r.URL.Query().Get("claim") == "1" {
-		if err := s.jm.adoptOwned(&st); err != nil {
+		if err := s.jm.adoptOwned(st); err != nil {
 			s.httpError(w, err, http.StatusServiceUnavailable)
 			return
 		}
 	} else {
-		if err := s.jm.storeReplica(&st); err != nil {
+		if err := s.jm.storeReplica(st); err != nil {
 			s.httpError(w, err, http.StatusServiceUnavailable)
 			return
 		}

@@ -380,6 +380,92 @@ func TestEnableClusterRequiresJournal(t *testing.T) {
 	}
 }
 
+// TestJobStatePutRejectsBadState: a pushed job state that no running
+// job could have produced is a 400, and the node holds no job for it.
+// A negative event would otherwise be journaled and served as an SSE
+// id that parseEventID rejects, so a client resuming from it would get
+// a 400 of its own.
+func TestJobStatePutRejectsBadState(t *testing.T) {
+	addrB := freeLoopbackAddr(t)
+	peers := []cluster.Peer{
+		{ID: "nodeA", URL: "http://" + freeLoopbackAddr(t)},
+		{ID: "nodeB", URL: "http://" + addrB},
+	}
+	nb := startClusterNode(t, "nodeB", addrB, peers)
+	id := JobID("bad-state")
+	for name, mutate := range map[string]func(*JobState){
+		"negative event":      func(st *JobState) { st.Events = []JobEvent{{Entry: -1, Cycle: -5}, {Entry: 0, Cycle: -9}} },
+		"negative checkpoint": func(st *JobState) { st.Ckpts = []JobStateCkpt{{Entry: -3, Cycle: 100}} },
+		"other id":            func(st *JobState) { st.ID = JobID("other") },
+		"no body":             func(st *JobState) { st.Body = nil },
+	} {
+		st := JobState{
+			Schema: ResponseSchemaVersion, ID: id, Key: "bad-state",
+			Holder: "nodeA", Body: json.RawMessage(asyncBatchBody), Status: JobQueued,
+		}
+		mutate(&st)
+		payload, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPut, nb.url+"/v1/jobs/"+id+"/state", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if nb.s.jm.get(id) != nil {
+		t.Error("a rejected job state registered its job")
+	}
+}
+
+// FuzzJobState: decodeJobState, the one decoder of the job states
+// peers push and serve, never panics, and every state it accepts is
+// for the job asked about, carries a body, and can be served: each
+// event's SSE id parses back to the event, and each checkpoint's entry
+// and cycle are non-negative.
+func FuzzJobState(f *testing.F) {
+	const id = "b-x"
+	for _, seed := range []string{
+		`{"schema":1,"id":"b-x","key":"k","holder":"n1","body":{"jobs":[]},"ckpts":[{"entry":0,"cycle":100,"snap":"TVRTTg=="}],"events":[{"entry":0,"cycle":100}],"progress":100,"status":"running"}`,
+		`{"schema":1,"id":"b-x","body":{},"events":[{"entry":-1,"cycle":-5},{"entry":0,"cycle":-9}]}`,
+		`{"schema":1,"id":"b-x","body":{},"ckpts":[{"entry":-3,"cycle":0}]}`,
+		`{"id":"b-y","body":{}}`,
+		`{"id":"b-x"}`,
+		`{"id":"b-x","body":null}`,
+		`{"id":"b-x","body":{},"resp":"eyJvayI6dHJ1ZX0=","status":"done"}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, err := decodeJobState(body, id)
+		if err != nil {
+			return
+		}
+		if st.ID != id || len(st.Body) == 0 || string(st.Body) == "null" {
+			t.Fatalf("accepted a state of job %q with a %d-byte body", st.ID, len(st.Body))
+		}
+		for _, e := range st.Events {
+			if back, ok := parseEventID(e.ID()); !ok || back != e {
+				t.Fatalf("accepted event %+v, whose id %q parses to %+v, %v", e, e.ID(), back, ok)
+			}
+		}
+		for _, c := range st.Ckpts {
+			if c.Entry < 0 || c.Cycle < 0 {
+				t.Fatalf("accepted checkpoint of entry %d at cycle %d", c.Entry, c.Cycle)
+			}
+		}
+	})
+}
+
 // TestClusterEndpointsSolo: a solo server answers the cluster surface
 // with 404s, not panics.
 func TestClusterEndpointsSolo(t *testing.T) {
