@@ -16,7 +16,10 @@ type CheckpointConfig struct {
 	Interval int64
 	// Resume, when non-nil, is a machine snapshot to resume from instead
 	// of starting at cycle 0. It must have been taken from the same
-	// application, program variant and configuration.
+	// application, program variant and configuration, in a format this
+	// build reads; otherwise the run fails with an error wrapping
+	// machine.ErrSnapshotMismatch, and running again without Resume
+	// yields the same Result.
 	Resume []byte
 	// OnCheckpoint, when non-nil, receives every snapshot as it is
 	// taken, with the cycle the machine is paused at. Returning an error
@@ -74,7 +77,8 @@ func (s *Session) RunCheckpointedContext(ctx context.Context, a *app.App, cfg ma
 			return nil, fmt.Errorf("core: %s: resume: %w", a.Name, err)
 		}
 		if mc.Config() != cfg.Effective() {
-			return nil, fmt.Errorf("core: %s: resume snapshot was taken under a different configuration", a.Name)
+			return nil, fmt.Errorf("core: %s: resume: %w: snapshot was taken under a different configuration",
+				a.Name, machine.ErrSnapshotMismatch)
 		}
 	} else {
 		mc, err = machine.NewMachine(cfg, p, a.Init)

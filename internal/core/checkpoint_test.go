@@ -124,12 +124,14 @@ func TestRunCheckpointedRejections(t *testing.T) {
 	if _, err := s.RunCheckpointedContext(context.Background(), a, cfg, core.CheckpointConfig{}); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if _, err := s.RunCheckpointedContext(context.Background(), a, cfg, core.CheckpointConfig{Interval: 200_000, Resume: []byte("junk")}); err == nil {
-		t.Error("garbage resume snapshot accepted")
+	// Junk is a corrupt artifact, not a snapshot of another format or
+	// run: no caller should restart over it.
+	if _, err := s.RunCheckpointedContext(context.Background(), a, cfg, core.CheckpointConfig{Interval: 200_000, Resume: []byte("junk")}); err == nil || errors.Is(err, machine.ErrSnapshotMismatch) {
+		t.Errorf("garbage resume snapshot: err = %v, want a non-mismatch error", err)
 	}
 
-	// A snapshot from a different configuration must be rejected, not
-	// silently memoized under the wrong key.
+	// A snapshot from a different configuration must be rejected as a
+	// mismatch, not silently memoized under the wrong key.
 	var snap []byte
 	other := cfg
 	other.Threads = 3
@@ -148,8 +150,8 @@ func TestRunCheckpointedRejections(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no checkpoint captured")
 	}
-	if _, err := s.RunCheckpointedContext(context.Background(), a, cfg, core.CheckpointConfig{Interval: 200_000, Resume: snap}); err == nil {
-		t.Error("snapshot from a different configuration accepted")
+	if _, err := s.RunCheckpointedContext(context.Background(), a, cfg, core.CheckpointConfig{Interval: 200_000, Resume: snap}); !errors.Is(err, machine.ErrSnapshotMismatch) {
+		t.Errorf("snapshot from a different configuration: err = %v, want ErrSnapshotMismatch", err)
 	}
 
 	// An OnCheckpoint error aborts the run with that error.

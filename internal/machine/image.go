@@ -13,9 +13,9 @@ import (
 // host-side setup — the serial initialization the paper excludes from
 // measurement (§3.2) — leaves in it before the forked phase. It is
 // built once, on first use, is immutable after, and carries a content
-// hash. A machine starts from a copy of it, and a snapshot (format
-// version 4) encodes shared memory as the runs of words that differ
-// from it, so restoring one takes the same image, verified by hash.
+// hash. A machine starts from a copy of it, and a snapshot encodes
+// shared memory as the runs of words that differ from it, so restoring
+// one takes the same image, verified by hash.
 //
 // A nil *Image is the all-zero memory of a program without setup.
 type Image struct {

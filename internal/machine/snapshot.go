@@ -34,33 +34,29 @@ import (
 // tracers (not serializable; NewMachine does not accept one), and
 // context binding (a resume may run under a different context).
 
-// SnapshotVersion is the current snapshot format version. Readers
-// accept versions 1..SnapshotVersion and reject anything newer.
-// Version 2 appended Config.DispatchMode to the encoded configuration;
-// version-1 snapshots decode with DispatchAuto, which preserves their
-// results exactly (dispatch mode never affects observable behavior).
-// Version 3 appended Config.Topology to the configuration and the
-// topology network's link-queue state to the payload; older snapshots
-// decode with the constant (legacy) topology, which is what they ran.
-// Version 4 records the content hash of the initial Image after the
-// program hash and encodes shared memory as delta runs against that
-// image instead of word by word; older snapshots carry shared memory
-// whole and restore without consulting the image. Version 5 drops what
-// timing never read: the topology section keeps each link's busy-until
-// cycle but not its message counters and in-flight departure times, the
-// configuration loses the nine fault fields of a removed delay
-// distribution and of the recovery protocol, whose constants now follow
-// from Latency, and the fault-plan counters lose the hot-spot count.
-// An older snapshot restores only if those fields hold what its
-// configuration implies (legacyFaults).
+// SnapshotVersion is the current snapshot format version. Format 5
+// drops what format 4 encoded but timing never read: each link's
+// message counters and in-flight departure times, the nine fault fields
+// of a removed delay distribution and of the recovery protocol (its
+// constants now follow from Latency), and the fault plan's hot-spot
+// count. A format-4 snapshot restores only if those fields hold what
+// its configuration implies (legacyFaults).
 const SnapshotVersion = 5
+
+// oldestSnapshotVersion is the oldest format RestoreMachine reads. Only
+// a run in flight across an upgrade holds a checkpoint, so one format
+// back covers a rolling upgrade. Any other format is
+// ErrSnapshotMismatch: the run is deterministic, so restarting it from
+// cycle 0 yields the same bytes.
+const oldestSnapshotVersion = SnapshotVersion - 1
 
 // snapMagic brands machine snapshots.
 const snapMagic = "MTSN"
 
-// ErrSnapshotMismatch is returned when a snapshot is restored against a
-// program, initial image (or implied configuration) it was not taken
-// from, or when its state is not what an encoder could have written.
+// ErrSnapshotMismatch is returned when a snapshot is in a format this
+// build does not read, is restored against a program, initial image (or
+// implied configuration) it was not taken from, or holds state that no
+// encoder could have written.
 var ErrSnapshotMismatch = errors.New("machine: snapshot does not match")
 
 // Machine is a pausable simulation: Run/RunUntil drive it, Snapshot
@@ -191,16 +187,20 @@ func (sim *m) snapshotSizeHint() int {
 	return 4096 + 4*len(sim.sh) + sim.cfg.Procs*perProc
 }
 
-// RestoreMachine rebuilds a paused machine from a snapshot. The program
-// must be the one the snapshot was taken from (verified by a content
-// hash), and so must img, the initial image its shared memory is
-// encoded against (format version 4; older snapshots carry shared
-// memory whole and ignore img). The image is not re-applied beyond
-// that: shared memory comes from the snapshot.
+// RestoreMachine rebuilds a paused machine from a snapshot in format
+// oldestSnapshotVersion to SnapshotVersion. The program must be the one
+// the snapshot was taken from (verified by a content hash), and so must
+// img, the initial image its shared memory is encoded against. The
+// image is not re-applied beyond that: shared memory comes from the
+// snapshot.
 func RestoreMachine(data []byte, p *prog.Program, img *Image) (*Machine, error) {
-	version, payload, err := snap.Open(snapMagic, SnapshotVersion, data)
+	version, payload, err := snap.Open(snapMagic, data)
 	if err != nil {
 		return nil, fmt.Errorf("machine: restore: %w", err)
+	}
+	if version < oldestSnapshotVersion || version > SnapshotVersion {
+		return nil, fmt.Errorf("machine: restore: %w: format %d, this build reads %d..%d",
+			ErrSnapshotMismatch, version, oldestSnapshotVersion, SnapshotVersion)
 	}
 	if err := img.check(p); err != nil {
 		return nil, fmt.Errorf("machine: restore: %w: %v", ErrSnapshotMismatch, err)
@@ -282,7 +282,6 @@ func (sim *m) encodeState(e *snap.Encoder, base *Image) {
 	encodeOptional(e, sim.congestion != nil, sim.congestion.EncodeState)
 	encodeOptional(e, sim.faults != nil, sim.faults.EncodeState)
 	encodeOptional(e, sim.mx != nil, sim.mx.EncodeState)
-	// Appended by format version 3: the topology network's link queues.
 	encodeOptional(e, sim.topo != nil, sim.topo.EncodeState)
 }
 
@@ -517,8 +516,8 @@ func fitsPayload(cfg Config, p *prog.Program, rem int, version uint32) bool {
 	need := procs*perProc + procs*threads*perThread
 	if cfg.Topology.Enabled() {
 		// Every node has at least one outgoing link: its busy-until
-		// cycle, and in formats 3 and 4 also two counters and the
-		// length of its in-flight list.
+		// cycle, and in format 4 also two counters and the length of
+		// its in-flight list.
 		perLink := int64(8)
 		if version < 5 {
 			perLink = 28
@@ -537,10 +536,7 @@ func fitsPayload(cfg Config, p *prog.Program, rem int, version uint32) bool {
 func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) (*m, error) {
 	name := d.String()
 	hash := d.U64()
-	var baseHash uint64
-	if version >= 4 {
-		baseHash = d.U64()
-	}
+	baseHash := d.U64()
 	cfg, faults := decodeConfig(d, version)
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -551,7 +547,7 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 	if got := programHash(p); got != hash {
 		return nil, fmt.Errorf("%w: program %q content hash %016x, snapshot expects %016x", ErrSnapshotMismatch, p.Name, got, hash)
 	}
-	if version >= 4 && baseHash != base.Hash() {
+	if baseHash != base.Hash() {
 		return nil, fmt.Errorf("%w: shared memory encoded against image %016x, restoring with image %016x", ErrSnapshotMismatch, baseHash, base.Hash())
 	}
 	if err := cfg.Validate(); err != nil {
@@ -580,12 +576,8 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 	sim.live = d.Int()
 	sim.wakes = make([]int64, len(sim.procs))
 	d.I64sInto(sim.wakes)
-	if version >= 4 {
-		if err := decodeShared(d, sim.sh, base.cells()); err != nil {
-			return nil, err
-		}
-	} else {
-		d.I64sInto(sim.sh)
+	if err := decodeShared(d, sim.sh, base.cells()); err != nil {
+		return nil, err
 	}
 
 	for pi := range sim.procs {
@@ -630,12 +622,10 @@ func decodeState(d *snap.Decoder, p *prog.Program, base *Image, version uint32) 
 	if err := decodeOptional(d, sim.mx != nil, "metrics", sim.mx.DecodeState); err != nil {
 		return nil, err
 	}
-	if version >= 3 {
-		if err := decodeOptional(d, sim.topo != nil, "topology", func(d *snap.Decoder) error {
-			return sim.topo.DecodeState(d, legacy)
-		}); err != nil {
-			return nil, err
-		}
+	if err := decodeOptional(d, sim.topo != nil, "topology", func(d *snap.Decoder) error {
+		return sim.topo.DecodeState(d, legacy)
+	}); err != nil {
+		return nil, err
 	}
 
 	if err := d.Finish(); err != nil {
@@ -792,8 +782,7 @@ func encodeConfig(e *snap.Encoder, cfg Config) {
 	e.Bool(cfg.CollectRunLengths)
 	e.Bool(cfg.CollectMetrics)
 	e.Bool(cfg.CheckInvariants)
-	e.Int(int(cfg.DispatchMode)) // appended by format version 2
-	// Appended by format version 3.
+	e.Int(int(cfg.DispatchMode))
 	e.Int(int(cfg.Topology.Kind))
 	e.Int(cfg.Topology.Nodes)
 	e.Int(cfg.Topology.HopCycles)
@@ -801,7 +790,7 @@ func encodeConfig(e *snap.Encoder, cfg Config) {
 	e.Int(cfg.Topology.MemCycles)
 }
 
-// legacyFaults are the fault fields formats 1 to 4 encoded beside the
+// legacyFaults are the fault fields format 4 encoded beside the
 // five FaultConfig keeps: a round-trip distribution (its kind, uniform
 // spread, hot-spot rate and factor) and the recovery protocol's
 // constants. No caller set them, so every snapshot an encoder wrote
@@ -870,15 +859,11 @@ func decodeConfig(d *snap.Decoder, version uint32) (Config, legacyFaults) {
 	cfg.CollectRunLengths = d.Bool()
 	cfg.CollectMetrics = d.Bool()
 	cfg.CheckInvariants = d.Bool()
-	if version >= 2 {
-		cfg.DispatchMode = DispatchMode(d.Int())
-	}
-	if version >= 3 {
-		cfg.Topology.Kind = net.TopologyKind(d.Int())
-		cfg.Topology.Nodes = d.Int()
-		cfg.Topology.HopCycles = d.Int()
-		cfg.Topology.ChannelBits = d.Int()
-		cfg.Topology.MemCycles = d.Int()
-	}
+	cfg.DispatchMode = DispatchMode(d.Int())
+	cfg.Topology.Kind = net.TopologyKind(d.Int())
+	cfg.Topology.Nodes = d.Int()
+	cfg.Topology.HopCycles = d.Int()
+	cfg.Topology.ChannelBits = d.Int()
+	cfg.Topology.MemCycles = d.Int()
 	return cfg, lf
 }

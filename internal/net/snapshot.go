@@ -67,10 +67,10 @@ func (n *Network) EncodeState(e *snap.Encoder) {
 // DecodeState overwrites the network's run state with what EncodeState
 // wrote. The configuration's geometry pins the link count, so a
 // different count means the snapshot was taken under another topology.
-// queued reads the layout of machine snapshot formats 3 and 4, which
-// also carried each link's message counters and the departure times of
-// its in-flight messages. Timing never read them: a link's books must
-// balance, as those formats' reader required, and are then dropped.
+// queued reads the layout of machine snapshot format 4, which also
+// carried each link's message counters and the departure times of its
+// in-flight messages. Timing never read them: a link's books must
+// balance, as that format's reader required, and are then dropped.
 func (n *Network) DecodeState(d *snap.Decoder, queued bool) error {
 	if links := d.U32(); int64(links) != int64(len(n.freeAt)) && d.Err() == nil {
 		return fmt.Errorf("net: topology snapshot has %d links, network has %d", links, len(n.freeAt))
@@ -114,8 +114,8 @@ func (f *FaultPlan) EncodeState(e *snap.Encoder) {
 // DecodeState overwrites the plan's run state with what EncodeState
 // wrote. The root state of a live generator is never zero; a zero
 // means a corrupt or hand-built snapshot. hot reads the layout of
-// machine snapshot formats 1 to 4, which counted hot-spot accesses
-// before Exhausted; no plan draws one, so that count must be zero.
+// machine snapshot format 4, which counted hot-spot accesses before
+// Exhausted; no plan draws one, so that count must be zero.
 func (f *FaultPlan) DecodeState(d *snap.Decoder, hot bool) error {
 	root := d.U64()
 	f.seq = d.U64()

@@ -186,9 +186,12 @@ func (j *asyncJob) state() (string, int64, []byte) {
 
 // noteCkpt records a freshly journaled checkpoint so state transfer,
 // the poll body and the SSE feed see live progress, not just replayed
-// history. Live emission is always past every recorded event (entries
-// run sequentially and resumes start at the latest checkpoint), so the
-// sorted-order invariant of events holds by appending.
+// history. Live emission is usually past every recorded event (entries
+// run sequentially and resumes start at the latest checkpoint). An
+// entry restarted from cycle 0, because its checkpoint does not
+// restore, emits events below ones already recorded; insertEventLocked
+// keeps the history sorted and drops the duplicates. The abandoned
+// checkpoint's event stays: clients may have seen it.
 func (j *asyncJob) noteCkpt(entry int, cycle int64, snap []byte) {
 	j.mu.Lock()
 	if j.ckpts == nil {
@@ -641,6 +644,13 @@ func (jm *jobManager) runJob(job *asyncJob) {
 		}
 		job.mu.Unlock()
 		results[i], errs[i] = sess.RunCheckpointedContext(ctx, jobs[i].App, jobs[i].Cfg, ck)
+		if ck.Resume != nil && errors.Is(errs[i], machine.ErrSnapshotMismatch) {
+			// A checkpoint of another format or configuration: the run
+			// is deterministic, so restarting it from cycle 0 yields
+			// the same bytes.
+			ck.Resume = nil
+			results[i], errs[i] = sess.RunCheckpointedContext(ctx, jobs[i].App, jobs[i].Cfg, ck)
+		}
 		if errs[i] != nil {
 			failed++
 		}

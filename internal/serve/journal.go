@@ -31,9 +31,10 @@ import (
 // writes detectable, since a partial JSON document can still parse.
 // Replay stops at the first record whose CRC, framing or JSON does not
 // verify and truncates the file there, so later appends never
-// interleave with garbage. Records written before the raw framing carry
-// the snapshot base64-encoded in the JSON as "snap"; replay still reads
-// them.
+// interleave with garbage. A record written before the raw framing
+// carries its snapshot base64-encoded in the JSON as "snap"; replay
+// ignores that field, so the record still verifies and replays as an
+// event with no resume point, and its entry restarts from cycle 0.
 //
 // In cluster mode the journal also carries ownership: submit records
 // gain a role (owner vs replica), and lease/release records track which
@@ -109,9 +110,8 @@ type journalRecord struct {
 	// Cycle is the simulation cycle the snapshot was taken at.
 	Cycle int64 `json:"cycle,omitempty"`
 	// Snap is the machine snapshot (ckpt records). append writes it
-	// raw after the JSON line and records only SnapLen; a "snap" field
-	// in the JSON is the base64 form records had before that framing.
-	Snap []byte `json:"snap,omitempty"`
+	// raw after the JSON line and records only SnapLen.
+	Snap []byte `json:"-"`
 	// SnapLen is the length of the raw snapshot after the JSON line.
 	SnapLen int `json:"snap_len,omitempty"`
 	// Resp is the final response body, stored verbatim (base64, see
@@ -321,7 +321,7 @@ func readRecord(r *bufio.Reader, rem int64) (rec journalRecord, n int64, err err
 	if rec.SnapLen != 0 {
 		// The length is unverified until the CRC is: bound it by the
 		// bytes the file still holds before allocating for it.
-		if rec.Kind != recCkpt || rec.Snap != nil || rec.SnapLen < 0 || int64(rec.SnapLen) >= rem-n {
+		if rec.Kind != recCkpt || rec.SnapLen < 0 || int64(rec.SnapLen) >= rem-n {
 			return rec, 0, errBadRecord
 		}
 		raw := make([]byte, rec.SnapLen+1)
@@ -356,18 +356,17 @@ func (j *Journal) append(rec journalRecord) error {
 	}
 	j.seq++
 	rec.Seq = j.seq
-	snap := rec.Snap
-	rec.Snap, rec.SnapLen = nil, len(snap)
+	rec.SnapLen = len(rec.Snap)
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("serve: marshal journal record: %w", err)
 	}
-	sum := crc32.Update(crc32.ChecksumIEEE(payload), crc32.IEEETable, snap)
+	sum := crc32.Update(crc32.ChecksumIEEE(payload), crc32.IEEETable, rec.Snap)
 	line := fmt.Appendf(j.buf[:0], "%08x ", sum)
 	line = append(line, payload...)
 	line = append(line, '\n')
-	if len(snap) > 0 {
-		line = append(line, snap...)
+	if len(rec.Snap) > 0 {
+		line = append(line, rec.Snap...)
 		line = append(line, '\n')
 	}
 	j.buf = line

@@ -302,19 +302,17 @@ func (d *Decoder) fixed(want string, n, elemSize int) []byte {
 //
 //	magic(4) version(u32) payload... crc32(u32)
 //
-// NewEncoder writes the head and Seal the checksum, so the payload is
-// encoded straight into its frame.
-//
 // where the checksum covers magic, version and payload. The magic keeps
 // unrelated files from being misread as snapshots; the version gates
-// format evolution (a reader rejects versions it does not understand
+// format evolution (the caller rejects versions it does not read
 // instead of misdecoding); the checksum turns torn or bit-rotted
-// payloads into clean errors.
+// payloads into clean errors. NewEncoder writes the head and Seal the
+// checksum, so the payload is encoded straight into its frame.
 
 // Open validates the frame around an artifact produced by Seal and
-// returns its version and payload. wantVersion bounds acceptance: a
-// version greater than it is rejected (written by a newer format).
-func Open(magic string, wantVersion uint32, b []byte) (version uint32, payload []byte, err error) {
+// returns its version and payload. Which versions to read is the
+// caller's decision: Open does not check the version.
+func Open(magic string, b []byte) (version uint32, payload []byte, err error) {
 	if len(magic) != 4 {
 		panic(fmt.Sprintf("snap: magic %q must be 4 bytes", magic))
 	}
@@ -328,9 +326,5 @@ func Open(magic string, wantVersion uint32, b []byte) (version uint32, payload [
 	if string(body[:4]) != magic {
 		return 0, nil, fmt.Errorf("snap: bad magic %q (want %q)", string(body[:4]), magic)
 	}
-	version = binary.LittleEndian.Uint32(body[4:8])
-	if version == 0 || version > wantVersion {
-		return 0, nil, fmt.Errorf("snap: version %d unsupported (this build reads 1..%d)", version, wantVersion)
-	}
-	return version, body[8:], nil
+	return binary.LittleEndian.Uint32(body[4:8]), body[8:], nil
 }

@@ -167,7 +167,7 @@ func TestSealOpen(t *testing.T) {
 	}
 	sealed := e.Seal()
 
-	v, got, err := Open("TEST", 3, sealed)
+	v, got, err := Open("TEST", sealed)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -175,22 +175,18 @@ func TestSealOpen(t *testing.T) {
 		t.Fatalf("Open = v%d %q", v, got)
 	}
 
-	// Newer version than the reader understands.
-	if _, _, err := Open("TEST", 2, sealed); err == nil {
-		t.Error("future version accepted")
-	}
 	// Wrong magic.
-	if _, _, err := Open("NOPE", 3, sealed); err == nil {
+	if _, _, err := Open("NOPE", sealed); err == nil {
 		t.Error("wrong magic accepted")
 	}
 	// Flipped bit -> checksum failure.
 	bad := append([]byte(nil), sealed...)
 	bad[6] ^= 0x40
-	if _, _, err := Open("TEST", 3, bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, _, err := Open("TEST", bad); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corruption not detected: %v", err)
 	}
 	// Truncation.
-	if _, _, err := Open("TEST", 3, sealed[:5]); err == nil {
+	if _, _, err := Open("TEST", sealed[:5]); err == nil {
 		t.Error("truncated artifact accepted")
 	}
 }

@@ -143,7 +143,9 @@ type (
 const MetricsSchemaVersion = metrics.SchemaVersion
 
 // SnapshotVersion identifies the machine snapshot encoding produced by
-// Machine.Snapshot and accepted by RestoreMachine.
+// Machine.Snapshot. RestoreMachine reads this format and the one before
+// it, and rejects any other as a mismatch; a run is deterministic, so
+// restarting it from cycle 0 yields the result the snapshot would have.
 const SnapshotVersion = machine.SnapshotVersion
 
 // NewImage returns the initial shared memory init leaves in p's layout
@@ -160,8 +162,8 @@ func NewMachine(cfg Config, p *Program, img *Image) (*Machine, error) {
 // RestoreMachine reconstructs a machine from Machine.Snapshot bytes.
 // The caller supplies the same program and initial image the snapshot
 // was taken from (snapshots carry their fingerprints, not the code or
-// the image); a mismatch is an error, as is any corruption or version
-// skew.
+// the image); a mismatch is an error, as is any corruption or a format
+// outside the two SnapshotVersion describes.
 func RestoreMachine(data []byte, p *Program, img *Image) (*Machine, error) {
 	return machine.RestoreMachine(data, p, img)
 }
