@@ -44,8 +44,9 @@ import (
 // Eligibility gating: newSim builds no engine under switch-every-cycle
 // (rotation after every instruction leaves nothing to fuse) or when the
 // config forces the interpreter. Per dispatch, the execOne hook
-// additionally requires a clean scoreboard (t.maxReady <= now — also
-// why fused units may skip the WAW reply-drain clear entirely) and no
+// additionally requires a unit starting at t.pc (elsewhere RunChain
+// would run nothing), a clean scoreboard (t.maxReady <= now — also why
+// fused units may skip the WAW reply-drain clear entirely) and no
 // pending critical-priority rescheduling. CollectMetrics does not
 // matter: flushChain accounts a whole chain as one BeginExec/EndExec
 // pair of its summed cost, which equals the interpreter's pair per

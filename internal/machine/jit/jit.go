@@ -203,6 +203,12 @@ type Program struct {
 	lim, budget, tick int64
 }
 
+// Starts reports whether a unit starts at pc. RunChain executes nothing
+// anywhere else, so the driver enters the engine only where this holds.
+func (cp *Program) Starts(pc int32) bool {
+	return uint32(pc) < uint32(len(cp.Units)) && cp.Units[pc] != nil
+}
+
 // SetBounds stages the boundary parameters for the next RunChain call:
 // lim is the last cycle at which an instruction may issue, budget the
 // strict cap on the chain's total cost, tick the instruction allowance

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"mtsim/internal/cache"
@@ -106,6 +107,8 @@ type m struct {
 	cfg    Config
 	prg    *prog.Program
 	instrs []isa.Instr
+	// masks[pc] is instrs[pc]'s scoreboard operands (see regMasks).
+	masks  []regMasks
 	sh     []int64
 	shared *Shared
 	procs  []proc
@@ -134,7 +137,6 @@ type m struct {
 	nowApprox int64
 	res       *Result
 	live      int
-	srcBuf    []uint8
 	shrBuf    []int32
 	lineSz    int
 	// wakes[p] is the earliest cycle at which processor p can execute
@@ -259,6 +261,7 @@ func newSim(cfg Config, p *prog.Program, init func(*Shared), tr Tracer) (*m, err
 		cfg:    cfg,
 		prg:    p,
 		instrs: p.Instrs,
+		masks:  decodeMasks(p.Instrs),
 		lat:    int64(cfg.Latency),
 		res:    &Result{Config: cfg},
 		until:  never,
@@ -272,7 +275,7 @@ func newSim(cfg Config, p *prog.Program, init func(*Shared), tr Tracer) (*m, err
 		sim.congestion = net.NewCongestion(cfg.Congestion, cfg.Procs)
 	}
 	if cfg.Topology.Enabled() {
-		sim.topo = net.NewNetwork(cfg.Topology, cfg.Procs, cfg.Latency)
+		sim.topo = net.NewNetwork(cfg.Topology, cfg.Procs)
 	}
 	if cfg.Faults.Enabled {
 		sim.faults = net.NewFaultPlan(cfg.Faults, cfg.Latency)
@@ -605,10 +608,11 @@ func (sim *m) execOne(pr *proc, now int64) error {
 		// Compiled fast path: with a clean scoreboard and no pending
 		// critical-priority rescheduling, the selected thread stays
 		// selected for as long as it executes thread-private
-		// instructions, so fused units run here in chains. Any bail-out
-		// (no unit at pc, a boundary inside every reachable unit, a
-		// trap) falls through to the interpreter below.
-		if sim.eng != nil && t.maxReady <= now &&
+		// instructions, so fused units run here in chains. The engine
+		// is entered only where a unit starts at pc; any bail-out (a
+		// boundary inside every reachable unit, a trap) falls through
+		// to the interpreter below.
+		if sim.eng != nil && t.maxReady <= now && sim.eng.Starts(t.pc) &&
 			!(sim.cfg.CritPriority && t.crit == 0 && pr.critLive > 0) {
 			nn, ran, err := sim.runCompiled(pr, t, now)
 			if err != nil {
@@ -634,7 +638,7 @@ func (sim *m) execOne(pr *proc, now int64) error {
 		// this is the context-switch point; under explicit-switch it
 		// means the optimizer missed a Switch (counted, tested against).
 		if t.maxReady > now {
-			if ready, blocked := sim.sourceReady(t, in, now); blocked {
+			if ready, blocked := sourceReady(t, &sim.masks[t.pc], now); blocked {
 				switch sim.cfg.Model {
 				case SwitchOnUse, SwitchOnUseMiss, SwitchEveryCycle, Ideal:
 					// The read is the use; switching is the mechanism.
@@ -664,7 +668,7 @@ func (sim *m) execOne(pr *proc, now int64) error {
 		// base beyond a boundary simply admits nothing.
 		base := sim.wakes[pr.id]
 		if base != never && &pr.threads[pr.cur] == t && !t.halted &&
-			t.wake <= base && t.maxReady <= base &&
+			t.wake <= base && t.maxReady <= base && sim.eng.Starts(t.pc) &&
 			!(sim.cfg.CritPriority && t.crit == 0 && pr.critLive > 0) {
 			nn, ran, err := sim.runCompiled(pr, t, base)
 			if err != nil {
@@ -696,12 +700,12 @@ func (sim *m) execInstr(pr *proc, t *thread, in *isa.Instr, now int64) error {
 		// register — see the optimizer's WAW handling — so the stale
 		// scoreboard entry must not block later readers of the new
 		// value). A shared load re-marks its destination afterwards.
-		sim.srcBuf = in.IntDests(sim.srcBuf[:0])
-		for _, r := range sim.srcBuf {
-			t.regReady[r] = 0
+		m := &sim.masks[pc]
+		for d := m.intDst; d != 0; d &= d - 1 {
+			t.regReady[bits.TrailingZeros32(d)] = 0
 		}
-		if d := in.FPDest(); d >= 0 {
-			t.fregReady[d] = 0
+		if m.fpDst != 0 {
+			t.fregReady[bits.TrailingZeros32(m.fpDst)] = 0
 		}
 	}
 
@@ -1181,22 +1185,58 @@ func (sim *m) markPending(t *thread, in *isa.Instr, ready, now int64) {
 	}
 }
 
-// sourceReady checks whether any source register of in is still pending
-// at cycle now. Switch and Use handle their own waiting.
-func (sim *m) sourceReady(t *thread, in *isa.Instr, now int64) (ready int64, blocked bool) {
-	if in.Op == isa.Switch || in.Op == isa.Use {
-		return 0, false
+// regMasks is one instruction's scoreboard operands as register
+// bitmaps (bit r for register r), decoded once per program so that the
+// scoreboard walks set bits instead of building operand lists.
+type regMasks struct {
+	// intSrc and fpSrc are the registers whose pending load blocks the
+	// instruction. They are empty for Switch and Use, which handle
+	// their own waiting.
+	intSrc, fpSrc uint32
+	// intDst and fpDst are the registers the instruction writes, whose
+	// pending load it supersedes.
+	intDst, fpDst uint32
+}
+
+// decodeMasks builds the scoreboard masks of every instruction.
+// Register indices are below 32 in any validated program.
+func decodeMasks(instrs []isa.Instr) []regMasks {
+	masks := make([]regMasks, len(instrs))
+	var buf []uint8
+	set := func(regs []uint8) (m uint32) {
+		for _, r := range regs {
+			m |= 1 << r
+		}
+		return m
 	}
-	sim.srcBuf = in.IntSources(sim.srcBuf[:0])
-	for _, r := range sim.srcBuf {
-		if t.regReady[r] > now && t.regReady[r] > ready {
-			ready = t.regReady[r]
+	for i := range instrs {
+		in, m := &instrs[i], &masks[i]
+		if in.Op != isa.Switch && in.Op != isa.Use {
+			buf = in.IntSources(buf[:0])
+			m.intSrc = set(buf)
+			buf = in.FPSources(buf[:0])
+			m.fpSrc = set(buf)
+		}
+		buf = in.IntDests(buf[:0])
+		m.intDst = set(buf)
+		if d := in.FPDest(); d >= 0 {
+			m.fpDst = 1 << d
 		}
 	}
-	sim.srcBuf = in.FPSources(sim.srcBuf[:0])
-	for _, r := range sim.srcBuf {
-		if t.fregReady[r] > now && t.fregReady[r] > ready {
-			ready = t.fregReady[r]
+	return masks
+}
+
+// sourceReady checks whether any source register in m is still pending
+// at cycle now, and if so returns the latest completion among them.
+func sourceReady(t *thread, m *regMasks, now int64) (ready int64, blocked bool) {
+	for s := m.intSrc; s != 0; s &= s - 1 {
+		if r := t.regReady[bits.TrailingZeros32(s)]; r > now && r > ready {
+			ready = r
+		}
+	}
+	for s := m.fpSrc; s != 0; s &= s - 1 {
+		if r := t.fregReady[bits.TrailingZeros32(s)]; r > now && r > ready {
+			ready = r
 		}
 	}
 	return ready, ready > 0

@@ -13,23 +13,28 @@ import "math/bits"
 //
 // Bitmap buckets keep the one ordering rule the interpreter guarantees:
 // processors sharing a cycle execute in ascending id order, which is
-// exactly bit order. Wakes beyond the ring's horizon sit in an overflow
-// list (far) that migrates into the ring as the clock approaches; the
-// validation compare on pop makes the structure robust to any residual
-// aliasing rather than relying on the horizon argument alone.
+// exactly bit order. A second bitmap holds one occupancy bit per
+// bucket, so finding the next event is a trailing-zeros scan over 32
+// words rather than a probe of every cycle in between. Wakes beyond the
+// ring's horizon sit in an overflow list (far) that migrates into the
+// ring as the clock approaches; the validation compare on pop makes the
+// structure robust to any residual aliasing rather than relying on the
+// horizon argument alone.
 
 const (
 	wheelBits = 11 // 2048-cycle ring: beyond typical latency+congestion wakes
 	wheelSize = int64(1) << wheelBits
 	wheelMask = wheelSize - 1
+	occWords  = wheelSize / 64
 )
 
 type eventWheel struct {
 	buckets []uint64 // wheelSize buckets of `words` adjacent uint64s
 	words   int64    // bitmap words per bucket: ceil(procs/64)
-	inRing  int      // bits currently set across all buckets
-	far     []int32  // procs whose wake lies beyond the ring horizon
-	farMin  int64    // earliest far wake (never when far is empty)
+	// occ has bit b set while any word of bucket b is non-zero.
+	occ    [occWords]uint64
+	far    []int32 // procs whose wake lies beyond the ring horizon
+	farMin int64   // earliest far wake (never when far is empty)
 }
 
 // buildWheel indexes every live processor's wake time, anchored at now.
@@ -51,14 +56,20 @@ func (sim *m) buildWheel(now int64) {
 func (sim *m) wheelInsert(pi int, w, now int64) {
 	wh := sim.wheel
 	if w-now < wheelSize {
-		wh.buckets[(w&wheelMask)*wh.words+int64(pi>>6)] |= 1 << (uint(pi) & 63)
-		wh.inRing++
+		wh.set(pi, w)
 		return
 	}
 	wh.far = append(wh.far, int32(pi))
 	if w < wh.farMin {
 		wh.farMin = w
 	}
+}
+
+// set puts processor pi in the bucket of cycle w.
+func (wh *eventWheel) set(pi int, w int64) {
+	b := w & wheelMask
+	wh.buckets[b*wh.words+int64(pi>>6)] |= 1 << (uint(pi) & 63)
+	wh.occ[b>>6] |= 1 << (uint(b) & 63)
 }
 
 // migrateFar moves overflow entries whose wake now fits the ring window
@@ -70,8 +81,7 @@ func (sim *m) migrateFar(c int64) {
 	for _, pi := range wh.far {
 		w := sim.wakes[pi]
 		if w-c < wheelSize {
-			wh.buckets[(w&wheelMask)*wh.words+int64(pi>>6)] |= 1 << (uint(pi) & 63)
-			wh.inRing++
+			wh.set(int(pi), w)
 			continue
 		}
 		kept = append(kept, pi)
@@ -83,47 +93,62 @@ func (sim *m) migrateFar(c int64) {
 	wh.farMin = min
 }
 
+// nextOccupied returns the first cycle in [c, c+wheelSize) whose bucket
+// is non-empty, scanning the occupancy words circularly from c's.
+func (wh *eventWheel) nextOccupied(c int64) (int64, bool) {
+	lo := uint(c & 63)
+	base := c - int64(lo) // the cycle of bit 0 of c's occupancy word
+	wi := (c & wheelMask) >> 6
+	word := wh.occ[wi] >> lo << lo // buckets before c wait a full turn
+	for i := int64(0); ; i++ {
+		if word != 0 {
+			return base + 64*i + int64(bits.TrailingZeros64(word)), true
+		}
+		if i == occWords {
+			return 0, false
+		}
+		// At i+1 == occWords this is c's own word again, whose buckets
+		// before c are the last of the turn.
+		word = wh.occ[(wi+i+1)&(occWords-1)]
+	}
+}
+
 // nextEvent finds the earliest cycle >= from with a scheduled event. It
 // reports ok=false when no processor has one (live threads deadlocked).
+// The overflow list migrates at the first cycle the scan reaches at or
+// past its earliest wake, so the ring never skips a far event.
 func (sim *m) nextEvent(from int64) (int64, bool) {
 	wh := sim.wheel
-	words := wh.words
 	c := from
 	for {
-		if wh.inRing == 0 {
-			if len(wh.far) == 0 {
-				return 0, false
-			}
-			if c < wh.farMin {
-				c = wh.farMin // skip the empty stretch entirely
-			}
-		}
 		if wh.farMin <= c {
 			sim.migrateFar(c)
 		}
-		off := (c & wheelMask) * words
-		for wi := int64(0); wi < words; wi++ {
-			if wh.buckets[off+wi] != 0 {
-				return c, true
-			}
+		next, ok := wh.nextOccupied(c)
+		if ok && next < wh.farMin {
+			return next, true
 		}
-		c++
+		if len(wh.far) == 0 {
+			return 0, false
+		}
+		c = wh.farMin
 	}
 }
 
 // popAndRun executes every processor due at cycle now, in ascending id
 // order, reinserting each at its new wake. The validation compare skips
-// (and reschedules) any bit whose processor is not actually due.
+// (and reschedules) any bit whose processor is not actually due. The
+// bucket's occupancy bit clears only once all of its words are empty.
 func (sim *m) popAndRun(now int64) error {
 	wh := sim.wheel
-	off := (now & wheelMask) * wh.words
+	b := now & wheelMask
+	off := b * wh.words
 	for wi := int64(0); wi < wh.words; wi++ {
 		word := wh.buckets[off+wi]
 		if word == 0 {
 			continue
 		}
 		wh.buckets[off+wi] = 0
-		wh.inRing -= bits.OnesCount64(word)
 		base := int(wi) << 6
 		for word != 0 {
 			pi := base + bits.TrailingZeros64(word)
@@ -140,5 +165,11 @@ func (sim *m) popAndRun(now int64) error {
 			}
 		}
 	}
+	for wi := int64(0); wi < wh.words; wi++ {
+		if wh.buckets[off+wi] != 0 {
+			return nil
+		}
+	}
+	wh.occ[b>>6] &^= 1 << (uint(b) & 63)
 	return nil
 }

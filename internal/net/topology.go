@@ -158,12 +158,13 @@ func (c TopologyConfig) Validate() error {
 // chased pointer's neighbors together) while blocks spread round-robin.
 const memInterleaveShift = 3
 
-// Network is the runtime state of a topology: each link's busy-until
-// cycle plus observability counters. It is owned by one simulation and
-// is not safe for concurrent use.
+// Network is the runtime state of a routed topology: each link's
+// busy-until cycle plus observability counters. The link capacities and
+// the memoized routes are derived from the configuration alone, so a
+// snapshot never carries them. It is owned by one simulation and is not
+// safe for concurrent use.
 type Network struct {
-	cfg  TopologyConfig
-	base int64 // constant round trip when Kind == TopoConstant
+	cfg TopologyConfig
 
 	// Mesh geometry.
 	meshW, meshH int
@@ -178,8 +179,13 @@ type Network struct {
 	// and is delivered one HopCycles propagation later, so the cycle the
 	// channel frees up is all the queue state timing needs.
 	freeAt []int64
-	// path is the scratch route buffer, reused across round trips.
-	path []int
+	// capBits is each link's channel capacity in bits per cycle:
+	// ChannelBits, doubled per fat-tree level toward the root.
+	capBits []int64
+	// trips memoizes the round trip between a processor's node s and a
+	// memory node d, keyed s*Nodes+d, on the pair's first access. A pair
+	// no access uses costs nothing.
+	trips map[int64]trip
 
 	// Requests counts routed round trips.
 	Requests int64
@@ -190,16 +196,19 @@ type Network struct {
 	MaxLatency int64
 }
 
-// NewNetwork builds the runtime for a procs-processor machine whose
-// constant-mode round trip would be baseLatency cycles. The constant
-// kind returns baseLatency from every RoundTrip, bit-equal to the
-// legacy path.
-func NewNetwork(cfg TopologyConfig, procs int, baseLatency int) *Network {
+// trip is one node pair's round trip: the link ids of route(s, d)
+// followed by those of route(d, s), which start at links[out].
+type trip struct {
+	links []int32
+	out   int
+}
+
+// NewNetwork builds the runtime of a routed topology for a
+// procs-processor machine. The constant kind has no runtime: the
+// machine charges its fixed round trip directly.
+func NewNetwork(cfg TopologyConfig, procs int) *Network {
 	cfg = cfg.WithDefaults(procs)
-	n := &Network{cfg: cfg, base: int64(baseLatency)}
-	if !cfg.Enabled() {
-		return n
-	}
+	n := &Network{cfg: cfg, trips: make(map[int64]trip)}
 	nodes := cfg.Nodes
 	switch cfg.Kind {
 	case TopoMesh:
@@ -223,11 +232,9 @@ func NewNetwork(cfg TopologyConfig, procs int, baseLatency int) *Network {
 			depth = 1
 		}
 		n.treeDepth = depth
-		// Per level l (0 = leaf): one up and one down link for each of
-		// the 2^(depth-1-l)... — flattened as up/down per internal tree
-		// node. Internal nodes: 2^depth - 1; links: up and down per
-		// child edge = 2 * (2^depth - 1) directed pairs, but indexing by
-		// (level, node-at-level, direction) is simplest.
+		// Level l (0 = leaf) has 2^(depth-l) tree nodes, each with one
+		// up and one down link to its parent: 2 * (2^(depth+1) - 2)
+		// directed links, indexed by (level, node-at-level, direction).
 		n.freeAt = make([]int64, 2*((1<<depth)-1)*2)
 	case TopoDragonfly:
 		g := 1
@@ -240,6 +247,26 @@ func NewNetwork(cfg TopologyConfig, procs int, baseLatency int) *Network {
 		// indexed (group, src-in-group, dst-in-group). Global links:
 		// directed group-to-group, indexed (srcGroup, dstGroup).
 		n.freeAt = make([]int64, groups*g*g+groups*groups)
+	}
+	n.capBits = make([]int64, len(n.freeAt))
+	for id := range n.capBits {
+		n.capBits[id] = int64(cfg.ChannelBits)
+	}
+	if cfg.Kind == TopoFatTree {
+		// Fat-tree channels double their capacity per level toward the
+		// root, the classic fat-tree provisioning.
+		for level := 0; level < n.treeDepth; level++ {
+			for k := 0; k < 1<<(n.treeDepth-level); k++ {
+				for dir := 0; dir < 2; dir++ {
+					n.capBits[n.treeLink(level, k, dir)] <<= uint(level)
+				}
+			}
+		}
+	}
+	for id, c := range n.capBits {
+		if c <= 0 {
+			n.capBits[id] = 1
+		}
 	}
 	return n
 }
@@ -280,14 +307,12 @@ func (n *Network) memNode(addr int64) int {
 	return int(blk % int64(n.cfg.Nodes))
 }
 
-// route appends the directed link ids of the src -> dst path to
-// n.path[:0] and returns it. Routes are deterministic and minimal for
-// mesh (dimension order) and dragonfly (local-global-local); the
-// fat-tree route climbs to the least common ancestor and descends.
-func (n *Network) route(src, dst int) []int {
-	p := n.path[:0]
+// route appends the directed link ids of the src -> dst path to p and
+// returns it. Routes are deterministic and minimal for mesh (dimension
+// order) and dragonfly (local-global-local); the fat-tree route climbs
+// to the least common ancestor and descends.
+func (n *Network) route(p []int32, src, dst int) []int32 {
 	if src == dst {
-		n.path = p
 		return p
 	}
 	switch n.cfg.Kind {
@@ -343,74 +368,56 @@ func (n *Network) route(src, dst int) []int {
 			if sr != gw1 {
 				p = append(p, dflyLocal(sg, sr, gw1, g))
 			}
-			p = append(p, groups*g*g+sg*groups+dg)
+			p = append(p, int32(groups*g*g+sg*groups+dg))
 			if gw2 != dr {
 				p = append(p, dflyLocal(dg, gw2, dr, g))
 			}
 		}
 	}
-	n.path = p
 	return p
 }
 
 // meshLink flattens a (direction, x, y) mesh link id.
-func meshLink(dir, x, y, w, h int) int { return dir*w*h + y*w + x }
+func meshLink(dir, x, y, w, h int) int32 { return int32(dir*w*h + y*w + x) }
 
 // dflyLocal flattens a within-group dragonfly link id.
-func dflyLocal(group, src, dst, g int) int { return group*g*g + src*g + dst }
+func dflyLocal(group, src, dst, g int) int32 { return int32(group*g*g + src*g + dst) }
 
 // treeLink flattens a fat-tree link id: level, node index at that
 // level, and direction (0 = up, 1 = down).
-func (n *Network) treeLink(level, nodeAtLevel, dir int) int {
+func (n *Network) treeLink(level, nodeAtLevel, dir int) int32 {
 	// Offset of level l's node block: sum of 2^(depth-k) for k < l.
 	off := 0
 	for k := 0; k < level; k++ {
 		off += 1 << (n.treeDepth - k)
 	}
-	return 2*(off+nodeAtLevel) + dir
-}
-
-// levelOfTreeLink recovers the level of a fat-tree link id, for the
-// capacity-doubling service time.
-func (n *Network) levelOfTreeLink(id int) int {
-	idx := id / 2
-	for level := 0; level < n.treeDepth; level++ {
-		span := 1 << (n.treeDepth - level)
-		if idx < span {
-			return level
-		}
-		idx -= span
-	}
-	return n.treeDepth - 1
-}
-
-// serviceTime is the cycles a message of the given size occupies a
-// link's channel. Fat-tree channels double their capacity per level
-// toward the root, the classic fat-tree provisioning.
-func (n *Network) serviceTime(linkID int, bits int64) int64 {
-	cb := int64(n.cfg.ChannelBits)
-	if n.cfg.Kind == TopoFatTree {
-		cb <<= uint(n.levelOfTreeLink(linkID))
-	}
-	if cb <= 0 {
-		cb = 1
-	}
-	s := (bits + cb - 1) / cb
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return int32(2*(off+nodeAtLevel) + dir)
 }
 
 // traverse sends a message of the given size over one link starting at
-// cycle t and returns its arrival time at the far node.
-func (n *Network) traverse(linkID int, t, bits int64) int64 {
-	start := max(t, n.freeAt[linkID])
+// cycle t and returns its arrival time at the far node. The message
+// occupies the channel for its serialization time, at least a cycle.
+func (n *Network) traverse(id int32, t, bits int64) int64 {
+	start := max(t, n.freeAt[id])
 	if wait := start - t; wait > n.PeakQueue {
 		n.PeakQueue = wait
 	}
-	n.freeAt[linkID] = start + n.serviceTime(linkID, bits)
-	return n.freeAt[linkID] + int64(n.cfg.HopCycles)
+	cb := n.capBits[id]
+	n.freeAt[id] = start + max((bits+cb-1)/cb, 1)
+	return n.freeAt[id] + int64(n.cfg.HopCycles)
+}
+
+// trip returns the round trip between nodes s and d, routing it on the
+// pair's first use.
+func (n *Network) trip(s, d int) trip {
+	key := int64(s)*int64(n.cfg.Nodes) + int64(d)
+	tr, ok := n.trips[key]
+	if !ok {
+		out := n.route(nil, s, d)
+		tr = trip{links: n.route(out, d, s), out: len(out)}
+		n.trips[key] = tr
+	}
+	return tr
 }
 
 // RoundTrip routes one shared-memory access issued by processor src at
@@ -419,20 +426,13 @@ func (n *Network) traverse(linkID int, t, bits int64) int64 {
 // round-trip latency in cycles. Clamped to [1, MaxRoundTrip].
 func (n *Network) RoundTrip(now int64, src int, addr, reqBits, replyBits int64) int64 {
 	n.Requests++
-	if !n.cfg.Enabled() {
-		if n.base > n.MaxLatency {
-			n.MaxLatency = n.base
-		}
-		return n.base
-	}
-	s := n.node(src)
-	d := n.memNode(addr)
+	tr := n.trip(n.node(src), n.memNode(addr))
 	t := now
-	for _, id := range n.route(s, d) {
+	for _, id := range tr.links[:tr.out] {
 		t = n.traverse(id, t, reqBits)
 	}
 	t += int64(n.cfg.MemCycles)
-	for _, id := range n.route(d, s) {
+	for _, id := range tr.links[tr.out:] {
 		t = n.traverse(id, t, replyBits)
 	}
 	lat := t - now

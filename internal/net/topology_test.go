@@ -2,6 +2,7 @@ package net
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,11 +79,11 @@ func TestTopologyDefaults(t *testing.T) {
 func TestRouteTerminatesWithinDiameter(t *testing.T) {
 	for _, kind := range routedKinds {
 		for _, nodes := range []int{1, 2, 3, 5, 8, 13, 16, 29} {
-			n := NewNetwork(TopologyConfig{Kind: kind, Nodes: nodes}, nodes, 200)
+			n := NewNetwork(TopologyConfig{Kind: kind, Nodes: nodes}, nodes)
 			diam := n.Diameter()
 			for src := 0; src < nodes; src++ {
 				for dst := 0; dst < nodes; dst++ {
-					p := n.route(src, dst)
+					p := n.route(nil, src, dst)
 					if src == dst && len(p) != 0 {
 						t.Fatalf("%s/%d: route(%d,%d) = %d hops, want 0", kind, nodes, src, dst, len(p))
 					}
@@ -90,7 +91,7 @@ func TestRouteTerminatesWithinDiameter(t *testing.T) {
 						t.Fatalf("%s/%d: route(%d,%d) = %d hops > diameter %d", kind, nodes, src, dst, len(p), diam)
 					}
 					for _, id := range p {
-						if id < 0 || id >= n.NumLinks() {
+						if id < 0 || int(id) >= n.NumLinks() {
 							t.Fatalf("%s/%d: route(%d,%d) uses link %d of %d", kind, nodes, src, dst, id, n.NumLinks())
 						}
 					}
@@ -101,23 +102,79 @@ func TestRouteTerminatesWithinDiameter(t *testing.T) {
 }
 
 // TestRoundTripAllocatesNothing: the machine routes every shared access
-// through RoundTrip, so once the route buffer has grown to the longest
-// path a round trip must allocate nothing on any topology.
+// through RoundTrip, so once every node pair's route is memoized a round
+// trip must allocate nothing on any topology.
 func TestRoundTripAllocatesNothing(t *testing.T) {
-	for _, kind := range append([]TopologyKind{TopoConstant}, routedKinds...) {
-		n := NewNetwork(TopologyConfig{Kind: kind}, 16, 200)
+	for _, kind := range routedKinds {
+		n := NewNetwork(TopologyConfig{Kind: kind}, 16)
 		var now int64
 		sweep := func() {
 			for src := 0; src < 16; src++ {
-				for addr := int64(0); addr < 16; addr++ {
+				for addr := int64(0); addr < 16<<memInterleaveShift; addr += 1 << memInterleaveShift {
 					now += 10_000 // past every earlier departure: queues drain
 					n.RoundTrip(now, src, addr, Bits(ReadReq, 0), Bits(ReadReply, WordBits))
 				}
 			}
 		}
-		sweep() // the first sweep sizes the route buffer
+		sweep() // the first sweep memoizes every node pair
 		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
 			t.Errorf("%s: %v allocations per 256 round trips, want 0", kind, allocs)
+		}
+	}
+}
+
+// TestMemoizedRoutesMatchRoute: after a round trip between every pair of
+// nodes, the memo holds every pair, and each memoized round trip is
+// exactly route(s, d) followed by route(d, s), on every routed kind and
+// at awkward node counts.
+func TestMemoizedRoutesMatchRoute(t *testing.T) {
+	for _, kind := range routedKinds {
+		for nodes := 1; nodes <= 40; nodes++ {
+			n := NewNetwork(TopologyConfig{Kind: kind, Nodes: nodes}, nodes)
+			for src := 0; src < nodes; src++ {
+				for d := 0; d < nodes; d++ {
+					n.RoundTrip(0, src, int64(d)<<memInterleaveShift, Bits(ReadReq, 0), Bits(ReadReply, WordBits))
+				}
+			}
+			if len(n.trips) != nodes*nodes {
+				t.Fatalf("%s/%d: %d memoized pairs, want %d", kind, nodes, len(n.trips), nodes*nodes)
+			}
+			for key, tr := range n.trips {
+				s, d := int(key)/nodes, int(key)%nodes
+				want := n.route(n.route(nil, s, d), d, s)
+				if tr.out != len(n.route(nil, s, d)) || !slices.Equal(tr.links, want) {
+					t.Fatalf("%s/%d: pair (%d,%d) memoized %v split at %d, want %v", kind, nodes, s, d, tr.links, tr.out, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLinkCapacities: every fat-tree link carries ChannelBits doubled
+// once per level above the leaves, and every mesh and dragonfly link
+// carries ChannelBits.
+func TestLinkCapacities(t *testing.T) {
+	for _, kind := range routedKinds {
+		for nodes := 1; nodes <= 40; nodes++ {
+			n := NewNetwork(TopologyConfig{Kind: kind, Nodes: nodes, ChannelBits: 12}, nodes)
+			want := make([]int64, n.NumLinks())
+			for id := range want {
+				want[id] = 12
+				if kind != TopoFatTree {
+					continue
+				}
+				// Level l's block holds 2^(depth-l) tree nodes of two
+				// links each, leaves first.
+				level, idx := 0, id/2
+				for idx >= 1<<(n.treeDepth-level) {
+					idx -= 1 << (n.treeDepth - level)
+					level++
+				}
+				want[id] <<= level
+			}
+			if !slices.Equal(n.capBits, want) {
+				t.Fatalf("%s/%d: capacities %v, want %v", kind, nodes, n.capBits, want)
+			}
 		}
 	}
 }
@@ -129,7 +186,7 @@ func TestLatencyMonotoneInLoad(t *testing.T) {
 	for _, kind := range routedKinds {
 		var prevWorst int64
 		for load := 1; load <= 32; load *= 2 {
-			n := NewNetwork(TopologyConfig{Kind: kind}, 16, 200)
+			n := NewNetwork(TopologyConfig{Kind: kind}, 16)
 			var worst int64
 			for i := 0; i < load; i++ {
 				// All processors hammer the same module at cycle 0.
@@ -149,42 +206,19 @@ func TestLatencyMonotoneInLoad(t *testing.T) {
 	}
 }
 
-// TestConstantTopologyBitEqualLegacy: the constant kind must return the
-// legacy fixed round trip, bit-equal, for any seeded access pattern —
-// the invariant that lets the machine treat a zero TopologyConfig as
-// the paper's network.
-func TestConstantTopologyBitEqualLegacy(t *testing.T) {
-	const base = 200
-	n := NewNetwork(TopologyConfig{}, 16, base)
-	r := rng.New(7)
-	for i := 0; i < 10000; i++ {
-		src := int(r.Intn(64))
-		addr := r.Intn(1 << 30)
-		if lat := n.RoundTrip(int64(i), src, addr, Bits(ReadReq, 0), Bits(ReadReply, WordBits)); lat != base {
-			t.Fatalf("access %d (src %d, addr %d): latency %d, want %d", i, src, addr, lat, base)
-		}
-	}
-	if n.Requests != 10000 {
-		t.Errorf("Requests = %d, want 10000", n.Requests)
-	}
-	if n.NumLinks() != 0 {
-		t.Errorf("constant network has %d links", n.NumLinks())
-	}
-}
-
 // TestTopologySnapshotRoundtrip: a restored network must produce
 // byte-identical latencies for any subsequent request stream.
 func TestTopologySnapshotRoundtrip(t *testing.T) {
 	for _, kind := range routedKinds {
 		cfg := TopologyConfig{Kind: kind}
-		n := NewNetwork(cfg, 16, 200)
+		n := NewNetwork(cfg, 16)
 		r := rng.New(99)
 		var now int64
 		for i := 0; i < 2000; i++ {
 			n.RoundTrip(now, int(r.Intn(16)), r.Intn(1<<16), Bits(ReadReq, 0), Bits(ReadReply, WordBits))
 			now += r.Intn(2)
 		}
-		m := NewNetwork(cfg, 16, 200)
+		m := NewNetwork(cfg, 16)
 		roundTrip(t, n.EncodeState, func(d *snap.Decoder) error { return m.DecodeState(d, false) })
 		for i := 0; i < 2000; i++ {
 			src := int(r.Intn(16))
@@ -206,7 +240,7 @@ func TestTopologySnapshotRoundtrip(t *testing.T) {
 // geometry's, and in the layout of machine snapshot formats 3 and 4 a
 // link's message counters must balance against its in-flight list.
 func TestTopologyRestoreRejectsBadState(t *testing.T) {
-	n := NewNetwork(TopologyConfig{Kind: TopoMesh}, 16, 200)
+	n := NewNetwork(TopologyConfig{Kind: TopoMesh}, 16)
 	current := func(d *snap.Decoder) error { return n.DecodeState(d, false) }
 	queued := func(d *snap.Decoder) error { return n.DecodeState(d, true) }
 	// The state opens with the link count.
