@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"regexp"
@@ -291,18 +292,29 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		failures := compare(base, &rec, *tolerance)
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "bench: FAIL:", f)
-		}
-		if len(failures) > 0 {
-			if *check {
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("baseline %s: ok (%d benchmarks compared)\n", *baseline, len(base.Benchmarks))
+		if !gate(os.Stdout, os.Stderr, *baseline, base, &rec, *tolerance) && *check {
+			os.Exit(1)
 		}
 	}
+}
+
+// gate holds the current record to the baseline at path: it prints a
+// note for each entry the baseline lacks, which nothing gates, then
+// either every failure (to errOut) or an ok line that counts the entries
+// compared. It reports whether the record passed.
+func gate(out, errOut io.Writer, path string, base, cur *Record, tolerance float64) bool {
+	failures, ungated := compare(base, cur, tolerance)
+	for _, name := range ungated {
+		fmt.Fprintf(out, "bench: note: %s is not in %s, so nothing gates it\n", name, path)
+	}
+	for _, f := range failures {
+		fmt.Fprintln(errOut, "bench: FAIL:", f)
+	}
+	if len(failures) > 0 {
+		return false
+	}
+	fmt.Fprintf(out, "baseline %s: ok (%d benchmarks compared, %d not gated)\n", path, len(cur.Benchmarks)-len(ungated), len(ungated))
+	return true
 }
 
 // compareMain implements the `bench compare A.json B.json` subcommand:
@@ -357,14 +369,9 @@ func compareMain(args []string) int {
 			fmt.Printf("%-24s %-14s %14s %14s %9s\n", c.Name, work, "-", "-", "-")
 		}
 	}
-	failures := compare(base, cur, *tolerance)
-	for _, f := range failures {
-		fmt.Fprintln(os.Stderr, "bench: FAIL:", f)
-	}
-	if len(failures) > 0 {
+	if !gate(os.Stdout, os.Stderr, fs.Arg(0), base, cur, *tolerance) {
 		return 1
 	}
-	fmt.Printf("ok: %d benchmarks compared\n", len(cur.Benchmarks))
 	return 0
 }
 
@@ -394,18 +401,20 @@ func measure(ctx context.Context, b benchmark, timing bool, benchtime time.Durat
 }
 
 // compare returns one message per violated contract between a baseline
-// record and the current one. Simulated work must match exactly; wall
-// time is only held to the tolerance when both records measured it.
-func compare(base, cur *Record, tolerance float64) []string {
+// record and the current one, and the names of the current entries the
+// baseline lacks. Simulated work must match exactly; wall time is only
+// held to the tolerance when both records measured it.
+func compare(base, cur *Record, tolerance float64) (fails, ungated []string) {
 	byName := make(map[string]BenchResult, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		byName[b.Name] = b
 	}
-	var fails []string
 	for _, c := range cur.Benchmarks {
 		b, ok := byName[c.Name]
 		if !ok {
-			// New benchmarks are allowed: future PRs append to the suite.
+			// New benchmarks are allowed, but a baseline that predates
+			// one cannot gate it.
+			ungated = append(ungated, c.Name)
 			continue
 		}
 		if c.SimInstr != b.SimInstr || c.SimCycle != b.SimCycle {
@@ -433,7 +442,7 @@ func compare(base, cur *Record, tolerance float64) []string {
 			fails = append(fails, fmt.Sprintf("%s: present in baseline but not run", b.Name))
 		}
 	}
-	return fails
+	return fails, ungated
 }
 
 func writeRecord(path string, rec *Record) error {
