@@ -700,12 +700,12 @@ func (sim *m) execInstr(pr *proc, t *thread, in *isa.Instr, now int64) error {
 		// register — see the optimizer's WAW handling — so the stale
 		// scoreboard entry must not block later readers of the new
 		// value). A shared load re-marks its destination afterwards.
-		m := &sim.masks[pc]
-		for d := m.intDst; d != 0; d &= d - 1 {
+		ops := &sim.masks[pc]
+		for d := ops.intDst; d != 0; d &= d - 1 {
 			t.regReady[bits.TrailingZeros32(d)] = 0
 		}
-		if m.fpDst != 0 {
-			t.fregReady[bits.TrailingZeros32(m.fpDst)] = 0
+		if ops.fpDst != 0 {
+			t.fregReady[bits.TrailingZeros32(ops.fpDst)] = 0
 		}
 	}
 
@@ -1203,38 +1203,39 @@ type regMasks struct {
 func decodeMasks(instrs []isa.Instr) []regMasks {
 	masks := make([]regMasks, len(instrs))
 	var buf []uint8
-	set := func(regs []uint8) (m uint32) {
+	set := func(regs []uint8) (mask uint32) {
 		for _, r := range regs {
-			m |= 1 << r
+			mask |= 1 << r
 		}
-		return m
+		return mask
 	}
 	for i := range instrs {
-		in, m := &instrs[i], &masks[i]
+		in, ops := &instrs[i], &masks[i]
 		if in.Op != isa.Switch && in.Op != isa.Use {
 			buf = in.IntSources(buf[:0])
-			m.intSrc = set(buf)
+			ops.intSrc = set(buf)
 			buf = in.FPSources(buf[:0])
-			m.fpSrc = set(buf)
+			ops.fpSrc = set(buf)
 		}
 		buf = in.IntDests(buf[:0])
-		m.intDst = set(buf)
+		ops.intDst = set(buf)
 		if d := in.FPDest(); d >= 0 {
-			m.fpDst = 1 << d
+			ops.fpDst = 1 << d
 		}
 	}
 	return masks
 }
 
-// sourceReady checks whether any source register in m is still pending
-// at cycle now, and if so returns the latest completion among them.
-func sourceReady(t *thread, m *regMasks, now int64) (ready int64, blocked bool) {
-	for s := m.intSrc; s != 0; s &= s - 1 {
+// sourceReady checks whether any source register in ops is still
+// pending at cycle now, and if so returns the latest completion among
+// them.
+func sourceReady(t *thread, ops *regMasks, now int64) (ready int64, blocked bool) {
+	for s := ops.intSrc; s != 0; s &= s - 1 {
 		if r := t.regReady[bits.TrailingZeros32(s)]; r > now && r > ready {
 			ready = r
 		}
 	}
-	for s := m.fpSrc; s != 0; s &= s - 1 {
+	for s := ops.fpSrc; s != 0; s &= s - 1 {
 		if r := t.fregReady[bits.TrailingZeros32(s)]; r > now && r > ready {
 			ready = r
 		}

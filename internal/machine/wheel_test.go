@@ -54,8 +54,8 @@ func checkWheel(t *testing.T, procs, latency, jitter int, seed uint64) {
 	sim.buildWheel(0)
 	now, beyond := int64(0), false
 	for steps := 0; ; steps++ {
-		if min := slices.Min(sim.wakes); now != min {
-			t.Fatalf("step %d: nextEvent chose cycle %d, the earliest wake is %d", steps, now, min)
+		if earliest := slices.Min(sim.wakes); now != earliest {
+			t.Fatalf("step %d: nextEvent chose cycle %d, the earliest wake is %d", steps, now, earliest)
 		}
 		var want []int32
 		for pi, w := range sim.wakes {

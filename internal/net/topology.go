@@ -407,9 +407,9 @@ func (n *Network) traverse(id int32, t, bits int64) int64 {
 	return n.freeAt[id] + int64(n.cfg.HopCycles)
 }
 
-// trip returns the round trip between nodes s and d, routing it on the
-// pair's first use.
-func (n *Network) trip(s, d int) trip {
+// tripFor returns the round trip between nodes s and d, routing it on
+// the pair's first use.
+func (n *Network) tripFor(s, d int) trip {
 	key := int64(s)*int64(n.cfg.Nodes) + int64(d)
 	tr, ok := n.trips[key]
 	if !ok {
@@ -426,7 +426,7 @@ func (n *Network) trip(s, d int) trip {
 // round-trip latency in cycles. Clamped to [1, MaxRoundTrip].
 func (n *Network) RoundTrip(now int64, src int, addr, reqBits, replyBits int64) int64 {
 	n.Requests++
-	tr := n.trip(n.node(src), n.memNode(addr))
+	tr := n.tripFor(n.node(src), n.memNode(addr))
 	t := now
 	for _, id := range tr.links[:tr.out] {
 		t = n.traverse(id, t, reqBits)
