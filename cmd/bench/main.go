@@ -88,9 +88,11 @@ func oneRun(f func(ctx context.Context) (*mtsim.Result, error)) func(context.Con
 
 // suite builds the fixed benchmark list: the event-loop hot loop
 // (verification off, high processor count, so dispatch and scheduling
-// dominate), one verified paper-configuration run per application, and
-// a session-batch benchmark that times the measurement layer itself
-// (memo, singleflight, worker pool) over the context-first batch API.
+// dominate), one verified paper-configuration run per application, the
+// durable request path (serveDurable: an async batch on a journaling
+// server, awaited over SSE), and a session-batch benchmark that times
+// the measurement layer itself (memo, singleflight, worker pool) over
+// the context-first batch API.
 func suite() []benchmark {
 	bs := []benchmark{{
 		name: "machine-hot-loop",
@@ -164,6 +166,10 @@ func suite() []benchmark {
 				OnCheckpoint: func(int64, []byte) error { return nil },
 			})
 		}),
+	})
+	bs = append(bs, benchmark{
+		name: "serve-durable",
+		run:  serveDurable,
 	})
 	bs = append(bs, benchmark{
 		name: "session-batch",

@@ -109,3 +109,16 @@ func TestGateTimesOnlyOnOneHost(t *testing.T) {
 		t.Error("gate passed changed simulated work measured on another host")
 	}
 }
+
+// TestServeDurableMatchesSync runs the serve-durable entry once: the
+// entry itself fails unless the async job's result is the document the
+// same batch gets synchronously, and it must report simulated work.
+func TestServeDurableMatchesSync(t *testing.T) {
+	instrs, cycles, err := serveDurable(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if instrs <= 0 || cycles <= 0 {
+		t.Errorf("serve-durable did %d instrs in %d cycles", instrs, cycles)
+	}
+}
