@@ -11,7 +11,8 @@
 // singleflight-style: the first caller for a configuration simulates,
 // later callers for the same key block until it finishes and share the
 // same *Result. RunBatch and MTSearch exploit that to sweep independent
-// configurations on a worker pool sized by Workers (default GOMAXPROCS).
+// configurations on a worker pool sized by Workers (default GOMAXPROCS);
+// ForEach is that pool for callers with their own per-job work.
 package core
 
 import (
@@ -106,8 +107,8 @@ type Session struct {
 	// Verify enables result checking on every run (the default); the
 	// benchmark harness can disable it to time simulation alone.
 	Verify bool
-	// Workers bounds the worker pool used by RunBatch and MTSearch.
-	// Zero or negative means GOMAXPROCS.
+	// Workers bounds the worker pool used by RunBatch, ForEach and
+	// MTSearch. Zero or negative means GOMAXPROCS.
 	Workers int
 	// CollectMetrics turns on the cycle-accounting observability layer
 	// for every simulation this session executes: each Result carries
@@ -310,22 +311,36 @@ func (s *Session) RunBatch(jobs []Job) ([]*machine.Result, error) {
 // reports its *Result, exactly as it would have in an uncanceled batch.
 func (s *Session) RunBatchContext(ctx context.Context, jobs []Job) ([]*machine.Result, error) {
 	res := make([]*machine.Result, len(jobs))
-	errs := make([]error, len(jobs))
+	err := s.ForEach(ctx, len(jobs), func(i int) (err error) {
+		res[i], err = s.RunContext(ctx, jobs[i].App, jobs[i].Cfg)
+		return err
+	})
+	return res, err
+}
+
+// ForEach calls fn(i) for every i in [0, n) on the session's worker
+// pool: at most Width() calls run at once, and they start in index
+// order, so with width 1 they run one after another. Once ctx is
+// canceled no further call starts and each unstarted index fails with
+// ctx.Err(). A failure fails only its own index: the error is nil, or
+// a *BatchError whose Errs are index-aligned.
+func (s *Session) ForEach(ctx context.Context, n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, s.Width())
-	for i, j := range jobs {
+	for i := 0; i < n; i++ {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+			errs[i] = ctx.Err()
+			continue
+		}
 		wg.Add(1)
-		go func(i int, j Job) {
+		go func() {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
 			defer func() { <-sem }()
-			res[i], errs[i] = s.RunContext(ctx, j.App, j.Cfg)
-		}(i, j)
+			errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
 	failed := 0
@@ -335,9 +350,9 @@ func (s *Session) RunBatchContext(ctx context.Context, jobs []Job) ([]*machine.R
 		}
 	}
 	if failed > 0 {
-		return res, &BatchError{Errs: errs, Failed: failed}
+		return &BatchError{Errs: errs, Failed: failed}
 	}
-	return res, nil
+	return nil
 }
 
 // BaselineJob is the run whose cycle count is a's efficiency baseline:

@@ -32,12 +32,15 @@ import (
 // by the tenants' configured shares. One tenant's batch flood therefore
 // cannot starve another tenant — exactly the paper's latency-hiding
 // thesis applied to the serving plane: the scheduler always has
-// somewhere useful to switch to. The pool is sized below the gate's
-// worker count, so async work cannot occupy every worker and
-// interactive (sync) requests keep bounded queue waits regardless of
-// the async backlog — except with a single worker, where the pool is
-// still one dispatcher and an async job can hold the only worker
-// (see Config.Dispatchers).
+// somewhere useful to switch to. Within a job the same holds: a
+// dispatcher runs one job at a time, in one gate slot, and spreads the
+// job's independent entries over its session's worker pool, as a sync
+// batch does, so no session worker idles while an entry is left. The
+// pool is sized below the gate's worker count, so async work cannot
+// occupy every gate slot and interactive (sync) requests keep bounded
+// queue waits regardless of the async backlog — except with a single
+// worker, where the pool is still one dispatcher and an async job can
+// hold the only worker (see Config.Dispatchers).
 
 // Job lifecycle states, as reported by JobStatus. JobReplica marks a
 // job this node holds only as another node's failover copy (cluster
@@ -84,8 +87,9 @@ type JobEvent struct {
 }
 
 // ID renders the event's SSE id: "<entry>-<cycle>". Events are totally
-// ordered entry-major (entries run sequentially), so this id doubles as
-// a resume cursor via Last-Event-ID.
+// ordered entry-major, and a subscriber sees a prefix of that order
+// (eventsAfterLocked), so this id doubles as a resume cursor via
+// Last-Event-ID.
 func (e JobEvent) ID() string {
 	return strconv.Itoa(e.Entry) + "-" + strconv.FormatInt(e.Cycle, 10)
 }
@@ -150,6 +154,11 @@ type asyncJob struct {
 	entries     int
 	entriesDone int
 	started     time.Time
+	// finished marks the entries this process's run has finished, and
+	// front is the lowest entry it has not: subscribers see no event of
+	// a later entry until the job is done (eventsAfterLocked).
+	finished []bool
+	front    int
 
 	// queuedAt/queueMS account time spent waiting for a dispatcher.
 	queuedAt time.Time
@@ -186,12 +195,13 @@ func (j *asyncJob) state() (string, int64, []byte) {
 
 // noteCkpt records a freshly journaled checkpoint so state transfer,
 // the poll body and the SSE feed see live progress, not just replayed
-// history. Live emission is usually past every recorded event (entries
-// run sequentially and resumes start at the latest checkpoint). An
-// entry restarted from cycle 0, because its checkpoint does not
-// restore, emits events below ones already recorded; insertEventLocked
-// keeps the history sorted and drops the duplicates. The abandoned
-// checkpoint's event stays: clients may have seen it.
+// history. Entries run side by side, so an event often lands below
+// events of later entries, and insertEventLocked keeps the history
+// sorted; within one entry emission is past every recorded event
+// (resumes start at the latest checkpoint). An entry restarted from
+// cycle 0, because its checkpoint does not restore, emits events below
+// ones already recorded, and insertEventLocked drops the duplicates.
+// The abandoned checkpoint's event stays: clients may have seen it.
 func (j *asyncJob) noteCkpt(entry int, c JobCheckpoint) {
 	j.mu.Lock()
 	if j.ckpts == nil {
@@ -205,8 +215,9 @@ func (j *asyncJob) noteCkpt(entry int, c JobCheckpoint) {
 }
 
 // insertEventLocked adds one event preserving sorted order (append is
-// the fast path; out-of-order inserts only happen when folding
-// transferred histories). Duplicates are dropped.
+// the fast path; an event of an entry that runs beside a later one, or
+// of a folded transferred history, is inserted). Duplicates are
+// dropped.
 func (j *asyncJob) insertEventLocked(e JobEvent) {
 	n := len(j.events)
 	if n == 0 || e.after(j.events[n-1]) {
@@ -222,14 +233,40 @@ func (j *asyncJob) insertEventLocked(e JobEvent) {
 	j.events[i] = e
 }
 
-// eventsAfter copies the recorded events strictly after `after` (the
-// zero cursor, Entry:-1, selects everything).
+// eventsAfterLocked copies the events a subscriber may see strictly
+// after `after` (the zero cursor, Entry:-1, selects everything). Until
+// the job is done those are the events of entries up to front only.
+// Entries run side by side, so a later entry's events are recorded
+// while an earlier one still adds events below them; a subscriber whose
+// cursor had moved into the later entry would never get those. Hiding
+// the later entries keeps every feed a prefix of the final history, so
+// Last-Event-ID resume has no gap. A job this process has not run
+// (replayed, adopted, queued or held as a replica) has front 0: hiding
+// an event is always safe.
 func (j *asyncJob) eventsAfterLocked(after JobEvent) []JobEvent {
-	i := sort.Search(len(j.events), func(k int) bool { return j.events[k].after(after) })
-	if i == len(j.events) {
+	end := len(j.events)
+	if j.status != JobDone {
+		end = sort.Search(end, func(k int) bool { return j.events[k].Entry > j.front })
+	}
+	i := sort.Search(end, func(k int) bool { return j.events[k].after(after) })
+	if i == end {
 		return nil
 	}
-	return append([]JobEvent(nil), j.events[i:]...)
+	return append([]JobEvent(nil), j.events[i:end]...)
+}
+
+// finishEntry marks batch entry i finished by this process's run and
+// moves front past every finished entry, waking subscribers to the
+// events that reveals.
+func (j *asyncJob) finishEntry(i int) {
+	j.mu.Lock()
+	j.finished[i] = true
+	j.entriesDone++
+	for j.front < len(j.finished) && j.finished[j.front] {
+		j.front++
+	}
+	j.sub.Broadcast()
+	j.mu.Unlock()
 }
 
 // etaMSLocked estimates remaining wall time from per-entry progress:
@@ -277,10 +314,11 @@ type tenantQueue struct {
 }
 
 // jobManager owns the journal and runs async jobs through a dispatcher
-// pool over per-tenant queues. Crash recovery stays deterministic: each
-// job's checkpoint stream is self-consistent (one dispatcher runs a job
-// at a time) and every completed job's bytes are independent of when or
-// where it ran.
+// pool over per-tenant queues. A dispatcher runs one job at a time, and
+// the job's entries side by side on its session's worker pool. Crash
+// recovery stays deterministic: each entry's checkpoint stream is
+// self-consistent (one goroutine runs an entry) and every completed
+// job's bytes are independent of when or where it ran.
 type jobManager struct {
 	srv     *Server
 	journal *Journal
@@ -576,9 +614,10 @@ func (jm *jobManager) startLease(job *asyncJob) (stop func()) {
 }
 
 // runJob executes one job end to end: parse, admit through the shared
-// gate, run each batch entry as a checkpointed simulation (resuming
-// from replayed checkpoints when present), and journal the final
-// response bytes plus the usage the job accrued.
+// gate, run the batch entries side by side on the session's worker
+// pool (runEntry), and journal the final response bytes plus the usage
+// the job accrued. The entries share the job's one gate slot, as a
+// sync batch's do.
 func (jm *jobManager) runJob(job *asyncJob) {
 	s := jm.srv
 	stopLease := jm.startLease(job)
@@ -598,6 +637,7 @@ func (jm *jobManager) runJob(job *asyncJob) {
 	}
 	job.mu.Lock()
 	job.entries, job.entriesDone, job.started = len(jobs), 0, time.Now()
+	job.finished, job.front = make([]bool, len(jobs)), 0
 	job.mu.Unlock()
 
 	d := s.cfg.DefaultTimeout
@@ -621,51 +661,16 @@ func (jm *jobManager) runJob(job *asyncJob) {
 
 	sess := s.session(scale, req.Metrics)
 	results := make([]*machine.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	failed := 0
-	for i := range jobs {
-		gen := 0 // the entry's restart generation
-		ck := core.CheckpointConfig{
-			Interval: s.cfg.CheckpointEvery,
-			OnCheckpoint: func(cycle int64, snap []byte) error {
-				c := JobCheckpoint{Gen: gen, Cycle: cycle, Snap: snap}
-				if err := jm.journal.AppendCheckpoint(job.id, i, c); err != nil {
-					return err
-				}
-				jm.ckptsWritten.Add(1)
-				job.noteCkpt(i, c)
-				if jm.replicate != nil {
-					jm.replicate(job) // non-blocking push to ring successors
-				}
-				return nil
-			},
+	batchErr := sess.ForEach(ctx, len(jobs), func(i int) (err error) {
+		results[i], err = jm.runEntry(ctx, job, sess, i, jobs[i])
+		// A failed entry is finished too, unless the run's own abort
+		// stopped it: it reruns when the job resumes, so more of its
+		// events may come.
+		if err == nil || ctx.Err() == nil {
+			job.finishEntry(i)
 		}
-		job.mu.Lock()
-		if c, ok := job.ckpts[i]; ok {
-			ck.Resume, gen = c.Snap, c.Gen
-		}
-		job.mu.Unlock()
-		results[i], errs[i] = sess.RunCheckpointedContext(ctx, jobs[i].App, jobs[i].Cfg, ck)
-		if ck.Resume != nil && errors.Is(errs[i], machine.ErrSnapshotMismatch) {
-			// A checkpoint of another format or configuration: the run
-			// is deterministic, so restarting it from cycle 0 yields
-			// the same bytes. Its checkpoints start a new generation,
-			// so they supersede the dead one on every replica.
-			ck.Resume, gen = nil, gen+1
-			results[i], errs[i] = sess.RunCheckpointedContext(ctx, jobs[i].App, jobs[i].Cfg, ck)
-		}
-		if errs[i] != nil {
-			failed++
-		}
-		job.mu.Lock()
-		job.entriesDone = i + 1
-		job.sub.Broadcast()
-		job.mu.Unlock()
-	}
-	var batchErr error
-	if failed > 0 {
-		batchErr = &core.BatchError{Errs: errs, Failed: failed}
-	}
+		return err
+	})
 	resp, err := buildBatchResponse(ctx, sess, scale, jobs, results, batchErr)
 	if err != nil {
 		jm.abortOrFail(job, err)
@@ -685,6 +690,44 @@ func (jm *jobManager) runJob(job *asyncJob) {
 		}
 	}
 	jm.finish(job, encodeJSON(resp), simCycles)
+}
+
+// runEntry runs batch entry i as a checkpointed simulation, resuming
+// from its replayed checkpoint when there is one. Each checkpoint is
+// journaled, recorded as an event and pushed to the ring successors
+// before the run goes on.
+func (jm *jobManager) runEntry(ctx context.Context, job *asyncJob, sess *core.Session, i int, e core.Job) (*machine.Result, error) {
+	gen := 0 // the entry's restart generation
+	ck := core.CheckpointConfig{
+		Interval: jm.srv.cfg.CheckpointEvery,
+		OnCheckpoint: func(cycle int64, snap []byte) error {
+			c := JobCheckpoint{Gen: gen, Cycle: cycle, Snap: snap}
+			if err := jm.journal.AppendCheckpoint(job.id, i, c); err != nil {
+				return err
+			}
+			jm.ckptsWritten.Add(1)
+			job.noteCkpt(i, c)
+			if jm.replicate != nil {
+				jm.replicate(job) // non-blocking push to ring successors
+			}
+			return nil
+		},
+	}
+	job.mu.Lock()
+	if c, ok := job.ckpts[i]; ok {
+		ck.Resume, gen = c.Snap, c.Gen
+	}
+	job.mu.Unlock()
+	res, err := sess.RunCheckpointedContext(ctx, e.App, e.Cfg, ck)
+	if ck.Resume != nil && errors.Is(err, machine.ErrSnapshotMismatch) {
+		// A checkpoint of another format or configuration: the run is
+		// deterministic, so restarting it from cycle 0 yields the same
+		// bytes. Its checkpoints start a new generation, so they
+		// supersede the dead one on every replica.
+		ck.Resume, gen = nil, gen+1
+		res, err = sess.RunCheckpointedContext(ctx, e.App, e.Cfg, ck)
+	}
+	return res, err
 }
 
 // abortOrFail handles a job-level error. During shutdown the job is put

@@ -231,15 +231,21 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 // every 200,000 cycles.
 func sieveCheckpoint(t *testing.T, threads, n int) JobCheckpoint {
 	t.Helper()
-	cfgReq := ConfigRequest{Procs: 4, Threads: threads, Model: "switch-on-use"}
+	return runCheckpoints(t, "sieve", ConfigRequest{Procs: 4, Threads: threads, Model: "switch-on-use"}, 200_000, n)[n-1]
+}
+
+// runCheckpoints returns the first n checkpoints of the quick run of
+// appName under cfgReq, taken every interval cycles.
+func runCheckpoints(t *testing.T, appName string, cfgReq ConfigRequest, interval int64, n int) []JobCheckpoint {
+	t.Helper()
 	cfg, err := cfgReq.ToMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ckpts []JobCheckpoint
 	sink := errors.New("checkpoint captured")
-	_, err = core.NewSession().RunCheckpointedContext(context.Background(), apps.MustNew("sieve", app.Quick), cfg, core.CheckpointConfig{
-		Interval: 200_000,
+	_, err = core.NewSession().RunCheckpointedContext(context.Background(), apps.MustNew(appName, app.Quick), cfg, core.CheckpointConfig{
+		Interval: interval,
 		OnCheckpoint: func(cycle int64, snap []byte) error {
 			ckpts = append(ckpts, JobCheckpoint{Cycle: cycle, Snap: snap})
 			if len(ckpts) == n {
@@ -251,7 +257,7 @@ func sieveCheckpoint(t *testing.T, threads, n int) JobCheckpoint {
 	if !errors.Is(err, sink) {
 		t.Fatalf("checkpoint capture: %v", err)
 	}
-	return ckpts[n-1]
+	return ckpts
 }
 
 // crashedJournal writes the journal a crashed server leaves behind: an

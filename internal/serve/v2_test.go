@@ -337,6 +337,15 @@ type sseFrame struct {
 func readSSE(t *testing.T, r io.Reader) []sseFrame {
 	t.Helper()
 	var frames []sseFrame
+	if err := scanSSE(r, func(f sseFrame) { frames = append(frames, f) }); err != nil {
+		t.Fatalf("read SSE: %v", err)
+	}
+	return frames
+}
+
+// scanSSE parses an event stream, handing each frame to emit, until
+// the done event or EOF.
+func scanSSE(r io.Reader, emit func(sseFrame)) error {
 	var cur sseFrame
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 8<<20)
@@ -345,9 +354,9 @@ func readSSE(t *testing.T, r io.Reader) []sseFrame {
 		switch {
 		case line == "":
 			if cur.event != "" {
-				frames = append(frames, cur)
+				emit(cur)
 				if cur.event == "done" {
-					return frames
+					return nil
 				}
 			}
 			cur = sseFrame{}
@@ -359,10 +368,7 @@ func readSSE(t *testing.T, r io.Reader) []sseFrame {
 			cur.data = strings.TrimPrefix(line, "data: ")
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("read SSE: %v", err)
-	}
-	return frames
+	return sc.Err()
 }
 
 // TestSSEEventOrderingAndResume subscribes to a live job, requires the
