@@ -26,7 +26,7 @@ func WriteMetricsSummary(w io.Writer, bm *metrics.BatchMetrics) {
 	fmt.Fprintf(w, "cycle accounting over %d runs (schema v%d)\n", bm.Runs, bm.Schema)
 	total := bm.States.Total()
 	fmt.Fprintf(w, "  states: %s\n", bm.States.Breakdown(total))
-	fmt.Fprintf(w, "  counters: instrs=%d switches(taken=%d skipped=%d forced=%d) round-trips=%d messages=%d\n",
+	fmt.Fprintf(w, "  counters: instrs=%d switches(taken=%d skipped=%d forced=%d) shared-loads=%d messages=%d\n",
 		bm.Counters.Instrs, bm.Counters.SwitchesTaken, bm.Counters.SwitchesSkipped,
 		bm.Counters.SwitchesForced, bm.Counters.NetRoundTrips, bm.Counters.NetMessages)
 	if bm.Counters.FaultRetries > 0 || bm.Counters.FaultTimeouts > 0 {

@@ -96,8 +96,10 @@ type Counters struct {
 	// switches distribution (zero unless collected).
 	RunLengthMean float64 `json:"run_length_mean"`
 	RunLengthMax  int64   `json:"run_length_max"`
-	// NetRoundTrips counts shared-memory round trips (loads and
-	// fetch-and-adds); NetMessages counts all network messages.
+	// NetRoundTrips is Result.SharedLoads despite its name: every
+	// shared load and Fetch-and-Add, cache hits included, not only the
+	// round trips that waited on the network. NetMessages counts all
+	// network messages.
 	NetRoundTrips int64 `json:"net_round_trips"`
 	NetMessages   int64 `json:"net_messages"`
 	// FaultRetries / FaultTimeouts mirror the recovery protocol's

@@ -58,9 +58,10 @@ import (
 // Config parameterizes a Server. The zero value is usable: every field
 // defaults sensibly (see withDefaults).
 type Config struct {
-	// Workers bounds concurrently running requests (default GOMAXPROCS).
-	// Each request may itself fan out over its session's worker pool;
-	// SessionWorkers bounds that inner width.
+	// Workers bounds concurrently running requests (default GOMAXPROCS):
+	// a sync request or an async job holds one gate slot while it runs.
+	// Each may itself fan out over its session's worker pool, a batch's
+	// entries side by side; SessionWorkers bounds that inner width.
 	Workers int
 	// QueueDepth bounds requests waiting for a worker slot beyond the
 	// running ones (default 64). Excess requests get 429.
@@ -87,8 +88,10 @@ type Config struct {
 	// (zero value = unlimited).
 	DefaultQuota Quota
 	// Dispatchers sizes the async dispatcher pool (default
-	// max(1, Workers/2)). Keeping it below Workers reserves gate slots
-	// for sync requests, so a flood of async submissions cannot starve
+	// max(1, Workers/2)). A dispatcher runs one job at a time in one
+	// gate slot, its entries side by side on the session's worker pool.
+	// Keeping the pool below Workers reserves gate slots for sync
+	// requests, so a flood of async submissions cannot starve
 	// interactive traffic. With Workers 1 (the default on a 1-CPU host)
 	// the pool is still one dispatcher, so there async work can occupy
 	// the only worker and sync requests queue behind it.

@@ -19,6 +19,12 @@ import (
 // `status` event opens the stream (status, entry progress, advisory
 // ETA) and a `done` event closes it once the job finishes.
 //
+// A batch's entries run side by side, but the feed is entry-major: it
+// is always a prefix of the job's final (entry, cycle) history. Until
+// the job is done a subscriber sees an entry's events only once every
+// earlier entry has finished (asyncJob.eventsAfterLocked), because an
+// earlier entry still running adds events that sort before them.
+//
 // Resume is exact: a client that reconnects with Last-Event-ID gets
 // every event strictly after that cursor and nothing else. Because the
 // checkpoint sequence is deterministic, this holds even across a node
