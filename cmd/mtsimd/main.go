@@ -22,10 +22,10 @@
 // X-Tenant-ID header; everything else is the "anonymous" tenant under
 // the -quota default. Async jobs drain deficit-round-robin across
 // per-tenant queues so one tenant's flood cannot starve another;
-// per-tenant usage shows up in /v1/healthz, /v2/healthz and expvar.
+// per-tenant usage shows up in /v2/healthz and expvar.
 //
-// -journal enables crash-tolerant async batch jobs: /v1/batch requests
-// carrying an Idempotency-Key are journaled to PATH (write-ahead,
+// -journal enables crash-tolerant async batch jobs: batches posted to
+// /v2/jobs with an Idempotency-Key are journaled to PATH (write-ahead,
 // fsync'd), checkpointed every N cycles, and survive even a SIGKILL —
 // on restart the journal replays and unfinished jobs resume from their
 // latest checkpoint to byte-identical responses.
@@ -37,7 +37,8 @@
 // successors, and when a node dies its expired job leases are claimed
 // and resumed by the survivors — still to byte-identical responses. A
 // graceful drain hands owned jobs to live successors before exit. See
-// GET /v1/cluster for topology, health, breakers, and the lease table.
+// GET /v1/cluster for topology, health, breakers, and the lease table
+// (the cluster routes keep their /v1 paths; the client API is /v2).
 //
 // Resilience knobs: every intra-cluster call feeds a per-peer circuit
 // breaker (-breaker-threshold consecutive transport failures open it;

@@ -27,7 +27,7 @@ import (
 // carry stale evidence, and the half-open probe is the only request
 // whose outcome may close the circuit again.
 
-// Breaker state names, as surfaced on /v1/cluster and /v1/healthz.
+// Breaker state names, as surfaced on /v1/cluster and /v2/healthz.
 const (
 	BreakerClosed   = "closed"
 	BreakerOpen     = "open"

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,6 +67,38 @@ func TestRunBatchContextPreCanceled(t *testing.T) {
 	}
 	if s.SimCount() != 0 {
 		t.Errorf("SimCount = %d after pre-canceled batch, want 0", s.SimCount())
+	}
+}
+
+// TestForEachPreCanceledStartsNothing: once ctx is canceled no call
+// starts, even while pool slots are free (a select over a free slot and
+// ctx.Done() picks either at random), and every index fails with
+// ctx.Err().
+func TestForEachPreCanceledStartsNothing(t *testing.T) {
+	noLeakedGoroutines(t)
+	s := core.NewSession()
+	s.Workers = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const n = 64
+	for round := 0; round < 20; round++ {
+		var calls atomic.Int64
+		err := s.ForEach(ctx, n, func(int) error {
+			calls.Add(1)
+			return nil
+		})
+		if c := calls.Load(); c != 0 {
+			t.Fatalf("round %d: fn called %d times under a canceled context", round, c)
+		}
+		var be *core.BatchError
+		if !errors.As(err, &be) || len(be.Errs) != n || be.Failed != n {
+			t.Fatalf("round %d: err = %v, want a *BatchError failing all %d indices", round, err, n)
+		}
+		for i, e := range be.Errs {
+			if e != ctx.Err() {
+				t.Fatalf("round %d: index %d failed with %v, want ctx.Err()", round, i, e)
+			}
+		}
 	}
 }
 

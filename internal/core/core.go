@@ -332,7 +332,11 @@ func (s *Session) ForEach(ctx context.Context, n int, fn func(i int) error) erro
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			errs[i] = ctx.Err()
+		}
+		// select picks at random when a slot is free and ctx is done, so
+		// ctx decides here. A slot taken after the cancel stays taken:
+		// no call starts after it anyway.
+		if errs[i] = ctx.Err(); errs[i] != nil {
 			continue
 		}
 		wg.Add(1)
@@ -402,10 +406,11 @@ func (s *Session) EfficiencyContext(ctx context.Context, a *app.App, cfg machine
 // (cfg.Threads is overridden). Unreached targets report 0. It also
 // returns the best efficiency seen and the level that achieved it.
 //
-// Levels are probed speculatively in waves of Workers at a time, then
-// consumed strictly in level order with the sequential early-exit rule,
-// so the returned values are identical to a one-by-one scan — a wave
-// merely warms the memo past the level the scan stops at.
+// Levels are probed speculatively in waves of Width() at a time on the
+// session's worker pool (ForEach), then consumed strictly in level
+// order with the sequential early-exit rule, so the returned values are
+// identical to a one-by-one scan — a wave merely warms the memo past
+// the level the scan stops at.
 //
 // A failing level (livelock, panic) does not abort the search: the
 // level is skipped, the remaining levels are still probed, and the
@@ -442,23 +447,15 @@ func (s *Session) MTSearchContext(ctx context.Context, a *app.App, cfg machine.C
 			hi = maxMT
 		}
 		effs := make([]float64, hi-lo+1)
-		errs := make([]error, hi-lo+1)
-		if wave > 1 {
-			var wg sync.WaitGroup
-			for mt := lo; mt <= hi; mt++ {
-				wg.Add(1)
-				go func(mt int) {
-					defer wg.Done()
-					c := cfg
-					c.Threads = mt
-					effs[mt-lo], errs[mt-lo] = s.EfficiencyContext(ctx, a, c)
-				}(mt)
-			}
-			wg.Wait()
-		} else {
+		errs := make([]error, len(effs))
+		var be *BatchError
+		if errors.As(s.ForEach(ctx, len(effs), func(k int) (err error) {
 			c := cfg
-			c.Threads = lo
-			effs[0], errs[0] = s.EfficiencyContext(ctx, a, c)
+			c.Threads = lo + k
+			effs[k], err = s.EfficiencyContext(ctx, a, c)
+			return err
+		}), &be) {
+			errs = be.Errs
 		}
 		for mt := lo; mt <= hi; mt++ {
 			if e := errs[mt-lo]; e != nil {

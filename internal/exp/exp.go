@@ -13,7 +13,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mtsim/internal/app"
@@ -253,51 +252,19 @@ func cursor(res []*machine.Result) func() *machine.Result {
 	}
 }
 
-// forEach calls f(0..n-1) on min(Sess.Width(), n) workers and returns the
-// lowest-index error, mirroring where a sequential loop would have
-// stopped. Generators use it for work that bypasses the session memo
-// (direct machine runs). A canceled options context stops new items and
-// fails the undone ones with ctx.Err(), so the lowest-index error still
-// matches where a sequential loop would have stopped.
+// forEach calls f(0..n-1) on the session's worker pool (Sess.ForEach)
+// and returns the lowest-index error, mirroring where a sequential loop
+// would have stopped. Generators use it for work that bypasses the
+// session memo (direct machine runs). A canceled options context stops
+// new items and fails the unstarted ones with ctx.Err(), so the
+// lowest-index error still matches where a sequential loop would have
+// stopped.
 func (o *Options) forEach(n int, f func(i int) error) error {
-	ctx := o.Context()
-	w := o.Sess.Width()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := f(i); err != nil {
-				return err
-			}
-		}
+	var be *core.BatchError
+	if !errors.As(o.Sess.ForEach(o.Context(), n, f), &be) {
 		return nil
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
+	for _, err := range be.Errs {
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -102,7 +103,7 @@ func TestBrownoutBlipResetsPendingExit(t *testing.T) {
 
 // TestBrownoutShedsSSE: an active brownout refuses new event-stream
 // subscriptions with 503 + Retry-After while the job API keeps working,
-// and the shed shows up on /v1/healthz.
+// and the shed shows up on /v2/healthz.
 func TestBrownoutShedsSSE(t *testing.T) {
 	s, ts := newTestServer(t, Config{BrownoutEnter: time.Millisecond, BrownoutExit: time.Hour})
 	if _, err := s.EnableJournal(t.TempDir() + "/wal"); err != nil {
@@ -115,13 +116,17 @@ func TestBrownoutShedsSSE(t *testing.T) {
 		t.Fatal("setup: brownout did not activate")
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/batch/jobs/b-0/events")
+	resp, err := http.Get(ts.URL + "/v2/jobs/b-0/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("SSE subscribe under brownout: status %d, want 503", resp.StatusCode)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	if e := envelope(t, body); e.Code != v2CodeUnavailable || e.RetryAfterMS <= 0 {
+		t.Errorf("SSE brownout refusal: code %q retry_after_ms %d, want unavailable with a hint", e.Code, e.RetryAfterMS)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("SSE brownout refusal carries no Retry-After")
@@ -131,7 +136,7 @@ func TestBrownoutShedsSSE(t *testing.T) {
 	}
 
 	// The health surface reports the mode and its counters.
-	hr, err := http.Get(ts.URL + "/v1/healthz")
+	hr, err := http.Get(ts.URL + "/v2/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +152,7 @@ func TestBrownoutShedsSSE(t *testing.T) {
 	}
 
 	// Real work is not refused: a sync run still executes.
-	status, body := postJSON(t, ts.URL+"/v1/run", sorRun)
+	status, body := postRun(t, ts.URL, sorRun)
 	if status != http.StatusOK {
 		t.Errorf("sync run under brownout: status %d: %s", status, body)
 	}
@@ -162,7 +167,7 @@ func TestBrownoutShedsMetrics(t *testing.T) {
 	s.bo.fold(1)
 
 	body := strings.Replace(sorRun, `{"app"`, `{"metrics":true,"app"`, 1)
-	status, raw := postJSON(t, ts.URL+"/v1/run", body)
+	status, raw := postRun(t, ts.URL, body)
 	if status != http.StatusOK {
 		t.Fatalf("run: status %d: %s", status, raw)
 	}
@@ -242,7 +247,7 @@ func TestGateDoomedRejection(t *testing.T) {
 }
 
 // TestDoomedRequestGets429: the HTTP surface of the shed — an admitted-
-// but-doomed request is answered 429 + Retry-After, not 504.
+// but-doomed request is answered 429 deadline_unreachable, not 504.
 func TestDoomedRequestGets429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	s.gate.svcNS.Store((2 * time.Second).Nanoseconds())
@@ -253,16 +258,14 @@ func TestDoomedRequestGets429(t *testing.T) {
 	defer release()
 
 	body := strings.Replace(sorRun, `{"app"`, `{"timeout_ms":50,"app"`, 1)
-	status, raw := postJSON(t, ts.URL+"/v1/run", body)
+	status, raw := postRun(t, ts.URL, body)
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("doomed run: status %d: %s, want 429", status, raw)
 	}
-	var er errorResponse
-	if err := json.Unmarshal(raw, &er); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(er.Error, "deadline") {
-		t.Errorf("doomed error %q does not mention the deadline", er.Error)
+	er := envelope(t, raw)
+	if er.Code != v2CodeDoomed || !strings.Contains(er.Message, "deadline") || er.RetryAfterMS <= 0 {
+		t.Errorf("doomed error %s %q (retry_after_ms %d), want deadline_unreachable mentioning the deadline, with a hint",
+			er.Code, er.Message, er.RetryAfterMS)
 	}
 	if got := s.gate.Doomed(); got == 0 {
 		t.Error("doomed counter not bumped")

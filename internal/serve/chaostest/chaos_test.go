@@ -55,7 +55,7 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// startDaemon launches mtsimd with journaling and waits until /v1/healthz
+// startDaemon launches mtsimd with journaling and waits until /v2/healthz
 // answers.
 func startDaemon(t *testing.T, bin, addr, journal string) *exec.Cmd {
 	t.Helper()
@@ -70,7 +70,7 @@ func startDaemon(t *testing.T, bin, addr, journal string) *exec.Cmd {
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/v1/healthz")
+		resp, err := http.Get("http://" + addr + "/v2/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {

@@ -71,7 +71,7 @@ func startFleet(t *testing.T, bin, dir string) []*clusterNodeProc {
 	for _, n := range nodes {
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			resp, err := http.Get("http://" + n.addr + "/v1/healthz")
+			resp, err := http.Get("http://" + n.addr + "/v2/healthz")
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK {
@@ -314,8 +314,10 @@ func streamCheckpointIDs(ctx context.Context, addr, jobID string) ([]string, err
 }
 
 // TestClusterSSEFailoverResume: stream a job's checkpoint events from a
-// node that does NOT own the job, SIGKILL the owner mid-stream, then
-// resume with Last-Event-ID on a survivor. The spliced checkpoint ID
+// node that does NOT own the job, SIGKILL the owner from the stream
+// itself on the first checkpoint event, then resume with Last-Event-ID
+// on a survivor. The first stream must break, not reach done, so the
+// splice always crosses a real node death. The spliced checkpoint ID
 // sequence must equal a crash-free run's exactly — no duplicate and no
 // missing event across the failover. This works because the checkpoint
 // cadence is deterministic (resume from a boundary snapshot lands
@@ -368,48 +370,49 @@ func TestClusterSSEFailoverResume(t *testing.T) {
 	}
 
 	// Stream from a survivor (the ring forwards the SSE relay to the
-	// owner) until the owner dies under us mid-stream.
-	killer := time.AfterFunc(300*time.Millisecond, func() {
-		_ = victim.cmd.Process.Kill()
-		_, _ = victim.cmd.Process.Wait()
-	})
-	defer killer.Stop()
+	// owner), and kill the owner as the first checkpoint event arrives:
+	// the job is then under way however fast it runs, and the relay
+	// breaks under the stream.
 	var got []string
 	err = apiClient(survivors[0].addr).StreamEvents(ctx, jobID, "", func(ev client.Event) error {
-		if ev.Type == "checkpoint" {
-			got = append(got, ev.ID)
+		if ev.Type != "checkpoint" {
+			return nil
+		}
+		got = append(got, ev.ID)
+		if len(got) == 1 {
+			_ = victim.cmd.Process.Kill()
+			_, _ = victim.cmd.Process.Wait()
 		}
 		return nil
 	})
-	if errors.Is(err, client.ErrStreamEnded) {
-		t.Logf("stream finished before the kill landed; splice still checked below")
-	} else if err == nil {
+	switch {
+	case errors.Is(err, client.ErrStreamEnded):
+		t.Fatalf("the first stream reached done after %d checkpoint events: %s had finished the job before it died, so no failover was checked", len(got), holder)
+	case err == nil:
 		t.Fatal("stream ended without a done event or an error")
-	} else {
-		t.Logf("stream broke after %d checkpoint events (%v); resuming on a survivor", len(got), err)
-		// Resume from the last delivered checkpoint. Retry through the
-		// window where the survivors are still claiming the lease.
-		last := ""
-		if len(got) > 0 {
-			last = got[len(got)-1]
-		}
-		deadline := time.Now().Add(120 * time.Second)
-		for i := 0; ; i++ {
-			err := apiClient(survivors[i%len(survivors)].addr).StreamEvents(ctx, jobID, last, func(ev client.Event) error {
-				if ev.Type == "checkpoint" {
-					got = append(got, ev.ID)
-					last = ev.ID
-				}
-				return nil
-			})
-			if errors.Is(err, client.ErrStreamEnded) {
-				break
+	case len(got) == 0:
+		t.Fatalf("stream broke before its first checkpoint event: %v", err)
+	}
+	t.Logf("stream broke after %d checkpoint events (%v); resuming on a survivor", len(got), err)
+	// Resume from the last delivered checkpoint. Retry through the
+	// window where the survivors are still claiming the lease.
+	last := got[len(got)-1]
+	deadline := time.Now().Add(120 * time.Second)
+	for i := 0; ; i++ {
+		err := apiClient(survivors[i%len(survivors)].addr).StreamEvents(ctx, jobID, last, func(ev client.Event) error {
+			if ev.Type == "checkpoint" {
+				got = append(got, ev.ID)
+				last = ev.ID
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("resumed stream never finished: %v", err)
-			}
-			time.Sleep(100 * time.Millisecond)
+			return nil
+		})
+		if errors.Is(err, client.ErrStreamEnded) {
+			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("resumed stream never finished: %v", err)
+		}
+		time.Sleep(100 * time.Millisecond)
 	}
 
 	if strings.Join(got, " ") != strings.Join(want, " ") {

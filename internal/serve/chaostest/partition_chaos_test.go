@@ -91,7 +91,7 @@ func startChaosFleet(t *testing.T, bin, dir string) []*clusterNodeProc {
 	for _, n := range nodes {
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			resp, err := http.Get("http://" + n.addr + "/v1/healthz")
+			resp, err := http.Get("http://" + n.addr + "/v2/healthz")
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK {
@@ -208,7 +208,7 @@ func findRouteKey(t *testing.T, probe *cluster.Node, prefix string, want ...stri
 
 func goroutineCount(t *testing.T, addr string) int {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/v1/healthz")
+	resp, err := http.Get("http://" + addr + "/v2/healthz")
 	if err != nil {
 		t.Fatalf("healthz %s: %v", addr, err)
 	}

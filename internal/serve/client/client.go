@@ -102,9 +102,11 @@ func (c *Client) setIdentity(req *http.Request) {
 	}
 }
 
-// decodeError turns a non-2xx reply into an *APIError. When the
-// envelope carries no retry_after_ms, the Retry-After header (whole
-// seconds) fills it in, so v1-style rejections pace retries too.
+// decodeError turns a non-2xx reply into an *APIError. Every error body
+// mtsimd writes is the envelope, but a proxy in front of it may answer
+// with a body of its own: then the code is "unknown", and when no
+// retry_after_ms was read the Retry-After header (whole seconds) fills
+// it in, so such rejections pace retries too.
 func decodeError(resp *http.Response, body []byte) error {
 	out := &APIError{Status: resp.StatusCode, Code: "unknown",
 		Message: strings.TrimSpace(string(body))}
@@ -234,8 +236,8 @@ func (c *Client) SubmitBatch(ctx context.Context, batch *serve.BatchRequest, ide
 	return c.SubmitJob(ctx, &serve.V2JobRequest{Batch: batch}, idempotencyKey)
 }
 
-// Run executes one simulation synchronously and decodes the embedded
-// v1 result document.
+// Run executes one simulation synchronously and decodes the job's
+// result document.
 func (c *Client) Run(ctx context.Context, run *serve.RunRequest) (*serve.RunResponse, error) {
 	job, err := c.SubmitJob(ctx, &serve.V2JobRequest{Run: run}, "")
 	if err != nil {
@@ -258,8 +260,8 @@ func (c *Client) GetJob(ctx context.Context, id string) (*serve.V2Job, error) {
 }
 
 // WaitJob polls the job until it is done (pacing by the server's
-// retry_after_ms hint, floored at 10ms) and returns its result bytes —
-// the v1 result document verbatim. Transport errors are returned to
+// retry_after_ms hint, floored at 10ms) and returns its result
+// document's bytes. Transport errors are returned to
 // the caller, who may retry against another node of a fleet.
 func (c *Client) WaitJob(ctx context.Context, id string) (json.RawMessage, error) {
 	for {

@@ -57,7 +57,8 @@ func TestClientRetriesOn429WithServerHint(t *testing.T) {
 }
 
 func TestClientRetryAfterHeaderFallback(t *testing.T) {
-	// A v1-style rejection: no envelope, just the Retry-After header.
+	// A rejection from a proxy in front of the server: no envelope,
+	// just the Retry-After header.
 	hdr := http.Header{"Retry-After": []string{"1"}}
 	ts, _ := rejectThenServe(1, http.StatusServiceUnavailable, hdr, "draining")
 	defer ts.Close()

@@ -780,7 +780,7 @@ func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, cands []clust
 		if attempt > 0 {
 			select {
 			case <-r.Context().Done():
-				s.httpError(w, r.Context().Err(), http.StatusServiceUnavailable)
+				s.v2HTTPError(w, r.Context().Err())
 				return
 			case <-time.After(RetryDelay(attempt-1, 100*time.Millisecond)):
 			}
@@ -795,7 +795,7 @@ func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, cands []clust
 		res, err = s.forwardOnce(r.Context(), r, p, body)
 		if err != nil && r.Context().Err() != nil {
 			// The caller is gone; the failure says nothing about the peer.
-			s.httpError(w, r.Context().Err(), http.StatusServiceUnavailable)
+			s.v2HTTPError(w, r.Context().Err())
 			return
 		}
 		node.ReportPeer(p.ID, err == nil)
@@ -805,7 +805,7 @@ func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, cands []clust
 		}
 	}
 	if err != nil {
-		s.httpError(w, fmt.Errorf("forwarding to cluster owner failed: %w", err), http.StatusServiceUnavailable)
+		s.writeV2Error(w, http.StatusServiceUnavailable, v2CodeUnavailable, "forwarding to cluster owner failed: "+err.Error())
 		return
 	}
 	s.relayForwardResult(w, res)
@@ -813,6 +813,12 @@ func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, cands []clust
 }
 
 // --- HTTP handlers ----------------------------------------------------
+//
+// Peers read only the status codes of these routes; their error bodies
+// are the client API's envelope all the same.
+
+// soloMsg is the 404 message of a cluster route on a solo server.
+const soloMsg = "cluster mode disabled: server runs solo"
 
 // ClusterStatus is the GET /v1/cluster body: fleet topology, per-node
 // health and the merged lease table.
@@ -838,7 +844,7 @@ type ClusterStatus struct {
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "cluster mode disabled: server runs solo"})
+		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, soloMsg)
 		return
 	}
 	node := s.cluster.node
@@ -878,7 +884,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // leases. Internal (node-to-node), but safe to expose.
 func (s *Server) handleClusterPing(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "cluster mode disabled: server runs solo"})
+		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, soloMsg)
 		return
 	}
 	leases := s.jm.leaseTable()
@@ -896,12 +902,12 @@ func (s *Server) handleClusterPing(w http.ResponseWriter, r *http.Request) {
 // replica) for claims and handoffs.
 func (s *Server) handleJobStateGet(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil || s.jm == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "cluster mode disabled: server runs solo"})
+		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, soloMsg)
 		return
 	}
 	st := s.jm.jobState(r.PathValue("id"))
 	if st == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "job state not held here"})
+		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, "job state not held here")
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -911,27 +917,27 @@ func (s *Server) handleJobStateGet(w http.ResponseWriter, r *http.Request) {
 // default, an ownership transfer with ?claim=1 (drain handoff).
 func (s *Server) handleJobStatePut(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil || s.jm == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "cluster mode disabled: server runs solo"})
+		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, soloMsg)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		s.writeV2Error(w, http.StatusBadRequest, v2CodeBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	st, err := decodeJobState(body, r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job state: " + err.Error()})
+		s.writeV2Error(w, http.StatusBadRequest, v2CodeBadRequest, "bad job state: "+err.Error())
 		return
 	}
 	if r.URL.Query().Get("claim") == "1" {
 		if err := s.jm.adoptOwned(st); err != nil {
-			s.httpError(w, err, http.StatusServiceUnavailable)
+			s.writeV2Error(w, http.StatusServiceUnavailable, v2CodeUnavailable, err.Error())
 			return
 		}
 	} else {
 		if err := s.jm.storeReplica(st); err != nil {
-			s.httpError(w, err, http.StatusServiceUnavailable)
+			s.writeV2Error(w, http.StatusServiceUnavailable, v2CodeUnavailable, err.Error())
 			return
 		}
 		// Replica pushes double as lease knowledge: even if the owner

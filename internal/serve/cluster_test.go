@@ -79,12 +79,12 @@ func startClusterNode(t *testing.T, id, addr string, peers []cluster.Peer) *clus
 	return n
 }
 
-// waitHTTPReady polls /v1/healthz until the node answers.
+// waitHTTPReady polls /v2/healthz until the node answers.
 func waitHTTPReady(t *testing.T, url string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + "/v1/healthz")
+		resp, err := http.Get(url + "/v2/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -120,31 +120,25 @@ func keyOwnedBy(t *testing.T, peers []cluster.Peer, owner string) string {
 	return ""
 }
 
-// pollJobAt polls one URL until the job is done, tolerating 202.
+// pollJobAt polls one URL until the job is done and returns its result
+// document, tolerating the transient replies of a failover.
 func pollJobAt(t *testing.T, baseURL, id string) []byte {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	lastStatus, lastBody := 0, []byte(nil)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(baseURL + "/v1/batch/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
+		status, job, body := getJob(t, baseURL, id)
+		lastStatus, lastBody = status, body
+		if status == http.StatusOK && job.Status == JobDone {
+			return job.Result
 		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastStatus, lastBody = resp.StatusCode, data
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return data
-		case http.StatusAccepted, http.StatusServiceUnavailable, http.StatusNotFound:
+		switch status {
+		case http.StatusOK, http.StatusServiceUnavailable, http.StatusNotFound:
 			// 503/404 are transient during failover: the ring still
 			// points at the dying node, or the claim has not landed yet.
 			time.Sleep(10 * time.Millisecond)
 		default:
-			t.Fatalf("poll %s at %s: status %d: %s", id, baseURL, resp.StatusCode, data)
+			t.Fatalf("poll %s at %s: status %d: %s", id, baseURL, status, body)
 		}
 	}
 	t.Fatalf("job %s did not finish in time (last status %d: %s)", id, lastStatus, lastBody)
@@ -186,18 +180,18 @@ func TestClusterForwarding(t *testing.T) {
 
 	// Reference bytes from a plain solo server (separate session cache).
 	_, plain := newTestServer(t, Config{})
-	refStatus, ref := postJSON(t, plain.URL+"/v1/batch", asyncBatchBody)
+	refStatus, ref := postBatch(t, plain.URL, "", asyncBatchBody)
 	if refStatus != http.StatusOK {
 		t.Fatalf("reference batch: status %d: %s", refStatus, ref)
 	}
 
 	// Submit to node1 a job that node2 owns: must forward, not run here.
 	key := keyOwnedBy(t, peers, "node2")
-	status, body := postJSONKey(t, n1.url+"/v1/batch", key, asyncBatchBody)
+	status, body := postBatch(t, n1.url, key, asyncBatchBody)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, body)
 	}
-	var ack JobStatus
+	var ack V2Job
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +243,7 @@ func TestClusterFailoverClaim(t *testing.T) {
 	nb := startClusterNode(t, "nodeB", addrB, peers)
 
 	_, plain := newTestServer(t, Config{})
-	refStatus, ref := postJSON(t, plain.URL+"/v1/batch", asyncBatchBody)
+	refStatus, ref := postBatch(t, plain.URL, "", asyncBatchBody)
 	if refStatus != http.StatusOK {
 		t.Fatalf("reference batch: status %d", refStatus)
 	}
@@ -324,14 +318,14 @@ func TestClusterDrainHandoff(t *testing.T) {
 	drainBatchBody := sb.String()
 
 	_, plain := newTestServer(t, Config{})
-	refStatus, ref := postJSON(t, plain.URL+"/v1/batch", drainBatchBody)
+	refStatus, ref := postBatch(t, plain.URL, "", drainBatchBody)
 	if refStatus != http.StatusOK {
 		t.Fatalf("reference batch: status %d", refStatus)
 	}
 
 	// Submit a job node1 owns, then drain node1 before it can finish.
 	key := keyOwnedBy(t, peers, "node1")
-	status, body := postJSONKey(t, n1.url+"/v1/batch", key, drainBatchBody)
+	status, body := postBatch(t, n1.url, key, drainBatchBody)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, body)
 	}
@@ -402,9 +396,10 @@ func TestJobStatePutRejectsBadState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || envelope(t, body).Code != v2CodeBadRequest {
+			t.Errorf("%s: status %d %s, want 400 bad_request", name, resp.StatusCode, body)
 		}
 	}
 	if nb.s.jm.get(id) != nil {
@@ -453,17 +448,29 @@ func FuzzJobState(f *testing.F) {
 }
 
 // TestClusterEndpointsSolo: a solo server answers the cluster surface
-// with 404s, not panics.
+// with 404 not_found envelopes, not panics.
 func TestClusterEndpointsSolo(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, path := range []string{"/v1/cluster", cluster.PingPath, "/v1/jobs/b-0/state"} {
-		resp, err := http.Get(ts.URL + path)
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/v1/cluster"}, {"GET", cluster.PingPath},
+		{"GET", "/v1/jobs/b-0/state"}, {"PUT", "/v1/jobs/b-0/state"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s on a solo server: status %d, want 404", path, resp.StatusCode)
+			t.Errorf("%s %s on a solo server: status %d, want 404", tc.method, tc.path, resp.StatusCode)
+			continue
+		}
+		if code := envelope(t, body).Code; code != v2CodeNotFound {
+			t.Errorf("%s %s on a solo server: code %q, want not_found", tc.method, tc.path, code)
 		}
 	}
 }
@@ -577,7 +584,7 @@ func TestReplicaTakesRestartedOwnersCheckpoint(t *testing.T) {
 
 	// The crash-free run, and how many checkpoints it writes.
 	ref, refTS := newJournalServer(t, cfg, filepath.Join(t.TempDir(), "wal"))
-	if status, body := postJSONKey(t, refTS.URL+"/v1/batch", key, sieveBatchBody); status != http.StatusAccepted {
+	if status, body := postBatch(t, refTS.URL, key, sieveBatchBody); status != http.StatusAccepted {
 		t.Fatalf("reference submit: status %d: %s", status, body)
 	}
 	want := pollJob(t, refTS, id)
@@ -637,7 +644,7 @@ func TestClaimPrefersRestartedStateOverStalePeer(t *testing.T) {
 
 	// The crash-free run, checkpointed as often as the cluster nodes.
 	ref, refTS := newJournalServer(t, Config{CheckpointEvery: 100_000}, filepath.Join(t.TempDir(), "wal"))
-	if status, body := postJSONKey(t, refTS.URL+"/v1/batch", key, sieveBatchBody); status != http.StatusAccepted {
+	if status, body := postBatch(t, refTS.URL, key, sieveBatchBody); status != http.StatusAccepted {
 		t.Fatalf("reference submit: status %d: %s", status, body)
 	}
 	want := pollJob(t, refTS, id)

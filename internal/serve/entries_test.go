@@ -47,7 +47,7 @@ func holdGate(t *testing.T, s *Server) (release func()) {
 // which closes after the done event or when the stream breaks.
 func subscribe(t *testing.T, ts *httptest.Server, id, lastEventID string) <-chan sseFrame {
 	t.Helper()
-	req, err := http.NewRequest("GET", ts.URL+"/v1/batch/jobs/"+id+"/events", nil)
+	req, err := http.NewRequest("GET", ts.URL+"/v2/jobs/"+id+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestLiveFeedIsHistoryPrefix(t *testing.T) {
 	release := holdGate(t, s)
 	defer release()
 	const key = "live-prefix"
-	if status, body := postJSONKey(t, ts.URL+"/v1/batch", key, sideBySideBody); status != http.StatusAccepted {
+	if status, body := postBatch(t, ts.URL, key, sideBySideBody); status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, body)
 	}
 	frames := subscribe(t, ts, JobID(key), "")
@@ -141,7 +141,7 @@ func TestJournalInterleavesEntriesBySessionWidth(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal")
 			s, ts := newJournalServer(t, Config{Workers: 2, SessionWorkers: width, CheckpointEvery: 20_000}, path)
 			const key = "interleave"
-			if status, body := postJSONKey(t, ts.URL+"/v1/batch", key, sideBySideBody); status != http.StatusAccepted {
+			if status, body := postBatch(t, ts.URL, key, sideBySideBody); status != http.StatusAccepted {
 				t.Fatalf("submit: status %d: %s", status, body)
 			}
 			pollJob(t, ts, JobID(key))

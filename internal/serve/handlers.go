@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -23,9 +22,10 @@ import (
 	"mtsim/internal/net"
 )
 
-// ResponseSchemaVersion identifies the JSON layout of the /v1 response
-// bodies. The embedded metrics records carry the internal/metrics
-// schema version independently.
+// ResponseSchemaVersion identifies the JSON layout of the result
+// document a done job embeds in its `result` field (RunResponse or
+// BatchResponse), and of the cluster documents. The embedded metrics
+// records carry the internal/metrics schema version independently.
 const ResponseSchemaVersion = 1
 
 // ConfigRequest is the wire form of a simulation configuration: the
@@ -122,7 +122,8 @@ func (c *ConfigRequest) ToMachine() (machine.Config, error) {
 	return cfg, nil
 }
 
-// RunRequest is the /v1/run body.
+// RunRequest is the `run` member of a POST /v2/jobs body: one
+// simulation.
 type RunRequest struct {
 	App       string        `json:"app"`
 	Scale     string        `json:"scale,omitempty"` // default "quick"
@@ -131,7 +132,7 @@ type RunRequest struct {
 	TimeoutMS int64         `json:"timeout_ms,omitempty"`
 }
 
-// RunResponse is the /v1/run reply.
+// RunResponse is the result document of a run.
 type RunResponse struct {
 	Schema         int                 `json:"schema"`
 	App            string              `json:"app"`
@@ -146,11 +147,12 @@ type RunResponse struct {
 	Metrics        *metrics.RunMetrics `json:"metrics,omitempty"`
 }
 
-// BatchRequest is the /v1/batch body: a job list over one scale.
-// IdempotencyKey (or the Idempotency-Key header, which wins) switches a
-// journaling server to the async path: the request is journaled, acked
-// with 202 {job_id}, and survives crashes; resubmitting the same key is
-// a no-op that returns the same job.
+// BatchRequest is the `batch` member of a POST /v2/jobs body: a job
+// list over one scale. IdempotencyKey (or the Idempotency-Key header,
+// which wins) switches a journaling server to the async path: the batch
+// is journaled, acked with 202 and its job id, and survives crashes;
+// resubmitting the same key is a no-op that returns the same job. The
+// journal stores this document, so recovery and replication read it.
 type BatchRequest struct {
 	Scale          string     `json:"scale,omitempty"`
 	Jobs           []BatchJob `json:"jobs"`
@@ -165,10 +167,10 @@ type BatchJob struct {
 	Config ConfigRequest `json:"config"`
 }
 
-// BatchResponse is the /v1/batch reply. Results and Errors are
-// job-aligned with the request: a canceled or failed job reports its
-// error string and a null result, completed jobs report results even
-// when the batch as a whole failed (the library's partial-results
+// BatchResponse is the result document of a batch. Results and Errors
+// are job-aligned with the request: a canceled or failed job reports
+// its error string and a null result, completed jobs report results
+// even when the batch as a whole failed (the library's partial-results
 // contract, surfaced over the wire).
 type BatchResponse struct {
 	Schema  int               `json:"schema"`
@@ -187,7 +189,10 @@ type BatchJobResult struct {
 	Efficiency float64 `json:"efficiency"`
 }
 
-// errorResponse is every endpoint's failure body.
+// errorResponse is the result document of an async job that failed as
+// a whole (a journaled body that no longer validates, a dead deadline).
+// Its bytes are journaled in the done record and replay unchanged. An
+// HTTP error body is always the V2Error envelope instead.
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -208,43 +213,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(encodeJSON(v))
-}
-
-// httpError maps an error to a status + JSON body. Cancellation maps to
-// 504 (deadline) / 499-style 503 (client gone); validation and unknown
-// names map to 400; everything else is a 500.
-func (s *Server) httpError(w http.ResponseWriter, err error, fallback int) {
-	status := fallback
-	switch {
-	case errors.Is(err, ErrDoomed):
-		// Deadline-aware shed: the queue wait would consume the request's
-		// deadline, so reject now with a come-back hint instead of holding
-		// a slot until the inevitable 504.
-		status = http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, machine.ErrMaxCycles):
-		status = http.StatusUnprocessableEntity
-	}
-	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
-		// 503s are transient by contract (drain, forwarding outage): give
-		// clients the same jittered come-back hint the 429 path sends, so
-		// a draining node's rejected herd does not return in lockstep.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfterBase)))
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// rejectFull is the 429 + Retry-After admission rejection. The hint is
-// jittered around retryAfterBase so a herd of rejected clients does not
-// come back in lockstep (see RetryDelay for the client-side half).
-func (s *Server) rejectFull(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfterBase)))
-	writeJSON(w, http.StatusTooManyRequests,
-		errorResponse{Error: fmt.Sprintf("job queue full (%d running, %d queued); retry later",
-			s.gate.Inflight(), s.gate.Queued())})
 }
 
 // requestContext derives the run's context: the HTTP request context
@@ -290,9 +258,7 @@ func decodeScale(name string) (app.Scale, error) {
 }
 
 // validateRun resolves a run request's scale, application and machine
-// configuration — the validation half shared by the v1 handler and the
-// v2 degenerate-job path, so both surfaces accept exactly the same
-// requests.
+// configuration.
 func (s *Server) validateRun(req *RunRequest) (app.Scale, *app.App, machine.Config, error) {
 	scale, err := decodeScale(req.Scale)
 	if err != nil {
@@ -321,9 +287,8 @@ func (s *Server) acquireGate(ctx context.Context, t *tenant) (func(), error) {
 }
 
 // execRun is the execution core of a sync run: admit, simulate under
-// ctx, fold in the baseline, account the tenant's usage. Both the v1
-// handler and POST /v2/jobs delegate here — the returned document is
-// the one byte-layout both surfaces serve.
+// ctx, fold in the baseline, account the tenant's usage. The returned
+// document is what POST /v2/jobs embeds as the job's result.
 func (s *Server) execRun(ctx context.Context, t *tenant, scale app.Scale, a *app.App, cfg machine.Config, collectMetrics bool) (*RunResponse, error) {
 	if s.shedMetricsNow(collectMetrics) {
 		collectMetrics = false // brownout: results keep flowing, garnish does not
@@ -361,56 +326,12 @@ func (s *Server) execRun(ctx context.Context, t *tenant, scale app.Scale, a *app
 	}, nil
 }
 
-// handleRun runs one simulation: decode + validate, admit, simulate
-// under the request deadline, report the paper metrics (and the
-// cycle-accounting record when asked). A thin shim over execRun — the
-// same core the v2 surface uses — rendering the legacy v1 body.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	var req RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	scale, a, cfg, err := s.validateRun(&req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	t, ok := s.admitTenant(w, r, false)
-	if !ok {
-		return
-	}
-	// Cluster mode: runs route by session key, so the whole fleet shares
-	// one memo cache per scale instead of one per node.
-	if s.forwardIfRemote(w, r, cluster.SessionRouteKey(sessionKey(scale, req.Metrics)), body) {
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := s.execRun(ctx, t, scale, a, cfg, req.Metrics)
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.rejectFull(w)
-			return
-		}
-		s.httpError(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // maxBatchJobs bounds the job list of one batch request.
 const maxBatchJobs = 256
 
 // parseBatch validates a batch body and resolves its jobs, with the
-// job index in every error. The sync handler and the async dispatcher
-// share it so the two paths accept exactly the same requests.
+// job index in every error. The sync path and the async dispatcher
+// share it so the two accept exactly the same requests.
 func (s *Server) parseBatch(req *BatchRequest) (app.Scale, []core.Job, error) {
 	if len(req.Jobs) == 0 {
 		return 0, nil, errors.New("batch needs at least one job")
@@ -481,10 +402,9 @@ func buildBatchResponse(ctx context.Context, sess *core.Session, scale app.Scale
 
 // execBatch is the execution core of a sync batch: admit, run the job
 // list through the session's worker pool, fold job-aligned partial
-// results, account the tenant's usage. Shared by the v1 handler and
-// the v2 sync-batch path, so both surfaces return the same document.
-// An all-jobs-failed batch under a dead deadline surfaces the context
-// error (the caller maps it like a run).
+// results, account the tenant's usage. An all-jobs-failed batch under
+// a dead deadline surfaces the context error (the caller maps it like a
+// run).
 func (s *Server) execBatch(ctx context.Context, t *tenant, scale app.Scale, jobs []core.Job, collectMetrics bool) (*BatchResponse, error) {
 	if s.shedMetricsNow(collectMetrics) {
 		collectMetrics = false // brownout: see execRun
@@ -521,121 +441,30 @@ func (s *Server) execBatch(ctx context.Context, t *tenant, scale app.Scale, jobs
 	return resp, nil
 }
 
-// handleBatch runs a job list through the session's worker pool under
-// one admission slot and the request deadline, returning job-aligned
-// partial results. With an idempotency key on a journaling server the
-// request instead becomes a durable async job: journaled, acked with
-// 202, polled on /v1/batch/jobs/{id}.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	scale, jobs, err := s.parseBatch(&req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	t, ok := s.admitTenant(w, r, false)
-	if !ok {
-		return
-	}
-
-	key := r.Header.Get("Idempotency-Key")
-	if key == "" {
-		key = req.IdempotencyKey
-	}
-	if key != "" && s.jm != nil {
-		// Async jobs route by job id: the ring owner journals and runs
-		// the job, its successors hold replicas.
-		if s.forwardIfRemote(w, r, cluster.JobRouteKey(JobID(key)), body) {
-			return
-		}
-		job, err := s.jm.submit(key, t.name, body)
-		if err != nil {
-			s.httpError(w, err, http.StatusServiceUnavailable)
-			return
-		}
-		status, ckpt, _ := job.state()
-		writeJSON(w, http.StatusAccepted, &JobStatus{
-			Schema: ResponseSchemaVersion, JobID: job.id, Status: status,
-			Checkpoint: ckpt, RetryAfterMS: retryAfterMS(retryAfterBase),
-		})
-		return
-	}
-	if s.forwardIfRemote(w, r, cluster.SessionRouteKey(sessionKey(scale, req.Metrics)), body) {
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := s.execBatch(ctx, t, scale, jobs, req.Metrics)
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.rejectFull(w)
-			return
-		}
-		s.httpError(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleJob reports an async job: 404 for unknown ids (or when
-// journaling is off), 202 + status while queued or running, and the
-// recorded response bytes verbatim once done.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if s.jm == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "async jobs disabled: server runs without a journal"})
-		return
-	}
-	if !s.jm.owns(r.PathValue("id")) && s.forwardIfRemote(w, r, cluster.JobRouteKey(r.PathValue("id")), nil) {
-		return
-	}
-	job := s.jm.get(r.PathValue("id"))
-	if job == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job id"})
-		return
-	}
-	status, ckpt, resp := job.state()
-	if status != JobDone {
-		writeJSON(w, http.StatusAccepted, &JobStatus{
-			Schema: ResponseSchemaVersion, JobID: job.id, Status: status,
-			Checkpoint: ckpt, RetryAfterMS: retryAfterMS(retryAfterBase),
-		})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(resp)
-}
-
-// handleExperiment renders one paper table/figure as text/plain, reusing
-// the scale's shared session memo across requests. It admits the
-// tenant and takes the gate as a run does.
+// handleExperiment is GET /v2/experiments/{id}: one paper table/figure
+// rendered as text/plain, reusing the scale's shared session memo
+// across requests. It admits the tenant and takes the gate as a run
+// does; its errors are the JSON envelope.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	e, err := exp.ByID(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, err.Error())
 		return
+	}
+	badRequest := func(msg string) {
+		s.writeV2Error(w, http.StatusBadRequest, v2CodeBadRequest, msg)
 	}
 	q := r.URL.Query()
 	scale, err := decodeScale(q.Get("scale"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		badRequest(err.Error())
 		return
 	}
 	opts := []exp.Option{exp.WithScale(scale)}
 	if v := q.Get("latency"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "latency: " + err.Error()})
+			badRequest("latency: " + err.Error())
 			return
 		}
 		opts = append(opts, exp.WithLatency(n))
@@ -643,7 +472,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("maxmt"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "maxmt: " + err.Error()})
+			badRequest("maxmt: " + err.Error())
 			return
 		}
 		opts = append(opts, exp.WithMaxMT(n))
@@ -658,7 +487,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("timeout_ms"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "timeout_ms: " + err.Error()})
+			badRequest("timeout_ms: " + err.Error())
 			return
 		}
 		timeoutMS = n
@@ -674,37 +503,34 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	opts = append(opts, exp.WithSession(s.session(scale, false)), exp.WithContext(ctx))
 	o := exp.New(&buf, opts...)
 	if err := o.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		badRequest(err.Error())
 		return
 	}
-	t, ok := s.admitTenant(w, r, false)
+	t, ok := s.admitTenant(w, r)
 	if !ok {
 		return
 	}
 
 	release, err := s.acquireGate(ctx, t)
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.rejectFull(w)
-			return
-		}
-		s.httpError(w, err, http.StatusServiceUnavailable)
+		s.v2HTTPError(w, err)
 		return
 	}
 	defer release()
 
 	if err := e.Run(o); err != nil {
-		s.httpError(w, err, http.StatusInternalServerError)
+		s.v2HTTPError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "== %s: %s\npaper: %s\n\n%s", e.ID, e.Title, e.Paper, buf.String())
 }
 
-// healthzResponse is the /v1/healthz body: liveness plus the admission
-// gauges, so a load balancer (or the smoke test) can see queue pressure
-// without scraping expvar.
+// healthzResponse is the GET /v2/healthz body: liveness plus the
+// admission gauges, so a load balancer (or the smoke test) can see
+// queue pressure without scraping expvar, and per-tenant usage.
 type healthzResponse struct {
+	Schema             int    `json:"schema"`
 	Status             string `json:"status"`
 	Inflight           int64  `json:"inflight"`
 	Queued             int64  `json:"queued"`
@@ -721,7 +547,7 @@ type healthzResponse struct {
 	Cluster  *healthzCluster `json:"cluster,omitempty"`
 }
 
-// healthzCluster is the fleet summary inside /v1/healthz (cluster mode
+// healthzCluster is the fleet summary inside /v2/healthz (cluster mode
 // only): this node's identity plus peer health and failover counters.
 type healthzCluster struct {
 	Self      string                  `json:"self"`
@@ -736,13 +562,13 @@ type healthzCluster struct {
 	Breakers  []cluster.BreakerStatus `json:"breakers,omitempty"`
 }
 
-// healthz assembles the health document shared by /v1/healthz and
-// /v2/healthz. Tenant usage merges this node's local table with the
+// healthz assembles the health document. Tenant usage merges this node's local table with the
 // latest gossiped reports from peers (cluster mode), so accounting is
 // visible fleet-wide and survives failover.
 func (s *Server) healthz() *healthzResponse {
 	s.brownedOut() // fold the current saturation so the report is fresh
 	resp := &healthzResponse{
+		Schema:             V2SchemaVersion,
 		Status:             "ok",
 		Inflight:           s.gate.Inflight(),
 		Queued:             s.gate.Queued(),
@@ -776,6 +602,7 @@ func (s *Server) healthz() *healthzResponse {
 	return resp
 }
 
+// handleHealthz is GET /v2/healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.healthz())
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"sort"
 	"sync"
@@ -118,7 +117,9 @@ func (hb *hedgeBudget) spend() bool {
 	return true
 }
 
-var errNoForwardPeers = errors.New("serve: no reachable peer for forwarded request")
+// noForwardPeersMsg is the 503 message of a hedged read whose candidate
+// peers all failed or sit behind open breakers.
+const noForwardPeersMsg = "serve: no reachable peer for forwarded request"
 
 // hedgedForward proxies an idempotent read to cands in ring order with
 // hedging: the primary goes out immediately, and if it has not
@@ -163,7 +164,7 @@ func (s *Server) hedgedForward(w http.ResponseWriter, r *http.Request, cands []c
 
 	s.cluster.budget.earn()
 	if !launch(false) {
-		s.httpError(w, errNoForwardPeers, http.StatusServiceUnavailable)
+		s.writeV2Error(w, http.StatusServiceUnavailable, v2CodeUnavailable, noForwardPeersMsg)
 		return
 	}
 	primary := cands[next-1].ID
@@ -180,7 +181,7 @@ func (s *Server) hedgedForward(w http.ResponseWriter, r *http.Request, cands []c
 	for pending > 0 {
 		select {
 		case <-r.Context().Done():
-			s.httpError(w, r.Context().Err(), http.StatusServiceUnavailable)
+			s.v2HTTPError(w, r.Context().Err())
 			return
 		case <-timerC:
 			timerC = nil
@@ -230,5 +231,5 @@ func (s *Server) hedgedForward(w http.ResponseWriter, r *http.Request, cands []c
 		s.cluster.forwards.Add(1)
 		return
 	}
-	s.httpError(w, errNoForwardPeers, http.StatusServiceUnavailable)
+	s.writeV2Error(w, http.StatusServiceUnavailable, v2CodeUnavailable, noForwardPeersMsg)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -123,7 +124,7 @@ func TestHedgedForwardSlowPrimary(t *testing.T) {
 	cands := []cluster.Peer{{ID: "p1", URL: slow.URL}, {ID: "p2", URL: fast.URL}}
 	s := hedgeTestServer(t, cands)
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/batch/jobs/j1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v2/jobs/j1", nil)
 	rec := httptest.NewRecorder()
 	start := time.Now()
 	s.hedgedForward(rec, req, cands, nil)
@@ -167,7 +168,7 @@ func TestHedgedForwardFailoverOnTransportError(t *testing.T) {
 	for s.cluster.budget.spend() {
 	}
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/batch/jobs/j1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v2/jobs/j1", nil)
 	rec := httptest.NewRecorder()
 	s.hedgedForward(rec, req, cands, nil)
 
@@ -185,18 +186,44 @@ func TestHedgedForwardFailoverOnTransportError(t *testing.T) {
 	}
 }
 
+// requireUnavailable fails unless rec holds a 503 whose body is the
+// error envelope with code unavailable and a come-back hint.
+func requireUnavailable(t *testing.T, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d with every peer down, want 503: %s", rec.Code, rec.Body)
+	}
+	if e := envelope(t, rec.Body.Bytes()); e.Code != v2CodeUnavailable || e.RetryAfterMS <= 0 {
+		t.Errorf("code %q retry_after_ms %d with every peer down, want unavailable with a hint", e.Code, e.RetryAfterMS)
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Error("503 without a Retry-After header")
+	}
+}
+
 func TestHedgedForwardAllPeersDown(t *testing.T) {
 	dead1 := "http://" + freeLoopbackAddr(t)
 	dead2 := "http://" + freeLoopbackAddr(t)
 	cands := []cluster.Peer{{ID: "p1", URL: dead1}, {ID: "p2", URL: dead2}}
 	s := hedgeTestServer(t, cands)
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/batch/jobs/j1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v2/jobs/j1", nil)
 	rec := httptest.NewRecorder()
 	s.hedgedForward(rec, req, cands, nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d with every peer down, want 503", rec.Code)
-	}
+	requireUnavailable(t, rec)
+}
+
+// TestForwardToAllPeersDown: a forwarded submission whose peers are all
+// unreachable is a 503 the client can read and pace its retry by.
+func TestForwardToAllPeersDown(t *testing.T) {
+	cands := []cluster.Peer{{ID: "p1", URL: "http://" + freeLoopbackAddr(t)}, {ID: "p2", URL: "http://" + freeLoopbackAddr(t)}}
+	s := hedgeTestServer(t, cands)
+
+	body := []byte(`{"run":` + sorRun + `}`)
+	req := httptest.NewRequest(http.MethodPost, "/v2/jobs", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	s.forwardTo(rec, req, cands, body)
+	requireUnavailable(t, rec)
 }
 
 func TestHedgedForwardNon2xxHedgeIsFallbackOnly(t *testing.T) {
@@ -208,14 +235,14 @@ func TestHedgedForwardNon2xxHedgeIsFallbackOnly(t *testing.T) {
 	}))
 	defer slow.Close()
 	notFound := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"unknown job id"}`, http.StatusNotFound)
+		http.Error(w, `{"error":{"code":"not_found","message":"unknown job id"}}`, http.StatusNotFound)
 	}))
 	defer notFound.Close()
 
 	cands := []cluster.Peer{{ID: "p1", URL: slow.URL}, {ID: "p2", URL: notFound.URL}}
 	s := hedgeTestServer(t, cands)
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/batch/jobs/j1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v2/jobs/j1", nil)
 	rec := httptest.NewRecorder()
 	s.hedgedForward(rec, req, cands, nil)
 
@@ -242,7 +269,7 @@ func TestForwardToCallerCancel(t *testing.T) {
 	cands := []cluster.Peer{{ID: "p1", URL: backend.URL}}
 	s := hedgeTestServer(t, cands)
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/batch/jobs/j1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v2/jobs/j1", nil)
 	ctx, cancel := context.WithCancel(req.Context())
 	req = req.WithContext(ctx)
 	go func() {

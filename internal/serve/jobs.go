@@ -42,28 +42,16 @@ import (
 // worker, where the pool is still one dispatcher and an async job can
 // hold the only worker (see Config.Dispatchers).
 
-// Job lifecycle states, as reported by JobStatus. JobReplica marks a
-// job this node holds only as another node's failover copy (cluster
-// mode); it never runs locally unless a claim or handoff promotes it.
+// Job lifecycle states, as a V2Job's status reports them. JobReplica
+// marks a job this node holds only as another node's failover copy
+// (cluster mode); it never runs locally unless a claim or handoff
+// promotes it.
 const (
 	JobQueued  = "queued"
 	JobRunning = "running"
 	JobDone    = "done"
 	JobReplica = "replica"
 )
-
-// JobStatus is the body of a 202 reply: the async submission ack and
-// the poll response of a job that has not finished yet. Checkpoint is
-// the index of the latest journaled checkpoint (a monotone progress
-// marker), and RetryAfterMS a jittered poll-pacing hint so clients
-// waiting on the job back off instead of hot-looping.
-type JobStatus struct {
-	Schema       int    `json:"schema"`
-	JobID        string `json:"job_id"`
-	Status       string `json:"status"`
-	Checkpoint   int64  `json:"checkpoint"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
 
 // JobID derives the stable job id for an idempotency key. The id, not
 // the key, names the job on the wire, so clients may use long or

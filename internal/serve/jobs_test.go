@@ -7,12 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -55,57 +53,41 @@ func newJournalServer(t *testing.T, cfg Config, path string) (*Server, *httptest
 	return s, ts
 }
 
-// postJSONKey posts body with an Idempotency-Key header.
-func postJSONKey(t *testing.T, url, key, body string) (int, []byte) {
+// getJob reads GET /v2/jobs/{id} at baseURL: the status, the job
+// resource when it is 200, and the body.
+func getJob(t *testing.T, baseURL, id string) (int, V2Job, []byte) {
 	t.Helper()
-	req, err := http.NewRequest("POST", url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	status, body := getURL(t, baseURL+"/v2/jobs/"+id)
+	var job V2Job
+	if status == http.StatusOK {
+		if err := json.Unmarshal(body, &job); err != nil {
+			t.Fatalf("job %s: not a job resource: %v: %s", id, err, body)
+		}
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", key)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, data
+	return status, job, body
 }
 
-// pollJob polls GET /v1/batch/jobs/{id} until the job is done and
-// returns the final response bytes.
+// pollJob polls GET /v2/jobs/{id} until the job is done and returns its
+// result document.
 func pollJob(t *testing.T, ts *httptest.Server, id string) []byte {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/v1/batch/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
+		status, job, body := getJob(t, ts.URL, id)
+		if status != http.StatusOK {
+			t.Fatalf("poll %s: status %d: %s", id, status, body)
 		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		if job.Status == JobDone {
+			return job.Result
 		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return data
-		case http.StatusAccepted:
-			time.Sleep(5 * time.Millisecond)
-		default:
-			t.Fatalf("poll %s: status %d: %s", id, resp.StatusCode, data)
-		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish in time", id)
 	return nil
 }
 
 // TestAsyncBatchLifecycle drives the async path end to end: 202 ack
-// with the derived job id, poll to completion, response bytes identical
+// with the derived job id, poll to completion, result bytes identical
 // to the sync path, idempotent resubmission, and 503 once draining.
 func TestAsyncBatchLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
@@ -115,16 +97,16 @@ func TestAsyncBatchLifecycle(t *testing.T) {
 	// journal server's session would memo the results and leave the
 	// async run nothing to simulate — or checkpoint).
 	_, plain := newTestServer(t, Config{})
-	syncStatus, syncBytes := postJSON(t, plain.URL+"/v1/batch", asyncBatchBody)
+	syncStatus, syncBytes := postBatch(t, plain.URL, "", asyncBatchBody)
 	if syncStatus != http.StatusOK {
 		t.Fatalf("sync batch: status %d: %s", syncStatus, syncBytes)
 	}
 
-	status, body := postJSONKey(t, ts.URL+"/v1/batch", "lifecycle-key", asyncBatchBody)
+	status, body := postBatch(t, ts.URL, "lifecycle-key", asyncBatchBody)
 	if status != http.StatusAccepted {
 		t.Fatalf("async submit: status %d: %s", status, body)
 	}
-	var ack JobStatus
+	var ack V2Job
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +123,11 @@ func TestAsyncBatchLifecycle(t *testing.T) {
 	}
 
 	// Resubmitting the key is a no-op returning the same job.
-	status, body = postJSONKey(t, ts.URL+"/v1/batch", "lifecycle-key", asyncBatchBody)
+	status, body = postBatch(t, ts.URL, "lifecycle-key", asyncBatchBody)
 	if status != http.StatusAccepted {
 		t.Fatalf("resubmit: status %d: %s", status, body)
 	}
-	var again JobStatus
+	var again V2Job
 	if err := json.Unmarshal(body, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +136,8 @@ func TestAsyncBatchLifecycle(t *testing.T) {
 	}
 
 	// Unknown ids 404.
-	resp, err := http.Get(ts.URL + "/v1/batch/jobs/b-0000000000000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	if status, _, body := getJob(t, ts.URL, "b-0000000000000000"); status != http.StatusNotFound || envelope(t, body).Code != v2CodeNotFound {
+		t.Errorf("unknown job: status %d %s, want 404 not_found", status, body)
 	}
 
 	// After a drain the server stops taking jobs (the journal is
@@ -170,9 +147,9 @@ func TestAsyncBatchLifecycle(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	status, _ = postJSONKey(t, ts.URL+"/v1/batch", "late-key", asyncBatchBody)
-	if status != http.StatusServiceUnavailable {
-		t.Errorf("submit while draining: status %d, want 503", status)
+	status, body = postBatch(t, ts.URL, "late-key", asyncBatchBody)
+	if status != http.StatusServiceUnavailable || envelope(t, body).Code != v2CodeUnavailable {
+		t.Errorf("submit while draining: status %d %s, want 503 unavailable", status, body)
 	}
 	if got := pollJob(t, ts, ack.JobID); string(got) != string(syncBytes) {
 		t.Error("finished job unreadable after drain")
@@ -180,16 +157,11 @@ func TestAsyncBatchLifecycle(t *testing.T) {
 }
 
 // TestJobEndpointWithoutJournal: the poll endpoint exists but answers
-// 404 when the server runs journal-less.
+// 404 not_found when the server runs journal-less.
 func TestJobEndpointWithoutJournal(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/batch/jobs/" + JobID("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status %d, want 404", resp.StatusCode)
+	if status, _, body := getJob(t, ts.URL, JobID("x")); status != http.StatusNotFound || envelope(t, body).Code != v2CodeNotFound {
+		t.Errorf("status %d %s, want 404 not_found", status, body)
 	}
 }
 
@@ -202,7 +174,7 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 
 	// Crash-free reference over the sync path.
 	_, plain := newTestServer(t, Config{})
-	refStatus, ref := postJSON(t, plain.URL+"/v1/batch", sieveBatchBody)
+	refStatus, ref := postBatch(t, plain.URL, "", sieveBatchBody)
 	if refStatus != http.StatusOK {
 		t.Fatalf("reference batch: status %d: %s", refStatus, ref)
 	}
@@ -291,7 +263,7 @@ func crashedJournal(t *testing.T, key, body string, ckpt JobCheckpoint) string {
 // fold into the replayed history in order and without duplicates.
 func TestRecoveryRestartsOverUnrestorableCheckpoint(t *testing.T) {
 	_, plain := newTestServer(t, Config{})
-	refStatus, ref := postJSON(t, plain.URL+"/v1/batch", sieveBatchBody)
+	refStatus, ref := postBatch(t, plain.URL, "", sieveBatchBody)
 	if refStatus != http.StatusOK {
 		t.Fatalf("reference batch: status %d: %s", refStatus, ref)
 	}
@@ -355,7 +327,7 @@ func TestDrainMidJobLeavesItResumable(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 	key := "drain-mid-job"
-	status, body := postJSONKey(t, ts1.URL+"/v1/batch", key, asyncBatchBody)
+	status, body := postBatch(t, ts1.URL, key, asyncBatchBody)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, body)
 	}
@@ -371,7 +343,7 @@ func TestDrainMidJobLeavesItResumable(t *testing.T) {
 	}
 	got := pollJob(t, ts2, JobID(key))
 
-	refStatus, ref := postJSON(t, ts2.URL+"/v1/batch", asyncBatchBody)
+	refStatus, ref := postBatch(t, ts2.URL, "", asyncBatchBody)
 	if refStatus != http.StatusOK {
 		t.Fatalf("reference batch: status %d: %s", refStatus, ref)
 	}
@@ -381,8 +353,8 @@ func TestDrainMidJobLeavesItResumable(t *testing.T) {
 }
 
 // TestReplayedJobWithBadBodyFails: a journaled body that no longer
-// validates resolves to a recorded error response instead of wedging
-// the queue.
+// validates resolves to a recorded error document, the job's result,
+// instead of wedging the queue.
 func TestReplayedJobWithBadBodyFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	j, _, err := OpenJournal(path)

@@ -14,7 +14,7 @@ import (
 )
 
 // The job journal is mtsimd's crash-tolerance layer: an append-only
-// write-ahead log of every async /v1/batch job's lifecycle, fsync'd per
+// write-ahead log of every async batch job's lifecycle, fsync'd per
 // record, replayed on startup. A SIGKILL at any point loses at most the
 // record being written — the CRC framing detects the torn tail and
 // replay resumes every unfinished job from its latest checkpoint, which

@@ -51,7 +51,7 @@ func TestClusterAsymmetricPartitionClaim(t *testing.T) {
 	// Reference bytes first, so the chaos window is not eaten by the
 	// solo run's simulation time.
 	_, plain := newTestServer(t, Config{})
-	refStatus, ref := postJSON(t, plain.URL+"/v1/batch", asyncBatchBody)
+	refStatus, ref := postBatch(t, plain.URL, "", asyncBatchBody)
 	if refStatus != http.StatusOK {
 		t.Fatalf("reference batch: status %d: %s", refStatus, ref)
 	}
@@ -75,7 +75,7 @@ func TestClusterAsymmetricPartitionClaim(t *testing.T) {
 	// Submit node2's job to node2 directly (node1 cannot forward to it).
 	key := keyOwnedBy(t, peers, "node2")
 	id := JobID(key)
-	status, body := postJSONKey(t, n2.url+"/v1/batch", key, asyncBatchBody)
+	status, body := postBatch(t, n2.url, key, asyncBatchBody)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, body)
 	}

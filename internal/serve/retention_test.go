@@ -27,7 +27,7 @@ const retentionBatch = `{"scale":"quick","jobs":[` +
 func TestFinishedJobHoldsNoSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newJournalServer(t, Config{CheckpointEvery: 20_000}, filepath.Join(dir, "owner.wal"))
-	status, ack := postJSONKey(t, ts.URL+"/v1/batch", "retention", retentionBatch)
+	status, ack := postBatch(t, ts.URL, "retention", retentionBatch)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, ack)
 	}

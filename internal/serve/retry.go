@@ -16,20 +16,10 @@ import (
 // replies and of the poll-pacing hint of unfinished jobs.
 const retryAfterBase = time.Second
 
-// retryAfterSeconds picks the Retry-After hint: uniform in
-// [base/2, 3*base/2], never below one second, rounded up to whole
-// seconds (the header's granularity).
-func retryAfterSeconds(base time.Duration) int {
-	d := time.Duration((0.5 + rand.Float64()) * float64(base))
-	if d < time.Second {
-		d = time.Second
-	}
-	return int((d + time.Second - 1) / time.Second)
-}
-
-// retryAfterMS is the poll-pacing hint carried in a JobStatus body: one
-// RetryDelay(0) draw in milliseconds, so job pollers inherit the same
-// decorrelated backoff as rejected clients.
+// retryAfterMS is the come-back hint of a 429 or 503 envelope and the
+// poll-pacing hint of an unfinished job: one RetryDelay(0) draw in
+// milliseconds, so job pollers inherit the same decorrelated backoff
+// as rejected clients.
 func retryAfterMS(base time.Duration) int64 {
 	return RetryDelay(0, base).Milliseconds()
 }

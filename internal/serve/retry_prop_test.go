@@ -71,25 +71,6 @@ func TestRetryDelayPropDefaultBase(t *testing.T) {
 	}
 }
 
-// TestRetryAfterSecondsProp: for any base, the header value is within
-// the rounded-up [base/2, 1.5*base] band and never below one second.
-func TestRetryAfterSecondsProp(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	ceilSec := func(d time.Duration) int {
-		if d < time.Second {
-			d = time.Second
-		}
-		return int((d + time.Second - 1) / time.Second)
-	}
-	for i := 0; i < 5000; i++ {
-		base := time.Duration(rng.Int64N(int64(30 * time.Second)))
-		lo, hi := 1, ceilSec(base+base/2)
-		if s := retryAfterSeconds(base); s < lo || s > hi {
-			t.Fatalf("retryAfterSeconds(%v) = %d, want within [%d, %d]", base, s, lo, hi)
-		}
-	}
-}
-
 // TestRetryAfterMSProp: the poll hint is one RetryDelay(0) draw in
 // milliseconds, so it inherits the [0.5, 1.5]x base envelope.
 func TestRetryAfterMSProp(t *testing.T) {

@@ -5,18 +5,6 @@ import (
 	"time"
 )
 
-func TestRetryAfterSecondsBounds(t *testing.T) {
-	for i := 0; i < 200; i++ {
-		if s := retryAfterSeconds(4 * time.Second); s < 2 || s > 6 {
-			t.Fatalf("retryAfterSeconds(4s) = %d, want within [2,6]", s)
-		}
-		// Sub-second bases clamp to the header's floor of one second.
-		if s := retryAfterSeconds(100 * time.Millisecond); s != 1 {
-			t.Fatalf("retryAfterSeconds(100ms) = %d, want 1", s)
-		}
-	}
-}
-
 func TestRetryDelayBounds(t *testing.T) {
 	base := 100 * time.Millisecond
 	for attempt := -1; attempt <= 9; attempt++ {

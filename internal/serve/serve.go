@@ -23,16 +23,12 @@
 //	GET  /v2/jobs/{id}             poll an async job
 //	GET  /v2/jobs/{id}/events      live progress (Server-Sent Events)
 //	GET  /v2/healthz               liveness + queue gauges + tenant usage
-//	POST /v1/run                   legacy: one simulation run
-//	POST /v1/batch                 legacy: a job list, partial results
-//	GET  /v1/batch/jobs/{id}       legacy: poll an async job
-//	GET  /v1/batch/jobs/{id}/events  live progress (SSE, shared with v2)
-//	GET  /v1/experiments/{id}      a rendered paper table/figure (text)
-//	GET  /v1/healthz               liveness + queue gauges
+//	GET  /v2/experiments/{id}      a rendered paper table/figure (text)
 //	GET  /debug/vars               expvar (includes the mtsimd gauges)
 //
-// The /v1 surface is a byte-compatible legacy shim: both surfaces
-// delegate to one execution core, /v1 keeps its original renderings.
+// Every error body is the one envelope of v2.go. Cluster mode adds the
+// node-to-node and operator routes of cluster.go (/v1/cluster and its
+// ping, /v1/jobs/{id}/state), whose paths peers depend on.
 // Multi-tenancy: requests carry a tenant (Authorization: Bearer API
 // key, or the X-Tenant-ID header, else "anonymous"); admission is
 // token-bucket per tenant and the async dispatcher drains per-tenant
@@ -189,22 +185,13 @@ func New(cfg Config) *Server {
 		return sess
 	})
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/batch/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("GET /v1/batch/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		s.handleJobEvents(w, r, false)
-	})
-	s.mux.HandleFunc("GET /v1/experiments/{id}", s.handleExperiment)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	// The /v2 surface: jobs unified (sync run = degenerate job), one
-	// error envelope, tenant/quota fields in every response. /v1 above
-	// stays as the byte-compatible legacy surface; both delegate to the
-	// same execution core.
-	s.mux.HandleFunc("POST /v2/jobs", s.handleV2Jobs)
-	s.mux.HandleFunc("GET /v2/jobs/{id}", s.handleV2Job)
-	s.mux.HandleFunc("GET /v2/jobs/{id}/events", s.handleV2JobEvents)
-	s.mux.HandleFunc("GET /v2/healthz", s.handleV2Healthz)
+	// Jobs unified (sync run = degenerate job), one error envelope,
+	// tenant/quota fields in every response.
+	s.mux.HandleFunc("POST /v2/jobs", s.handleJobs)
+	s.mux.HandleFunc("GET /v2/jobs/{id}", s.handleJob)
+	s.mux.HandleFunc("GET /v2/jobs/{id}/events", s.handleJobEvents)
+	s.mux.HandleFunc("GET /v2/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /v2/experiments/{id}", s.handleExperiment)
 	// Cluster routes are registered unconditionally and answer 404 until
 	// EnableCluster arms them, so a solo node's surface is unchanged.
 	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
@@ -212,14 +199,34 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/state", s.handleJobStateGet)
 	s.mux.HandleFunc("PUT /v1/jobs/{id}/state", s.handleJobStatePut)
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
+	// Every other request, the retired /v1 client routes' included.
+	s.mux.HandleFunc("/", s.handleNoRoute)
 	return s
 }
 
 // Handler returns the server's route table.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// handleNoRoute answers a request no other route matches with the error
+// envelope instead of the mux's plain text: a 405 with an Allow header
+// when the path is routed for other methods, else a 404.
+func (s *Server) handleNoRoute(w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	for _, m := range []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut} {
+		if _, pattern := s.mux.Handler(&http.Request{Method: m, Host: r.Host, URL: r.URL}); pattern != "/" {
+			allow = append(allow, m)
+		}
+	}
+	if len(allow) > 0 {
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		s.writeV2Error(w, http.StatusMethodNotAllowed, v2CodeBadRequest, r.Method+" not allowed on "+r.URL.Path)
+		return
+	}
+	s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, "no route for "+r.Method+" "+r.URL.Path)
+}
+
 // Inflight and Queued expose the admission gauges (also published as
-// expvar by PublishVars and reported by /v1/healthz).
+// expvar by PublishVars and reported by /v2/healthz).
 func (s *Server) Inflight() int64 { return s.gate.Inflight() }
 func (s *Server) Queued() int64   { return s.gate.Queued() }
 

@@ -44,18 +44,85 @@ func postJSON(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
+// postJob posts body to POST /v2/jobs, with an Idempotency-Key header
+// when key is set, and returns the status and, on 200, the job's result
+// document. Any other reply (a 202's job resource, an error envelope)
+// comes back whole.
+func postJob(t *testing.T, baseURL, key, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest("POST", baseURL+"/v2/jobs", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if key != "" {
+		req.Header.Set("Idempotency-Key", key)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, data
+	}
+	var job V2Job
+	if err := json.Unmarshal(data, &job); err != nil {
+		t.Fatalf("not a job resource: %v: %s", err, data)
+	}
+	return resp.StatusCode, job.Result
+}
+
+// postRun posts run as a sync run job (see postJob).
+func postRun(t *testing.T, baseURL, run string) (int, []byte) {
+	t.Helper()
+	return postJob(t, baseURL, "", `{"run":`+run+`}`)
+}
+
+// postBatch posts batch as a batch job, async when key is set on a
+// journaling server (see postJob).
+func postBatch(t *testing.T, baseURL, key, batch string) (int, []byte) {
+	t.Helper()
+	return postJob(t, baseURL, key, `{"batch":`+batch+`}`)
+}
+
+// envelope decodes an error body, failing unless it is the V2Error
+// envelope with a code.
+func envelope(t *testing.T, body []byte) V2ErrorBody {
+	t.Helper()
+	var env V2Error
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
+		t.Fatalf("not the error envelope: %s", body)
+	}
+	return env.Error
+}
+
 const sorRun = `{"app":"sor","scale":"quick","config":{"procs":4,"threads":4,"model":"switch-on-miss","latency":100}}`
 
-// TestRunEndpointMatchesLibrary: the served numbers must be exactly the
-// library path's — the server adds transport, never arithmetic.
+// TestRunEndpointMatchesLibrary: a sync run through POST /v2/jobs is a
+// done job resource of the anonymous tenant, and its result's numbers
+// must be exactly the library path's — the server adds transport,
+// never arithmetic.
 func TestRunEndpointMatchesLibrary(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	status, body := postJSON(t, ts.URL+"/v1/run", sorRun)
+	status, body := postJSON(t, ts.URL+"/v2/jobs", `{"run":`+sorRun+`}`)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, body)
 	}
+	var job V2Job
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.Schema != V2SchemaVersion || job.Tenant != DefaultTenant || job.Status != JobDone || job.JobID != "" {
+		t.Errorf("job resource = schema %d tenant %q status %q id %q, want %d %q %q and no id",
+			job.Schema, job.Tenant, job.Status, job.JobID, V2SchemaVersion, DefaultTenant, JobDone)
+	}
 	var got RunResponse
-	if err := json.Unmarshal(body, &got); err != nil {
+	if err := json.Unmarshal(job.Result, &got); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,7 +157,7 @@ func TestRunEndpointMatchesLibrary(t *testing.T) {
 func TestRunEndpointMetricsSchema(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"app":"sor","metrics":true,"config":{"procs":2,"threads":2,"model":"switch-on-miss","latency":100}}`
-	status, data := postJSON(t, ts.URL+"/v1/run", body)
+	status, data := postRun(t, ts.URL, body)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, data)
 	}
@@ -110,7 +177,7 @@ func TestRunEndpointMetricsSchema(t *testing.T) {
 }
 
 // TestRunEndpointValidation: the decoder rejects what Config.Validate
-// rejects, with a 400 and the library's message.
+// rejects, with a 400 bad_request envelope and the library's message.
 func TestRunEndpointValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -129,16 +196,13 @@ func TestRunEndpointValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, body := postJSON(t, ts.URL+"/v1/run", tc.body)
+			status, body := postRun(t, ts.URL, tc.body)
 			if status != tc.status {
 				t.Fatalf("status = %d, want %d (body %s)", status, tc.status, body)
 			}
-			var e errorResponse
-			if err := json.Unmarshal(body, &e); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(e.Error, tc.wantErr) {
-				t.Errorf("error %q does not mention %q", e.Error, tc.wantErr)
+			e := envelope(t, body)
+			if e.Code != v2CodeBadRequest || !strings.Contains(e.Message, tc.wantErr) {
+				t.Errorf("error %s %q, want bad_request mentioning %q", e.Code, e.Message, tc.wantErr)
 			}
 		})
 	}
@@ -227,7 +291,7 @@ func TestBatchEndpointPartialAligned(t *testing.T) {
 	body := `{"scale":"quick","jobs":[
 		{"app":"sor","config":{"procs":2,"threads":4,"model":"switch-on-use","latency":100}},
 		{"app":"sieve","config":{"procs":2,"threads":4,"model":"switch-on-use","latency":100}}]}`
-	status, data := postJSON(t, ts.URL+"/v1/batch", body)
+	status, data := postBatch(t, ts.URL, "", body)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, data)
 	}
@@ -242,13 +306,13 @@ func TestBatchEndpointPartialAligned(t *testing.T) {
 		t.Errorf("results out of job order: %s, %s", got.Results[0].App, got.Results[1].App)
 	}
 
-	status, data = postJSON(t, ts.URL+"/v1/batch", `{"jobs":[{"app":"sor","config":{"procs":0,"threads":-1,"model":"ideal"}}]}`)
-	if status != http.StatusBadRequest || !bytes.Contains(data, []byte("job 0:")) {
+	status, data = postBatch(t, ts.URL, "", `{"jobs":[{"app":"sor","config":{"procs":0,"threads":-1,"model":"ideal"}}]}`)
+	if status != http.StatusBadRequest || !strings.HasPrefix(envelope(t, data).Message, "job 0:") {
 		t.Errorf("bad job: status %d body %s, want 400 naming job 0", status, data)
 	}
-	status, data = postJSON(t, ts.URL+"/v1/batch", `{"jobs":[]}`)
-	if status != http.StatusBadRequest {
-		t.Errorf("empty batch: status %d body %s, want 400", status, data)
+	status, data = postBatch(t, ts.URL, "", `{"jobs":[]}`)
+	if status != http.StatusBadRequest || envelope(t, data).Code != v2CodeBadRequest {
+		t.Errorf("empty batch: status %d body %s, want 400 bad_request", status, data)
 	}
 }
 
@@ -256,7 +320,7 @@ func TestBatchEndpointPartialAligned(t *testing.T) {
 // exactly what the library renders for the same options.
 func TestExperimentEndpointMatchesLibrary(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/experiments/figure4")
+	resp, err := http.Get(ts.URL + "/v2/experiments/figure4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,32 +346,30 @@ func TestExperimentEndpointMatchesLibrary(t *testing.T) {
 		t.Error("served rendering diverges from the library's")
 	}
 
-	resp2, err := http.Get(ts.URL + "/v1/experiments/bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown experiment: status = %d, want 404", resp2.StatusCode)
+	status, body := getURL(t, ts.URL+"/v2/experiments/bogus")
+	if status != http.StatusNotFound || envelope(t, body).Code != v2CodeNotFound {
+		t.Errorf("unknown experiment: status = %d body %s, want 404 not_found", status, body)
 	}
 }
 
 // TestExperimentEndpointAdmitsTenants: an experiment render resolves
-// and charges the tenant as /v1/run does — 401 for an unknown API key,
-// 429 with a Retry-After header once the tenant's quota is spent.
+// and charges the tenant as a run does — 401 unauthorized for an
+// unknown API key, 429 quota_exceeded with a Retry-After header once
+// the tenant's quota is spent.
 func TestExperimentEndpointAdmitsTenants(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: []TenantConfig{
 		{Name: "acme", Rate: 0.001, Burst: 1, APIKeys: []string{"k"}},
 	}})
 	for i, tc := range []struct {
-		key  string
-		want int
+		key      string
+		want     int
+		wantCode string
 	}{
-		{"nope", http.StatusUnauthorized},
-		{"k", http.StatusOK},
-		{"k", http.StatusTooManyRequests},
+		{"nope", http.StatusUnauthorized, v2CodeUnauthorized},
+		{"k", http.StatusOK, ""},
+		{"k", http.StatusTooManyRequests, v2CodeQuotaExceeded},
 	} {
-		req, err := http.NewRequest("GET", ts.URL+"/v1/experiments/figure4", nil)
+		req, err := http.NewRequest("GET", ts.URL+"/v2/experiments/figure4", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,13 +386,18 @@ func TestExperimentEndpointAdmitsTenants(t *testing.T) {
 		if tc.want == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
 			t.Errorf("request %d: 429 without a Retry-After header", i)
 		}
+		if tc.wantCode != "" && resp.StatusCode == tc.want {
+			if code := envelope(t, body).Code; code != tc.wantCode {
+				t.Errorf("request %d: code %q, want %q", i, code, tc.wantCode)
+			}
+		}
 	}
 }
 
-// TestHealthz reports ok with the gauges.
+// TestHealthz reports ok with the gauges and the schema marker.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/healthz")
+	resp, err := http.Get(ts.URL + "/v2/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,28 +406,28 @@ func TestHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
-		t.Errorf("healthz = %d %q", resp.StatusCode, h.Status)
+	if resp.StatusCode != http.StatusOK || h.Status != "ok" || h.Schema != V2SchemaVersion {
+		t.Errorf("healthz = %d %q schema %d", resp.StatusCode, h.Status, h.Schema)
 	}
 }
 
 // TestDeadlineFreesWorkerNoLeak: a request whose deadline expires
-// mid-simulation returns 504, frees its worker slot for the next
-// request, and leaves no goroutine behind.
+// mid-simulation returns a 504 timeout, frees its worker slot for the
+// next request, and leaves no goroutine behind.
 func TestDeadlineFreesWorkerNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 0})
 	// Heavy configuration, 1ms budget: the run cannot finish in time.
 	heavy := `{"app":"sieve","timeout_ms":1,"config":{"procs":16,"threads":16,"model":"switch-every-cycle","latency":400}}`
-	status, body := postJSON(t, ts.URL+"/v1/run", heavy)
+	status, body := postRun(t, ts.URL, heavy)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", status, body)
 	}
-	if !bytes.Contains(body, []byte("deadline")) {
-		t.Errorf("504 body %s does not mention the deadline", body)
+	if e := envelope(t, body); e.Code != v2CodeTimeout || !strings.Contains(e.Message, "deadline") {
+		t.Errorf("504 body %s is not a timeout mentioning the deadline", body)
 	}
 	// The worker the canceled run held must be free again.
-	status, body = postJSON(t, ts.URL+"/v1/run", sorRun)
+	status, body = postRun(t, ts.URL, sorRun)
 	if status != http.StatusOK {
 		t.Fatalf("follow-up run: status = %d (worker not freed?), body %s", status, body)
 	}
@@ -380,8 +447,9 @@ func TestDeadlineFreesWorkerNoLeak(t *testing.T) {
 
 // TestConcurrentLoadBoundedQueue: 64 simultaneous Quick runs against a
 // small worker pool. The contract: every response is either a 200 whose
-// numbers are byte-identical to the library path, or a 429 with a
-// Retry-After hint; the gate never admits more than workers+queue.
+// result's numbers are byte-identical to the library path, or a 429
+// envelope with a Retry-After hint; the gate never admits more than
+// workers+queue.
 func TestConcurrentLoadBoundedQueue(t *testing.T) {
 	const clients = 64
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
@@ -409,7 +477,7 @@ func TestConcurrentLoadBoundedQueue(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			req, _ := http.NewRequest("POST", ts.URL+"/v1/run", strings.NewReader(sorRun))
+			req, _ := http.NewRequest("POST", ts.URL+"/v2/jobs", strings.NewReader(`{"run":`+sorRun+`}`))
 			resp, err := client.Do(req)
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
@@ -428,8 +496,12 @@ func TestConcurrentLoadBoundedQueue(t *testing.T) {
 		switch r.status {
 		case http.StatusOK:
 			ok++
+			var job V2Job
 			var got RunResponse
-			if err := json.Unmarshal(r.body, &got); err != nil {
+			if err := json.Unmarshal(r.body, &job); err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+			if err := json.Unmarshal(job.Result, &got); err != nil {
 				t.Fatalf("client %d: %v", i, err)
 			}
 			if got.Cycles != res.Cycles || got.Instrs != res.Instrs {
@@ -440,6 +512,9 @@ func TestConcurrentLoadBoundedQueue(t *testing.T) {
 			shed++
 			if r.retryAfter == "" {
 				t.Errorf("client %d: 429 without Retry-After", i)
+			}
+			if e := envelope(t, r.body); e.RetryAfterMS <= 0 {
+				t.Errorf("client %d: 429 %s without retry_after_ms", i, e.Code)
 			}
 		default:
 			t.Errorf("client %d: unexpected status %d: %s", i, r.status, r.body)
@@ -470,7 +545,7 @@ func TestShutdownWithoutListen(t *testing.T) {
 func TestSessionReuseAcrossRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for i := 0; i < 2; i++ {
-		if status, body := postJSON(t, ts.URL+"/v1/run", sorRun); status != http.StatusOK {
+		if status, body := postRun(t, ts.URL, sorRun); status != http.StatusOK {
 			t.Fatalf("run %d: status %d body %s", i, status, body)
 		}
 	}

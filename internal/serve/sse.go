@@ -4,14 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"mtsim/internal/cluster"
 )
 
 // Live job progress over Server-Sent Events:
 //
-//	GET /v1/batch/jobs/{id}/events   (and /v2/jobs/{id}/events)
+//	GET /v2/jobs/{id}/events
 //
 // The stream is fed from the job's checkpoint sink: every journaled
 // checkpoint becomes a `checkpoint` event whose id is "<entry>-<cycle>"
@@ -64,18 +63,11 @@ func writeSSEEvent(w http.ResponseWriter, id, event string, data any) error {
 	return err
 }
 
-// handleJobEvents streams one job's progress. Shared by the v1 and v2
-// routes; v2 selects the v2 error envelope for pre-stream failures.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, v2 bool) {
-	fail := func(status int, code, msg string) {
-		if v2 {
-			s.writeV2Error(w, status, code, msg)
-		} else {
-			writeJSON(w, status, errorResponse{Error: msg})
-		}
-	}
+// handleJobEvents streams one job's progress. A failure before the
+// stream starts is an error envelope.
+func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if s.jm == nil {
-		fail(http.StatusNotFound, v2CodeNotFound, "async jobs disabled: server runs without a journal")
+		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, "async jobs disabled: server runs without a journal")
 		return
 	}
 	if s.brownedOut() {
@@ -84,8 +76,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, v2 bool
 		// Clients fall back to polling (or resume the stream later with
 		// Last-Event-ID — the event history loses nothing).
 		s.bo.shedSSE.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfterBase)))
-		fail(http.StatusServiceUnavailable, v2CodeUnavailable, "event streaming shed under overload (brownout); poll the job or retry later")
+		s.writeV2Error(w, http.StatusServiceUnavailable, v2CodeUnavailable, "event streaming shed under overload (brownout); poll the job or retry later")
 		return
 	}
 	if !s.jm.owns(r.PathValue("id")) && s.forwardIfRemote(w, r, cluster.JobRouteKey(r.PathValue("id")), nil) {
@@ -93,7 +84,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, v2 bool
 	}
 	job := s.jm.get(r.PathValue("id"))
 	if job == nil {
-		fail(http.StatusNotFound, v2CodeNotFound, "unknown job id")
+		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, "unknown job id")
 		return
 	}
 	cursor := sseCursorStart
@@ -104,14 +95,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, v2 bool
 	if lastID != "" {
 		ev, ok := parseEventID(lastID)
 		if !ok {
-			fail(http.StatusBadRequest, v2CodeBadRequest, fmt.Sprintf("bad Last-Event-ID %q: want <entry>-<cycle>", lastID))
+			s.writeV2Error(w, http.StatusBadRequest, v2CodeBadRequest, fmt.Sprintf("bad Last-Event-ID %q: want <entry>-<cycle>", lastID))
 			return
 		}
 		cursor = ev
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		fail(http.StatusInternalServerError, v2CodeInternal, "streaming unsupported by this connection")
+		s.writeV2Error(w, http.StatusInternalServerError, v2CodeInternal, "streaming unsupported by this connection")
 		return
 	}
 

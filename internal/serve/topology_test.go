@@ -21,7 +21,7 @@ import (
 func TestRunEndpointTopologyMatchesLibrary(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"app":"gather","scale":"quick","config":{"procs":4,"threads":2,"model":"switch-on-load","latency":64,"topology":{"kind":"mesh"}}}`
-	status, data := postJSON(t, ts.URL+"/v1/run", body)
+	status, data := postRun(t, ts.URL, body)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, data)
 	}
@@ -86,22 +86,19 @@ func TestRunEndpointTopologyValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, body := postJSON(t, ts.URL+"/v1/run", tc.body)
+			status, body := postRun(t, ts.URL, tc.body)
 			if status != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %s)", status, body)
 			}
-			var e errorResponse
-			if err := json.Unmarshal(body, &e); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(e.Error, tc.wantErr) {
-				t.Errorf("error %q does not mention %q", e.Error, tc.wantErr)
+			e := envelope(t, body)
+			if e.Code != v2CodeBadRequest || !strings.Contains(e.Message, tc.wantErr) {
+				t.Errorf("error %s %q, want bad_request mentioning %q", e.Code, e.Message, tc.wantErr)
 			}
 		})
 	}
 	// The unknown-kind error must enumerate every valid choice so the
 	// client can self-correct.
-	status, body := postJSON(t, ts.URL+"/v1/run",
+	status, body := postRun(t, ts.URL,
 		`{"app":"sor","config":{"procs":2,"threads":2,"model":"switch-on-load","latency":64,"topology":{"kind":"hypercube"}}}`)
 	if status != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", status)
@@ -115,11 +112,12 @@ func TestRunEndpointTopologyValidation(t *testing.T) {
 
 // TestExperimentEndpointTopologyParams: kernels= and topologies= query
 // parameters narrow the ablation-topology sweep; unknown names are a
-// 400 listing the valid choices, before any simulation runs.
+// 400 bad_request listing the valid choices, before any simulation
+// runs.
 func TestExperimentEndpointTopologyParams(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	resp, err := http.Get(ts.URL + "/v1/experiments/ablation-topology?kernels=gather&topologies=mesh")
+	resp, err := http.Get(ts.URL + "/v2/experiments/ablation-topology?kernels=gather&topologies=mesh")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,7 @@ func TestExperimentEndpointTopologyParams(t *testing.T) {
 		{"unknown topology", "topologies=torus", "mesh"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Get(ts.URL + "/v1/experiments/ablation-topology?" + tc.query)
+			resp, err := http.Get(ts.URL + "/v2/experiments/ablation-topology?" + tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,8 +148,8 @@ func TestExperimentEndpointTopologyParams(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, body)
 			}
-			if !bytes.Contains(body, []byte(tc.wantErr)) {
-				t.Errorf("400 body %s does not mention %q", body, tc.wantErr)
+			if e := envelope(t, body); e.Code != v2CodeBadRequest || !strings.Contains(e.Message, tc.wantErr) {
+				t.Errorf("400 body %s is not a bad_request mentioning %q", body, tc.wantErr)
 			}
 		})
 	}

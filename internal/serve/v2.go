@@ -14,11 +14,12 @@ import (
 	"mtsim/internal/machine"
 )
 
-// The /v2 surface: the API redesigned around three invariants the /v1
-// endpoints grew without —
+// The client API, built around three invariants:
 //
 //   - one error envelope everywhere:
-//     {"error":{"code","message","retry_after_ms"}};
+//     {"error":{"code","message","retry_after_ms"}}. Every error body
+//     the server writes, the cluster routes' included, goes through
+//     writeV2Error;
 //   - tenant and quota fields in every response;
 //   - one job resource under /v2/jobs: POST runs a simulation (a sync
 //     run or batch completes inline as a degenerate, already-done job;
@@ -26,12 +27,10 @@ import (
 //     async job), GET /v2/jobs/{id} reads it back, and
 //     GET /v2/jobs/{id}/events streams its progress.
 //
-// /v1 stays as a thin compatibility shim: its handlers decode exactly
-// as before and delegate to the same execRun/execBatch core the v2
-// handlers use, rendering the legacy body shapes byte-identically.
-// Completed simulation results are the same bytes on both surfaces —
-// the v2 job resource embeds the v1 result document verbatim as its
-// `result` field.
+// A done job embeds its result document (RunResponse, BatchResponse,
+// or a failed async job's errorResponse) as its `result` field. A sync
+// and an async job of the same batch render the same document, so
+// their `result` bytes are equal.
 
 // V2SchemaVersion identifies the /v2 JSON layout.
 const V2SchemaVersion = 2
@@ -73,7 +72,7 @@ type V2Quota struct {
 
 // V2Job is the job resource: every /v2/jobs response body. A sync run
 // is a degenerate job — no id, status "done", result inline. Result
-// embeds the v1 result document (RunResponse or BatchResponse) verbatim.
+// embeds the result document (RunResponse or BatchResponse).
 type V2Job struct {
 	Schema       int             `json:"schema"`
 	JobID        string          `json:"job_id,omitempty"`
@@ -123,8 +122,9 @@ func (s *Server) writeV2ErrorRetry(w http.ResponseWriter, status int, code, msg 
 	writeJSON(w, status, &V2Error{Error: V2ErrorBody{Code: code, Message: msg, RetryAfterMS: retryMS}})
 }
 
-// v2HTTPError maps an execution error onto the envelope, mirroring the
-// v1 status mapping (httpError) with codes attached.
+// v2HTTPError maps an execution error onto the envelope: a shed is a
+// 429, a deadline a 504, a gone client a 503, a cycle-budget overrun a
+// 422, anything else a 500.
 func (s *Server) v2HTTPError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -158,18 +158,13 @@ func v2Quota(t *tenant) *V2Quota {
 }
 
 // admitTenant resolves the request's tenant and charges its admission
-// quota, writing the rejection (v1 or v2 shaped) itself when the
-// request may not proceed. Forwarded requests are not re-charged — the
-// node that fronted the request already was.
-func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request, v2 bool) (*tenant, bool) {
+// quota, writing the rejection itself when the request may not
+// proceed. Forwarded requests are not re-charged — the node that
+// fronted the request already was.
+func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (*tenant, bool) {
 	t, ok := s.tenants.resolve(r)
 	if !ok {
-		msg := "unknown API key"
-		if v2 {
-			s.writeV2Error(w, http.StatusUnauthorized, v2CodeUnauthorized, msg)
-		} else {
-			writeJSON(w, http.StatusUnauthorized, errorResponse{Error: msg})
-		}
+		s.writeV2Error(w, http.StatusUnauthorized, v2CodeUnauthorized, "unknown API key")
 		return nil, false
 	}
 	if r.Header.Get(forwardHeader) != "" {
@@ -177,21 +172,16 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request, v2 bool) (*
 	}
 	if ok, retry := t.bucket.take(); !ok {
 		msg := fmt.Sprintf("tenant %q admission quota exceeded; retry later", t.name)
-		if v2 {
-			s.writeV2ErrorRetry(w, http.StatusTooManyRequests, v2CodeQuotaExceeded, msg, retry.Milliseconds())
-		} else {
-			w.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds())+1))
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: msg})
-		}
+		s.writeV2ErrorRetry(w, http.StatusTooManyRequests, v2CodeQuotaExceeded, msg, retry.Milliseconds())
 		return nil, false
 	}
 	return t, true
 }
 
-// handleV2Jobs is POST /v2/jobs: one entry point for sync runs, sync
+// handleJobs is POST /v2/jobs: one entry point for sync runs, sync
 // batches, and durable async batches.
-func (s *Server) handleV2Jobs(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.admitTenant(w, r, true)
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
+	t, ok := s.admitTenant(w, r)
 	if !ok {
 		return
 	}
@@ -210,8 +200,7 @@ func (s *Server) handleV2Jobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Sync run: the degenerate job. Validates and executes exactly like
-	// the v1 path; the v1 result document lands in `result` verbatim.
+	// Sync run: the degenerate job, its result document inline.
 	if req.Run != nil {
 		scale, a, cfg, verr := s.validateRun(req.Run)
 		if verr != nil {
@@ -251,12 +240,13 @@ func (s *Server) handleV2Jobs(w http.ResponseWriter, r *http.Request) {
 		if s.forwardIfRemote(w, r, cluster.JobRouteKey(JobID(key)), body) {
 			return
 		}
-		// The journal stores the inner BatchRequest (the same document
-		// the v1 path journals), so recovery and replication are
-		// surface-agnostic.
+		// The journal stores the inner BatchRequest, the document
+		// recovery and replication run.
 		job, err := s.jm.submit(key, t.name, encodeBatchBody(req.Batch))
 		if err != nil {
-			s.v2HTTPError(w, err)
+			// A draining node or a failed journal write: a 503 the
+			// client may retry, as the job was not accepted.
+			s.writeV2Error(w, http.StatusServiceUnavailable, v2CodeUnavailable, err.Error())
 			return
 		}
 		status, ckpt, _ := job.state()
@@ -288,10 +278,10 @@ func encodeBatchBody(b *BatchRequest) []byte {
 	return body
 }
 
-// handleV2Job is GET /v2/jobs/{id}: the job resource. Unlike v1's 202
-// polling contract, the resource always answers 200 — status tells the
-// client whether result is present yet.
-func (s *Server) handleV2Job(w http.ResponseWriter, r *http.Request) {
+// handleJob is GET /v2/jobs/{id}: the job resource. It always answers
+// 200 for a known job — status tells the client whether result is
+// present yet.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenants.resolve(r)
 	if !ok {
 		s.writeV2Error(w, http.StatusUnauthorized, v2CodeUnauthorized, "unknown API key")
@@ -321,21 +311,4 @@ func (s *Server) handleV2Job(w http.ResponseWriter, r *http.Request) {
 	}
 	job.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
-}
-
-// handleV2JobEvents is GET /v2/jobs/{id}/events (SSE).
-func (s *Server) handleV2JobEvents(w http.ResponseWriter, r *http.Request) {
-	s.handleJobEvents(w, r, true)
-}
-
-// v2Healthz wraps the v1 health body with the schema marker and the
-// per-tenant usage table (local plus, in cluster mode, gossiped).
-type v2Healthz struct {
-	Schema int `json:"schema"`
-	*healthzResponse
-}
-
-// handleV2Healthz is GET /v2/healthz.
-func (s *Server) handleV2Healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, &v2Healthz{Schema: V2SchemaVersion, healthzResponse: s.healthz()})
 }

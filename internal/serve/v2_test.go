@@ -3,20 +3,27 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
-// compactJSON normalizes JSON bytes for cross-surface comparison: the
-// v2 job resource embeds the v1 result document, but encodeJSON
-// re-indents embedded raw messages, so parity is asserted on compacted
-// bytes (same document, not same whitespace).
+// compactJSON normalizes JSON bytes: the journal stores a result
+// document as encodeJSON renders it on its own, and a job resource
+// re-indents it one level deeper as its `result`, so the two are
+// compared as compacted bytes (same document, not same whitespace).
 func compactJSON(t *testing.T, raw []byte) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -26,92 +33,42 @@ func compactJSON(t *testing.T, raw []byte) string {
 	return buf.String()
 }
 
-// TestV2RunParityWithV1: a sync run through POST /v2/jobs returns the
-// same result document as POST /v1/run, wrapped in the job resource
-// with schema, tenant and status fields.
-func TestV2RunParityWithV1(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	v1Status, v1Body := postJSON(t, ts.URL+"/v1/run", sorRun)
-	if v1Status != http.StatusOK {
-		t.Fatalf("/v1/run: status %d: %s", v1Status, v1Body)
-	}
-	v2Status, v2Body := postJSON(t, ts.URL+"/v2/jobs", `{"run":`+sorRun+`}`)
-	if v2Status != http.StatusOK {
-		t.Fatalf("/v2/jobs: status %d: %s", v2Status, v2Body)
-	}
-	var job V2Job
-	if err := json.Unmarshal(v2Body, &job); err != nil {
-		t.Fatal(err)
-	}
-	if job.Schema != V2SchemaVersion {
-		t.Errorf("schema = %d, want %d", job.Schema, V2SchemaVersion)
-	}
-	if job.Tenant != DefaultTenant {
-		t.Errorf("tenant = %q, want %q", job.Tenant, DefaultTenant)
-	}
-	if job.Status != JobDone {
-		t.Errorf("status = %q, want %q", job.Status, JobDone)
-	}
-	if got, want := compactJSON(t, job.Result), compactJSON(t, v1Body); got != want {
-		t.Errorf("v2 result differs from v1 run:\n--- v1 ---\n%s\n--- v2 ---\n%s", want, got)
-	}
-}
-
-// TestV2BatchParityWithV1: same for a sync batch, plus the async path —
-// the same idempotency key through both surfaces names the same job,
-// and the v2 job resource's result is the v1 poll document.
-func TestV2BatchParityWithV1(t *testing.T) {
+// TestBatchSyncAsyncParity: a batch run sync and the same batch run as
+// a durable async job have byte-identical results; resubmitting the
+// idempotency key names the same job; and the done bytes the journal
+// recorded are the served result's document.
+func TestBatchSyncAsyncParity(t *testing.T) {
 	batch := `{"scale":"quick","jobs":[{"app":"sieve","config":{"procs":4,"threads":2,"model":"switch-on-use"}}]}`
 
 	_, plain := newTestServer(t, Config{})
-	v1Status, v1Body := postJSON(t, plain.URL+"/v1/batch", batch)
-	if v1Status != http.StatusOK {
-		t.Fatalf("/v1/batch: status %d: %s", v1Status, v1Body)
-	}
-	v2Status, v2Body := postJSON(t, plain.URL+"/v2/jobs", `{"batch":`+batch+`}`)
-	if v2Status != http.StatusOK {
-		t.Fatalf("/v2/jobs sync batch: status %d: %s", v2Status, v2Body)
-	}
-	var sync V2Job
-	if err := json.Unmarshal(v2Body, &sync); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := compactJSON(t, sync.Result), compactJSON(t, v1Body); got != want {
-		t.Errorf("v2 sync batch result differs from v1:\n--- v1 ---\n%s\n--- v2 ---\n%s", want, got)
+	syncStatus, syncResult := postBatch(t, plain.URL, "", batch)
+	if syncStatus != http.StatusOK {
+		t.Fatalf("sync batch: status %d: %s", syncStatus, syncResult)
 	}
 
-	// Async: submit over v1, read back over v2.
 	path := filepath.Join(t.TempDir(), "wal")
-	_, ts := newJournalServer(t, Config{CheckpointEvery: 300_000}, path)
+	s, ts := newJournalServer(t, Config{CheckpointEvery: 300_000}, path)
 	const key = "v2-parity"
-	status, ack := postJSONKey(t, ts.URL+"/v1/batch", key, batch)
+	status, ack := postBatch(t, ts.URL, key, batch)
 	if status != http.StatusAccepted {
-		t.Fatalf("v1 async submit: status %d: %s", status, ack)
+		t.Fatalf("async submit: status %d: %s", status, ack)
 	}
-	v1Done := pollJob(t, ts, JobID(key))
+	asyncResult := pollJob(t, ts, JobID(key))
+	if !bytes.Equal(asyncResult, syncResult) {
+		t.Errorf("async job result differs from the sync batch's:\n--- sync ---\n%s\n--- async ---\n%s", syncResult, asyncResult)
+	}
 
-	// A v2 resubmit of the same key must resolve to the same job.
-	req, err := http.NewRequest("POST", ts.URL+"/v2/jobs", strings.NewReader(`{"batch":`+batch+`}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", key)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("v2 resubmit: status %d: %s", resp.StatusCode, body)
+	// A resubmit of the same key must resolve to the same job.
+	status, body := postBatch(t, ts.URL, key, batch)
+	if status != http.StatusAccepted {
+		t.Fatalf("resubmit: status %d: %s", status, body)
 	}
 	var resub V2Job
 	if err := json.Unmarshal(body, &resub); err != nil {
 		t.Fatal(err)
 	}
 	if resub.JobID != JobID(key) {
-		t.Errorf("v2 resubmit job id %s, want %s", resub.JobID, JobID(key))
+		t.Errorf("resubmit job id %s, want %s", resub.JobID, JobID(key))
 	}
 
 	getStatus, getBody := getURL(t, ts.URL+"/v2/jobs/"+JobID(key))
@@ -122,14 +79,25 @@ func TestV2BatchParityWithV1(t *testing.T) {
 	if err := json.Unmarshal(getBody, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Status != JobDone {
-		t.Fatalf("v2 job status %q, want done", got.Status)
-	}
-	if a, b := compactJSON(t, got.Result), compactJSON(t, v1Done); a != b {
-		t.Errorf("v2 job result differs from v1 poll body:\n--- v1 ---\n%s\n--- v2 ---\n%s", b, a)
-	}
 	if got.Checkpoint == 0 {
-		t.Error("v2 job resource reports zero checkpoints after a checkpointed run")
+		t.Error("job resource reports zero checkpoints after a checkpointed run")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	j, jobs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(jobs) != 1 || jobs[0].Resp == nil {
+		t.Fatalf("journal holds %d jobs, want 1 done", len(jobs))
+	}
+	if a, b := compactJSON(t, jobs[0].Resp), compactJSON(t, asyncResult); a != b {
+		t.Errorf("journaled done bytes differ from the served result:\n--- journal ---\n%s\n--- served ---\n%s", a, b)
 	}
 }
 
@@ -149,7 +117,7 @@ func getURL(t *testing.T, url string) (int, []byte) {
 }
 
 // TestV2ErrorEnvelope: every /v2 failure speaks the one envelope with a
-// machine-readable code.
+// machine-readable code, and so does a request no route matches.
 func TestV2ErrorEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -178,6 +146,9 @@ func TestV2ErrorEnvelope(t *testing.T) {
 			"Bearer nope", http.StatusUnauthorized, "unauthorized"},
 		{"job without journal", "GET", "/v2/jobs/b-0000000000000000", "", "", http.StatusNotFound, "not_found"},
 		{"events without journal", "GET", "/v2/jobs/b-0000000000000000/events", "", "", http.StatusNotFound, "not_found"},
+		{"unrouted path", "POST", "/v0/run", sorRun, "", http.StatusNotFound, "not_found"},
+		{"wrong method on jobs", "GET", "/v2/jobs", "", "", http.StatusMethodNotAllowed, "bad_request"},
+		{"wrong method on a job", "DELETE", "/v2/jobs/b-0000000000000000", "", "", http.StatusMethodNotAllowed, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,6 +172,9 @@ func TestV2ErrorEnvelope(t *testing.T) {
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.wantStatus, body)
 			}
+			if resp.StatusCode == http.StatusMethodNotAllowed && resp.Header.Get("Allow") == "" {
+				t.Error("405 without an Allow header")
+			}
 			var env V2Error
 			if err := json.Unmarshal(body, &env); err != nil {
 				t.Fatalf("not the error envelope: %s", body)
@@ -215,17 +189,63 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestErrorCodesMatchSpec: the error codes v2.go defines are exactly
+// the enum api/openapi.yaml documents for the envelope's code, so a
+// client generated from the spec knows every code the server sends.
+func TestErrorCodesMatchSpec(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "v2.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var codes []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok {
+			for i, name := range vs.Names {
+				if strings.HasPrefix(name.Name, "v2Code") {
+					code, err := strconv.Unquote(vs.Values[i].(*ast.BasicLit).Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					codes = append(codes, code)
+				}
+			}
+		}
+		return true
+	})
+	spec, err := os.ReadFile(filepath.Join("..", "..", "api", "openapi.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, found := strings.Cut(string(spec), "            code:\n")
+	if _, rest, found = strings.Cut(rest, "enum:\n"); !found {
+		t.Fatal("api/openapi.yaml: no enum under the envelope's code")
+	}
+	var enum []string
+	for _, line := range strings.Split(rest, "\n") {
+		item, ok := strings.CutPrefix(strings.TrimSpace(line), "- ")
+		if !ok {
+			break
+		}
+		enum = append(enum, item)
+	}
+	slices.Sort(codes)
+	slices.Sort(enum)
+	if !slices.Equal(codes, enum) {
+		t.Errorf("v2.go defines codes %v, api/openapi.yaml lists %v", codes, enum)
+	}
+}
+
 // TestV2QuotaEnforcement: a tenant with a 1-token bucket gets one
 // request through (with its quota reported in the body) and a 429 with
 // the quota_exceeded code, a retry hint, and a Retry-After header on
-// the next. The v1 surface enforces the same bucket in its own shape.
+// the next. The experiment route charges the same bucket.
 func TestV2QuotaEnforcement(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: []TenantConfig{
 		{Name: "metered", Weight: 1, Rate: 0.0001, Burst: 1, APIKeys: []string{"sekrit"}},
 	}})
-	do := func(path, body string) (int, []byte) {
+	do := func(method, path, body string) (int, []byte) {
 		t.Helper()
-		req, err := http.NewRequest("POST", ts.URL+path, strings.NewReader(body))
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +263,7 @@ func TestV2QuotaEnforcement(t *testing.T) {
 		return resp.StatusCode, data
 	}
 
-	status, body := do("/v2/jobs", `{"run":`+sorRun+`}`)
+	status, body := do("POST", "/v2/jobs", `{"run":`+sorRun+`}`)
 	if status != http.StatusOK {
 		t.Fatalf("first metered request: status %d: %s", status, body)
 	}
@@ -258,7 +278,7 @@ func TestV2QuotaEnforcement(t *testing.T) {
 		t.Errorf("quota missing or wrong from metered response: %+v", job.Quota)
 	}
 
-	status, body = do("/v2/jobs", `{"run":`+sorRun+`}`)
+	status, body = do("POST", "/v2/jobs", `{"run":`+sorRun+`}`)
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("second metered request: status %d, want 429: %s", status, body)
 	}
@@ -273,14 +293,12 @@ func TestV2QuotaEnforcement(t *testing.T) {
 		t.Errorf("retry_after_ms = %d, want > 0", env.Error.RetryAfterMS)
 	}
 
-	// The v1 shim enforces the same bucket in the legacy error shape.
-	status, body = do("/v1/run", sorRun)
+	status, body = do("GET", "/v2/experiments/figure4", "")
 	if status != http.StatusTooManyRequests {
-		t.Fatalf("v1 metered request: status %d, want 429: %s", status, body)
+		t.Fatalf("metered experiment: status %d, want 429: %s", status, body)
 	}
-	var legacy errorResponse
-	if err := json.Unmarshal(body, &legacy); err != nil || legacy.Error == "" {
-		t.Errorf("v1 429 body is not the legacy error shape: %s", body)
+	if e := envelope(t, body); e.Code != v2CodeQuotaExceeded || e.RetryAfterMS <= 0 {
+		t.Errorf("metered experiment: code %q retry_after_ms %d, want quota_exceeded with a hint", e.Code, e.RetryAfterMS)
 	}
 }
 
@@ -380,7 +398,7 @@ func TestSSEEventOrderingAndResume(t *testing.T) {
 	_, ts := newJournalServer(t, Config{CheckpointEvery: 150_000}, path)
 	batch := `{"scale":"quick","jobs":[{"app":"sieve","config":{"procs":4,"threads":2,"model":"switch-on-use"}}]}`
 	const key = "sse-ordering"
-	status, ack := postJSONKey(t, ts.URL+"/v1/batch", key, batch)
+	status, ack := postBatch(t, ts.URL, key, batch)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, ack)
 	}
@@ -388,7 +406,7 @@ func TestSSEEventOrderingAndResume(t *testing.T) {
 
 	// Live subscription: opened right after the 202, so most events
 	// arrive while the job runs.
-	frames := fetchStream(t, ts, "/v1/batch/jobs/"+id+"/events", "")
+	frames := fetchStream(t, ts, "/v2/jobs/"+id+"/events", "")
 	if len(frames) < 2 {
 		t.Fatalf("stream delivered %d frames, want status + checkpoints + done", len(frames))
 	}
@@ -424,7 +442,7 @@ func TestSSEEventOrderingAndResume(t *testing.T) {
 
 	// Resume from the middle: exactly the strict tail, then done.
 	mid := len(ids) / 2
-	resumed := fetchStream(t, ts, "/v1/batch/jobs/"+id+"/events", ids[mid])
+	resumed := fetchStream(t, ts, "/v2/jobs/"+id+"/events", ids[mid])
 	var tail []string
 	for _, f := range resumed {
 		if f.event == "checkpoint" {
@@ -437,7 +455,7 @@ func TestSSEEventOrderingAndResume(t *testing.T) {
 	}
 
 	// Resume from the last event (query-parameter form): no checkpoint
-	// events at all, straight to done. Also exercises the v2 route.
+	// events at all, straight to done.
 	final := fetchStream(t, ts, "/v2/jobs/"+id+"/events?last_event_id="+ids[len(ids)-1], "")
 	for _, f := range final {
 		if f.event == "checkpoint" {
@@ -450,9 +468,8 @@ func TestSSEEventOrderingAndResume(t *testing.T) {
 	if st != http.StatusBadRequest {
 		t.Errorf("bogus cursor: status %d, want 400: %s", st, body)
 	}
-	var env V2Error
-	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "bad_request" {
-		t.Errorf("bogus cursor error not in the v2 envelope: %s", body)
+	if envelope(t, body).Code != v2CodeBadRequest {
+		t.Errorf("bogus cursor error is not a bad_request: %s", body)
 	}
 }
 
