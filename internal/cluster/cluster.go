@@ -212,7 +212,7 @@ type remoteLease struct {
 }
 
 // Node is one cluster member's view of the fleet. Create with New, wire
-// the hooks, then Start the prober. All exported methods are safe for
+// the hook, then Start the prober. All exported methods are safe for
 // concurrent use.
 type Node struct {
 	cfg    Config
@@ -220,12 +220,6 @@ type Node struct {
 	client *http.Client
 	now    func() time.Time // injectable clock for tests
 
-	// LocalLeases reports the jobs this node currently owns; the serve
-	// layer answers peers' pings with it. Must be set before Start.
-	LocalLeases func() []Lease
-	// LocalUsage reports this node's locally-accrued per-tenant usage
-	// for gossip on ping replies. Optional.
-	LocalUsage func() []TenantUsage
 	// OnExpiredLease fires (on its own goroutine) when a dead peer's
 	// lease has expired and this node is the job's route owner. The
 	// hook must call DropLease once the job is claimed or given up;

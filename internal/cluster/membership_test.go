@@ -91,7 +91,6 @@ func TestMembershipLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.LocalLeases = func() []Lease { return nil }
 	n.Start()
 	defer n.Stop()
 

@@ -101,7 +101,6 @@ func (s *Server) EnableCluster(cfg cluster.Config) (*cluster.Node, error) {
 	s.jm.nodeID = node.Self()
 	s.jm.leaseTTL = node.LeaseTTL()
 	s.jm.replicate = s.replicateJob
-	node.LocalLeases = s.jm.leaseTable
 	node.OnExpiredLease = s.claimExpiredLease
 	node.Start()
 	return node, nil
@@ -271,7 +270,7 @@ func (jm *jobManager) leaseTable() []cluster.Lease {
 		if !job.replica && job.status != JobDone {
 			out = append(out, cluster.Lease{
 				JobID: job.id, Holder: jm.nodeID, Tenant: job.tenant, Status: job.status,
-				Checkpoint: job.ckptN, TTLMS: jm.leaseTTL.Milliseconds(),
+				Checkpoint: job.checkpointsLocked(), TTLMS: jm.leaseTTL.Milliseconds(),
 			})
 		}
 		job.mu.Unlock()
@@ -296,8 +295,10 @@ func (jm *jobManager) ownedUnfinishedIDs() []string {
 	return ids
 }
 
-// storeReplica journals and holds another node's job state for
-// failover. Stale pushes (we own or finished the job) are ignored.
+// storeReplica holds another node's job state for failover: a replica
+// submit for a job this node does not know, then what the state holds
+// that the job lacks (foldStateLocked). Stale pushes (we own or
+// finished the job) are ignored.
 func (jm *jobManager) storeReplica(st *JobState) error {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
@@ -306,37 +307,25 @@ func (jm *jobManager) storeReplica(st *JobState) error {
 	}
 	job := jm.jobs[st.ID]
 	if job == nil {
-		if err := jm.journal.AppendReplicaSubmit(st.ID, st.Key, st.Tenant, st.Body); err != nil {
+		var err error
+		if job, err = jm.record(journalRecord{Kind: recSubmit, ID: st.ID, Key: st.Key, Tenant: st.Tenant, Body: st.Body, Role: roleReplica}); err != nil {
 			return err
 		}
-		job = newAsyncJob(st.ID, st.Key, st.Tenant)
-		job.body, job.status, job.replica = st.Body, JobReplica, true
-		job.ckpts = make(map[int]JobCheckpoint)
-		jm.jobs[st.ID] = job
 	}
 	job.mu.Lock()
-	defer job.mu.Unlock()
-	if !job.replica || job.status == JobDone {
+	stale := !job.replica || job.status == JobDone
+	job.mu.Unlock()
+	if stale {
 		return nil
 	}
-	jm.foldCkptsLocked(job, st)
-	if st.Resp != nil {
-		// The owner finished: keep the exact bytes so this node can
-		// serve (or hand a claimant) the verbatim response. Usage is nil:
-		// the executing node accounted the job; this copy must not
-		// double-count it on replay.
-		if err := jm.journal.AppendDone(st.ID, st.Resp, nil); err == nil {
-			job.finishLocked(st.Resp)
-		}
-	}
-	job.sub.Broadcast()
-	return nil
+	return jm.foldStateLocked(job, st)
 }
 
-// adoptOwned makes this node the job's owner: journal whatever state we
-// do not yet hold, append a lease, and queue the job (or record its
-// final response when the state already carries one). Used by failover
-// claims and by the receiving side of a drain handoff.
+// adoptOwned makes this node the job's owner: an owner submit for a job
+// it holds no copy of, what the state holds that the job lacks
+// (foldStateLocked), and a lease for a job it held as a replica. apply
+// then queues the job unless the state carried its final response.
+// Used by failover claims and by the receiving side of a drain handoff.
 func (jm *jobManager) adoptOwned(st *JobState) error {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
@@ -345,103 +334,91 @@ func (jm *jobManager) adoptOwned(st *JobState) error {
 	}
 	job := jm.jobs[st.ID]
 	if job == nil {
-		if err := jm.journal.AppendSubmit(st.ID, st.Key, st.Tenant, st.Body); err != nil {
+		var err error
+		if job, err = jm.record(journalRecord{Kind: recSubmit, ID: st.ID, Key: st.Key, Tenant: st.Tenant, Body: st.Body}); err != nil {
 			return err
 		}
-		job = newAsyncJob(st.ID, st.Key, st.Tenant)
-		job.body, job.status = st.Body, JobQueued
-		job.ckpts = make(map[int]JobCheckpoint)
-		jm.jobs[st.ID] = job
 	}
 	job.mu.Lock()
-	if job.status == JobDone {
-		job.mu.Unlock()
-		return nil
-	}
-	jm.foldCkptsLocked(job, st)
-	if st.Resp != nil {
-		// Finished elsewhere: usage is nil, the finishing node accounted it.
-		if err := jm.journal.AppendDone(st.ID, st.Resp, nil); err == nil {
-			job.finishLocked(st.Resp)
-			job.replica = false
-		}
-		job.sub.Broadcast()
-		job.mu.Unlock()
-		return nil
-	}
-	if !job.replica && (job.status == JobQueued || job.status == JobRunning) {
-		job.mu.Unlock()
-		return nil // already ours and active
-	}
-	_ = jm.journal.AppendLease(st.ID, jm.nodeID, jm.leaseTTL)
-	job.replica, job.status = false, JobQueued
-	job.sub.Broadcast()
+	done, replica := job.status == JobDone, job.replica
 	job.mu.Unlock()
-	jm.enqueueLocked(job)
-	jm.cond.Signal()
+	if done {
+		return nil
+	}
+	if err := jm.foldStateLocked(job, st); err != nil {
+		return err
+	}
+	if replica {
+		if _, err := jm.record(journalRecord{Kind: recLease, ID: st.ID, Node: jm.nodeID}); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// release demotes a handed-off job to a replica after a drain push.
+// release demotes a handed-off job to a replica after a drain push. A
+// failed append leaves the job this node's: a restart runs it again, to
+// the same bytes as the claimant's run.
 func (jm *jobManager) release(id string) {
 	jm.mu.Lock()
-	job := jm.jobs[id]
-	jm.mu.Unlock()
-	if job == nil {
-		return
-	}
-	_ = jm.journal.AppendRelease(id, jm.nodeID)
-	job.mu.Lock()
-	if job.status != JobDone {
-		job.replica, job.status = true, JobReplica
-	}
-	job.mu.Unlock()
+	defer jm.mu.Unlock()
+	_, _ = jm.record(journalRecord{Kind: recRelease, ID: id, Node: jm.nodeID})
 }
 
-// foldCkptsLocked merges the transferred checkpoints that supersede
-// what the job already holds, plus the transferred event history. A
-// checkpoint supersedes the held one of its entry if it is of a later
-// restart generation, or of the same one at a higher cycle: an entry
-// rerun from cycle 0, because its checkpoint no longer restores,
-// replaces the dead high-cycle checkpoint, while a push that arrives
-// late, or one from a former holder, cannot move a resume point back.
-// Journal replay keeps the last record per entry, which is the one
-// folded last.
-// Events this node never saw are journaled as snapless checkpoint
-// records — progress marks, not resume points — so the SSE history a
-// failover successor serves is the complete deterministic sequence
-// with no gaps. Called with job.mu held.
-func (jm *jobManager) foldCkptsLocked(job *asyncJob, st *JobState) {
-	if job.ckpts == nil {
-		job.ckpts = make(map[int]JobCheckpoint)
-	}
-	for _, sc := range st.Ckpts {
-		c := JobCheckpoint{Gen: sc.Gen, Cycle: sc.Cycle, Snap: sc.Snap}
-		if cur, ok := job.ckpts[sc.Entry]; ok && !c.supersedes(cur) {
-			continue
-		}
-		if err := jm.journal.AppendCheckpoint(st.ID, sc.Entry, c); err != nil {
-			return // resume from the older state; still byte-identical
-		}
-		job.ckpts[sc.Entry] = c
-		job.insertEventLocked(JobEvent{Entry: sc.Entry, Cycle: c.Cycle})
-	}
+// foldStateLocked journals and applies what a transferred job state
+// holds that job lacks: each checkpoint that supersedes the one held for
+// its entry, each event this node never saw, and the final response. A
+// checkpoint supersedes the held one if it is of a later restart
+// generation, or of the same one at a higher cycle: an entry rerun from
+// cycle 0, because its checkpoint no longer restores, replaces the dead
+// high-cycle checkpoint, while a push that arrives late, or one from a
+// former holder, cannot move a resume point back. Unseen events go in as
+// snapless checkpoint records — progress marks, not resume points — so
+// the SSE history a failover successor serves is the complete
+// deterministic sequence with no gaps. The final response comes after
+// every event, so no subscriber sees the job done before its history is
+// whole, and carries no usage: the node that ran the job accounted it,
+// and this copy must not count it again on replay. A finished state's
+// checkpoints hold no snapshots; recorded after the response, they move
+// each entry's generation and cycle, so the job's progress is the
+// holder's. A failed append stops the fold; the job then resumes from
+// the older state, to the same bytes. Called with jm.mu held.
+func (jm *jobManager) foldStateLocked(job *asyncJob, st *JobState) error {
+	job.mu.Lock()
 	have := make(map[JobEvent]bool, len(job.events))
 	for _, e := range job.events {
 		have[e] = true
 	}
-	for _, e := range st.Events {
-		if have[e] {
+	var recs, marks []journalRecord
+	for _, sc := range st.Ckpts {
+		c := JobCheckpoint{Gen: sc.Gen, Cycle: sc.Cycle, Snap: sc.Snap}
+		if cur, held := job.ckpts[sc.Entry]; held && !c.supersedes(cur) {
 			continue
 		}
-		if err := jm.journal.AppendCkpt(st.ID, e.Entry, e.Cycle, nil); err != nil {
-			break
+		rec := journalRecord{Kind: recCkpt, ID: st.ID, Job: sc.Entry, Gen: c.Gen, Cycle: c.Cycle, Snap: c.Snap}
+		if len(c.Snap) > 0 {
+			recs = append(recs, rec)
+			have[JobEvent{Entry: sc.Entry, Cycle: sc.Cycle}] = true
+		} else if st.Resp != nil {
+			marks = append(marks, rec)
 		}
-		have[e] = true
-		job.insertEventLocked(e)
 	}
-	job.ckptN = int64(len(job.events))
-	job.sub.Broadcast()
+	for _, e := range st.Events {
+		if !have[e] {
+			have[e] = true
+			recs = append(recs, journalRecord{Kind: recCkpt, ID: st.ID, Job: e.Entry, Cycle: e.Cycle})
+		}
+	}
+	job.mu.Unlock()
+	if st.Resp != nil {
+		recs = append(recs, journalRecord{Kind: recDone, ID: st.ID, Resp: st.Resp})
+	}
+	for _, rec := range append(recs, marks...) {
+		if _, err := jm.record(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // --- replication ------------------------------------------------------

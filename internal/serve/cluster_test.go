@@ -214,6 +214,8 @@ func TestClusterForwarding(t *testing.T) {
 	if !bytes.Equal(got1, ref) || !bytes.Equal(got2, ref) {
 		t.Errorf("forwarded job response differs from the solo run\nnode1: %s\nnode2: %s\nref: %s", got1, got2, ref)
 	}
+	requireRestartEquivalent(t, n1.s)
+	requireRestartEquivalent(t, n2.s)
 
 	// Topology: both nodes alive from either view.
 	cs := clusterStatusAt(t, n1.url)
@@ -281,6 +283,7 @@ func TestClusterFailoverClaim(t *testing.T) {
 	if !sawDead {
 		t.Errorf("cluster status does not report nodeA dead: %+v", cs.Nodes)
 	}
+	requireRestartEquivalent(t, nb.s)
 }
 
 // TestClusterDrainHandoff: a graceful shutdown pushes the owned
@@ -344,6 +347,33 @@ func TestClusterDrainHandoff(t *testing.T) {
 	if !bytes.Equal(got, ref) {
 		t.Errorf("handed-off job response differs from the solo run\ngot: %s\nref: %s", got, ref)
 	}
+	requireRestartEquivalent(t, n1.s)
+	requireRestartEquivalent(t, n2.s)
+}
+
+// TestAdoptingUnheldJobRunsIt: a drain handoff to a successor outside
+// the replica set, or a claim by a node whose replica push never
+// arrived, adopts the state of a job the node holds no copy of. The
+// node runs it to done, as it runs one adopted over a replica copy.
+func TestAdoptingUnheldJobRunsIt(t *testing.T) {
+	_, plain := newTestServer(t, Config{})
+	refStatus, ref := postBatch(t, plain.URL, "", sieveBatchBody)
+	if refStatus != http.StatusOK {
+		t.Fatalf("reference batch: status %d: %s", refStatus, ref)
+	}
+	s, ts := newJournalServer(t, Config{CheckpointEvery: 200_000}, filepath.Join(t.TempDir(), "wal"))
+	const key = "adopted-unheld"
+	id := JobID(key)
+	if err := s.jm.adoptOwned(&JobState{
+		Schema: ResponseSchemaVersion, ID: id, Key: key, Holder: "gone",
+		Body: json.RawMessage(sieveBatchBody), Status: JobRunning,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pollJob(t, ts, id); !bytes.Equal(got, ref) {
+		t.Errorf("adopted job's response differs from the sync run\ngot:  %s\nwant: %s", got, ref)
+	}
+	requireRestartEquivalent(t, s)
 }
 
 // TestEnableClusterRequiresJournal: cluster mode without a journal has
@@ -557,6 +587,7 @@ func TestReplicaKeepsLatestCheckpoint(t *testing.T) {
 				step.what, got.Gen, got.Cycle, step.want.Gen, step.want.Cycle)
 		}
 	}
+	requireRestartEquivalent(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -604,6 +635,7 @@ func TestReplicaTakesRestartedOwnersCheckpoint(t *testing.T) {
 	if c := heldCkpt(s, id); c.Cycle != live.Cycle {
 		t.Fatalf("replica holds cycle %d after the restarted owner's push, want %d", c.Cycle, live.Cycle)
 	}
+	requireRestartEquivalent(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -624,6 +656,8 @@ func TestReplicaTakesRestartedOwnersCheckpoint(t *testing.T) {
 	if got, want := s2.CheckpointsWritten(), ref.CheckpointsWritten()-1; got != want {
 		t.Errorf("claimant wrote %d checkpoints, want %d: it did not resume from cycle %d", got, want, live.Cycle)
 	}
+	requireRestartEquivalent(t, ref)
+	requireRestartEquivalent(t, s2)
 }
 
 // TestClaimPrefersRestartedStateOverStalePeer: the holder of a job dies
@@ -693,6 +727,8 @@ func TestClaimPrefersRestartedStateOverStalePeer(t *testing.T) {
 			if got, want := na.s.CheckpointsWritten(), ref.CheckpointsWritten()-2; got != want {
 				t.Errorf("claimant wrote %d checkpoints, want %d: it did not resume from cycle %d", got, want, live.Cycle)
 			}
+			requireRestartEquivalent(t, na.s)
+			requireRestartEquivalent(t, nb.s)
 		})
 	}
 }

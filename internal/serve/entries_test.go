@@ -129,6 +129,7 @@ func TestLiveFeedIsHistoryPrefix(t *testing.T) {
 		t.Errorf("live feed differs from the history:\n--- history (%d) ---\n%s\n--- live (%d) ---\n%s",
 			len(want), strings.Join(want, " "), len(ids), strings.Join(ids, " "))
 	}
+	requireRestartEquivalent(t, s)
 }
 
 // TestJournalInterleavesEntriesBySessionWidth: with two session
@@ -150,16 +151,20 @@ func TestJournalInterleavesEntriesBySessionWidth(t *testing.T) {
 			if err := s.Shutdown(ctx); err != nil {
 				t.Fatal(err)
 			}
-			j, jobs, err := OpenJournal(path)
+			requireRestartEquivalent(t, s)
+			// The checkpoint records in journal order.
+			var events []JobEvent
+			j, err := openJournal(path, func(rec *journalRecord) {
+				if rec.Kind == recCkpt {
+					events = append(events, JobEvent{Entry: rec.Job, Cycle: rec.Cycle})
+				}
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			j.Close()
-			if len(jobs) != 1 {
-				t.Fatalf("journal holds %d jobs, want 1", len(jobs))
-			}
 			first1, last0 := -1, -1
-			for i, e := range jobs[0].Events {
+			for i, e := range events {
 				if e.Entry == 0 {
 					last0 = i
 				} else if first1 < 0 {
@@ -167,7 +172,7 @@ func TestJournalInterleavesEntriesBySessionWidth(t *testing.T) {
 				}
 			}
 			if first1 < 0 || last0 < 0 {
-				t.Fatalf("journal lacks checkpoints of both entries: %v", jobs[0].Events)
+				t.Fatalf("journal lacks checkpoints of both entries: %v", events)
 			}
 			if interleaved := first1 < last0; interleaved != (width > 1) {
 				t.Errorf("entry 1's first checkpoint is record %d, entry 0's last is %d: interleaved=%v with %d session workers",
@@ -190,20 +195,13 @@ func TestReplayedCursorWaitsForEarlierEntries(t *testing.T) {
 	const key = "replayed-cursor"
 	id := JobID(key)
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendSubmit(id, key, "", []byte(sideBySideBody)); err != nil {
-		t.Fatal(err)
-	}
+	j := openJournalT(t, path)
+	appendT(t, j, journalRecord{Kind: recSubmit, ID: id, Key: key, Body: []byte(sideBySideBody)})
 	for _, rec := range []struct {
 		entry int
 		c     JobCheckpoint
 	}{{0, sieve[0]}, {1, sor[0]}, {0, sieve[1]}, {1, sor[1]}, {1, sor[2]}} {
-		if err := j.AppendCheckpoint(id, rec.entry, rec.c); err != nil {
-			t.Fatal(err)
-		}
+		appendT(t, j, journalRecord{Kind: recCkpt, ID: id, Job: rec.entry, Gen: rec.c.Gen, Cycle: rec.c.Cycle, Snap: rec.c.Snap})
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -252,4 +250,5 @@ func TestReplayedCursorWaitsForEarlierEntries(t *testing.T) {
 	if len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("resume from %s delivered %v, want exactly the tail %v", cursor.ID(), got, want)
 	}
+	requireRestartEquivalent(t, s)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,24 +102,6 @@ func parseEventID(s string) (JobEvent, bool) {
 	return JobEvent{Entry: en, Cycle: cy}, true
 }
 
-// sortDedupEvents normalizes an event list into the deterministic
-// (entry, cycle) order with duplicates removed.
-func sortDedupEvents(evs []JobEvent) []JobEvent {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := append([]JobEvent(nil), evs...)
-	sort.Slice(out, func(i, j int) bool { return out[j].after(out[i]) })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[i-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
-}
-
 // asyncJob is one journaled batch job.
 type asyncJob struct {
 	id     string
@@ -133,10 +116,10 @@ type asyncJob struct {
 	status  string
 	resp    []byte // final response bytes once status == JobDone
 	replica bool   // held for another node, never queued while set
-	ckptN   int64  // checkpoints journaled so far (monotone)
 
 	// events is the complete checkpoint event history in deterministic
-	// (entry, cycle) order — what SSE subscribers replay and live-tail.
+	// (entry, cycle) order, free of duplicates — what SSE subscribers
+	// replay and live-tail, and what the checkpoint count counts.
 	events []JobEvent
 	// entries/entriesDone track batch progress for the advisory ETA.
 	entries     int
@@ -161,7 +144,7 @@ func newAsyncJob(id, key, tenant string) *asyncJob {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	j := &asyncJob{id: id, key: key, tenant: tenant}
+	j := &asyncJob{id: id, key: key, tenant: tenant, ckpts: make(map[int]JobCheckpoint)}
 	j.sub = sync.NewCond(&j.mu)
 	return j
 }
@@ -173,39 +156,24 @@ func (j *asyncJob) setStatus(s string) {
 	j.mu.Unlock()
 }
 
-// state returns the status, the latest checkpoint index and, when done,
-// the response bytes.
+// state returns the status, the checkpoint count and, when done, the
+// response bytes.
 func (j *asyncJob) state() (string, int64, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status, j.ckptN, j.resp
+	return j.status, j.checkpointsLocked(), j.resp
 }
 
-// noteCkpt records a freshly journaled checkpoint so state transfer,
-// the poll body and the SSE feed see live progress, not just replayed
-// history. Entries run side by side, so an event often lands below
-// events of later entries, and insertEventLocked keeps the history
-// sorted; within one entry emission is past every recorded event
-// (resumes start at the latest checkpoint). An entry restarted from
-// cycle 0, because its checkpoint does not restore, emits events below
-// ones already recorded, and insertEventLocked drops the duplicates.
-// The abandoned checkpoint's event stays: clients may have seen it.
-func (j *asyncJob) noteCkpt(entry int, c JobCheckpoint) {
-	j.mu.Lock()
-	if j.ckpts == nil {
-		j.ckpts = make(map[int]JobCheckpoint)
-	}
-	j.ckpts[entry] = c
-	j.ckptN++
-	j.insertEventLocked(JobEvent{Entry: entry, Cycle: c.Cycle})
-	j.sub.Broadcast()
-	j.mu.Unlock()
-}
+// checkpointsLocked is the job's checkpoint count: its distinct events,
+// so it only grows and reads the same before and after a restart.
+func (j *asyncJob) checkpointsLocked() int64 { return int64(len(j.events)) }
 
 // insertEventLocked adds one event preserving sorted order (append is
 // the fast path; an event of an entry that runs beside a later one, or
 // of a folded transferred history, is inserted). Duplicates are
-// dropped.
+// dropped: an entry restarted from cycle 0, because its checkpoint does
+// not restore, emits events below ones already recorded. The abandoned
+// checkpoint's event stays: clients may have seen it.
 func (j *asyncJob) insertEventLocked(e JobEvent) {
 	n := len(j.events)
 	if n == 0 || e.after(j.events[n-1]) {
@@ -269,18 +237,6 @@ func (j *asyncJob) etaMSLocked() int64 {
 	return elapsed * int64(j.entries-j.entriesDone) / int64(j.entriesDone)
 }
 
-// finishLocked marks the job done with its final response bytes. The
-// job keeps each entry's latest checkpoint cycle (its progress, which
-// the poll body and SSE events report) but drops the snapshot bytes: a
-// finished job never resumes, so holding them would only grow memory
-// with every job served. Called with j.mu held.
-func (j *asyncJob) finishLocked(resp []byte) {
-	j.status, j.resp = JobDone, resp
-	for entry, c := range j.ckpts {
-		j.ckpts[entry] = JobCheckpoint{Gen: c.Gen, Cycle: c.Cycle}
-	}
-}
-
 // progressLocked sums the latest checkpointed cycle over entries — the
 // deterministic cycles-completed figure events and leases report.
 func (j *asyncJob) progressLocked() int64 {
@@ -333,16 +289,14 @@ type jobManager struct {
 	ckptsWritten atomic.Int64
 
 	// Cluster wiring (zero/nil when the node runs solo). nodeID is this
-	// node's cluster identity, leaseTTL the lease validity window, and
-	// replicate the hook that pushes a job's latest state to its ring
-	// successors (set by EnableCluster, never blocking the caller).
+	// node's cluster identity, leaseTTL the lease validity window its
+	// lease table gossips, and replicate the hook that pushes a job's
+	// latest state to its ring successors (set by EnableCluster, never
+	// blocking the caller).
 	nodeID    string
 	leaseTTL  time.Duration
 	replicate func(*asyncJob)
 }
-
-// clustered reports whether the job manager writes lease records.
-func (jm *jobManager) clustered() bool { return jm.nodeID != "" }
 
 // EnableJournal turns on crash-tolerant async batch jobs: it opens (or
 // creates) the journal at path, replays it, re-queues every unfinished
@@ -355,49 +309,151 @@ func (s *Server) EnableJournal(path string) (replayed int, err error) {
 	if s.jm != nil {
 		return 0, errors.New("serve: journal already enabled")
 	}
-	j, jobs, err := OpenJournal(path)
+	jm, err := s.replayJournal(path)
 	if err != nil {
 		return 0, err
 	}
-	jm := &jobManager{
-		srv:     s,
-		journal: j,
-		jobs:    make(map[string]*asyncJob, len(jobs)),
-		queues:  make(map[string]*tenantQueue),
-	}
-	jm.cond = sync.NewCond(&jm.mu)
 	jm.baseCtx, jm.cancel = context.WithCancel(context.Background())
-	for _, rj := range jobs {
-		aj := newAsyncJob(rj.ID, rj.Key, rj.Tenant)
-		aj.body, aj.ckpts = rj.Body, rj.Ckpts
-		aj.events = sortDedupEvents(rj.Events)
-		aj.ckptN = int64(len(aj.events))
-		switch {
-		case rj.Resp != nil:
-			aj.status, aj.resp = JobDone, rj.Resp
-			if rj.Usage != nil {
-				// The bugfix half of tenancy-through-crashes: a replayed
-				// done record restores the usage it accrued, so counters
-				// do not reset to zero on restart.
-				s.tenants.add(rj.Usage.Tenant, rj.Usage.Jobs, rj.Usage.SimCycles, rj.Usage.QueueMS)
-			}
-		case !rj.Owned:
-			// A replica (or a job handed off in a previous drain): hold
-			// its state for peers, never run it here.
-			aj.status, aj.replica = JobReplica, true
-		default:
-			aj.status = JobQueued
-			jm.enqueueLocked(aj)
-		}
-		jm.jobs[aj.id] = aj
-	}
-	jm.replayed = int64(len(jobs))
 	s.jm = jm
 	jm.wg.Add(s.cfg.Dispatchers)
 	for i := 0; i < s.cfg.Dispatchers; i++ {
 		go jm.run()
 	}
-	return len(jobs), nil
+	return len(jm.jobs), nil
+}
+
+// replayJournal opens (or creates) the journal at path and folds its
+// records, through apply, into a fresh job manager whose dispatchers
+// have not started.
+func (s *Server) replayJournal(path string) (*jobManager, error) {
+	jm := &jobManager{
+		srv:    s,
+		jobs:   make(map[string]*asyncJob),
+		queues: make(map[string]*tenantQueue),
+	}
+	jm.cond = sync.NewCond(&jm.mu)
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	j, err := openJournal(path, func(rec *journalRecord) { jm.apply(rec) })
+	if err != nil {
+		return nil, err
+	}
+	jm.journal, jm.replayed = j, int64(len(jm.jobs))
+	return jm, nil
+}
+
+// apply folds one journal record into the job table. It is the one
+// function that changes what the journal records of a job: replay calls
+// it for each record it reads and every live writer right after its
+// append, so the table is by construction the fold of the journal. The
+// first submit of an id creates its job, as owner or replica by its
+// role, and a later one changes nothing; any other record of a known
+// job goes to applyTo. Then one rule queues the job if this node must
+// run it: owned, unfinished, and neither queued nor running. A queued
+// job that the record finished or handed off leaves its tenant's queue,
+// so a queue holds exactly the jobs waiting for a dispatcher (replay
+// queues each job at its submit and drops it again at its done). It
+// returns the record's job, nil for a record of an unknown one. Called
+// with jm.mu held.
+func (jm *jobManager) apply(rec *journalRecord) *asyncJob {
+	job := jm.jobs[rec.ID]
+	was := ""
+	switch {
+	case job == nil && rec.Kind == recSubmit:
+		job = newAsyncJob(rec.ID, rec.Key, rec.Tenant)
+		job.body, job.replica = rec.Body, rec.Role == roleReplica
+		if job.replica {
+			job.status = JobReplica
+		}
+		jm.jobs[rec.ID] = job
+	case job == nil:
+		return nil
+	case rec.Kind != recSubmit:
+		was = jm.applyTo(job, rec)
+	}
+	job.mu.Lock()
+	queue := !job.replica && job.status != JobDone && job.status != JobQueued && job.status != JobRunning
+	if queue {
+		job.status = JobQueued
+		job.sub.Broadcast()
+	}
+	left := was == JobQueued && job.status != JobQueued
+	job.mu.Unlock()
+	switch {
+	case queue:
+		jm.enqueueLocked(job)
+		jm.cond.Signal()
+	case left:
+		q := jm.queues[job.tenant]
+		q.jobs = slices.DeleteFunc(q.jobs, func(qj *asyncJob) bool { return qj == job })
+	}
+	return job
+}
+
+// applyTo folds one ckpt, done, lease or release record into its job:
+//   - ckpt: the event joins the history, and a snapshot becomes its
+//     entry's resume point if it supersedes the one held. A finished
+//     job holds no snapshots, so there any record that supersedes moves
+//     just the entry's generation and cycle;
+//   - done: the result bytes are kept and the snapshots dropped — a
+//     finished job never resumes, and holding them would grow memory
+//     with every job served — while each entry's generation and cycle
+//     stay, the progress the GET body and SSE events report. The usage
+//     the job accrued is added to its tenant's counters. A done record
+//     of a finished job changes nothing;
+//   - lease: the job is this node's to run;
+//   - release: the job is a replica again, unless it is done.
+//
+// It takes only the job's lock, so the runner applies its checkpoints
+// and its done record without jm.mu: side-by-side entries and SSE or
+// poll readers never queue behind another job's fsync. The runner's job
+// is running, so neither record can queue it or take it off a queue:
+// apply's queue rule would have nothing to do. It returns the job's
+// status before the record.
+func (jm *jobManager) applyTo(job *asyncJob, rec *journalRecord) (was string) {
+	job.mu.Lock()
+	was = job.status
+	finished := false
+	switch rec.Kind {
+	case recCkpt:
+		c := JobCheckpoint{Gen: rec.Gen, Cycle: rec.Cycle, Snap: rec.Snap}
+		done := job.status == JobDone
+		if done {
+			c.Snap = nil
+		}
+		if cur, ok := job.ckpts[rec.Job]; (len(c.Snap) > 0 || done) && (!ok || c.supersedes(cur)) {
+			job.ckpts[rec.Job] = c
+		}
+		job.insertEventLocked(JobEvent{Entry: rec.Job, Cycle: rec.Cycle})
+	case recDone:
+		if finished = job.status != JobDone; finished {
+			job.status, job.resp = JobDone, rec.Resp
+			for entry, c := range job.ckpts {
+				job.ckpts[entry] = JobCheckpoint{Gen: c.Gen, Cycle: c.Cycle}
+			}
+		}
+	case recLease:
+		job.replica = false
+	case recRelease:
+		if job.status != JobDone {
+			job.replica, job.status = true, JobReplica
+		}
+	}
+	job.sub.Broadcast()
+	job.mu.Unlock()
+	if u := rec.Usage; finished && u != nil {
+		jm.srv.tenants.add(u.Tenant, u.Jobs, u.SimCycles, u.QueueMS)
+	}
+	return was
+}
+
+// record journals rec and applies it, returning its job. A failed
+// append applies nothing. Called with jm.mu held.
+func (jm *jobManager) record(rec journalRecord) (*asyncJob, error) {
+	if err := jm.journal.append(rec); err != nil {
+		return nil, err
+	}
+	return jm.apply(&rec), nil
 }
 
 // JournalReplayed reports how many jobs the journal reconstructed at
@@ -498,14 +554,10 @@ func (jm *jobManager) submit(key, tenant string, body []byte) (*asyncJob, error)
 	}
 	// Journal before acknowledging: once the 202 goes out, the job must
 	// survive any crash.
-	if err := jm.journal.AppendSubmit(id, key, tenant, body); err != nil {
+	job, err := jm.record(journalRecord{Kind: recSubmit, ID: id, Key: key, Tenant: tenant, Body: body})
+	if err != nil {
 		return nil, err
 	}
-	job := newAsyncJob(id, key, tenant)
-	job.body, job.status = body, JobQueued
-	jm.jobs[id] = job
-	jm.enqueueLocked(job)
-	jm.cond.Signal()
 	if jm.replicate != nil {
 		// Push the submit body to the ring successors right away: a node
 		// that dies before the first checkpoint still leaves its replicas
@@ -568,39 +620,6 @@ func (jm *jobManager) run() {
 	}
 }
 
-// startLease journals the run's lease and keeps renewing it on a
-// heartbeat until the returned stop func is called. Peers learn the
-// lease from ping gossip; the journal records are what make a restart
-// of this node see the job as its own.
-func (jm *jobManager) startLease(job *asyncJob) (stop func()) {
-	if !jm.clustered() {
-		return func() {}
-	}
-	_ = jm.journal.AppendLease(job.id, jm.nodeID, jm.leaseTTL)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(jm.leaseTTL / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				// Renewal failures (journal closing mid-drain) are not
-				// fatal: the lease just stops renewing.
-				_ = jm.journal.AppendLease(job.id, jm.nodeID, jm.leaseTTL)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
-}
-
 // runJob executes one job end to end: parse, admit through the shared
 // gate, run the batch entries side by side on the session's worker
 // pool (runEntry), and journal the final response bytes plus the usage
@@ -608,8 +627,6 @@ func (jm *jobManager) startLease(job *asyncJob) (stop func()) {
 // sync batch's do.
 func (jm *jobManager) runJob(job *asyncJob) {
 	s := jm.srv
-	stopLease := jm.startLease(job)
-	defer stopLease()
 	job.mu.Lock()
 	body := job.body
 	job.mu.Unlock()
@@ -682,19 +699,19 @@ func (jm *jobManager) runJob(job *asyncJob) {
 
 // runEntry runs batch entry i as a checkpointed simulation, resuming
 // from its replayed checkpoint when there is one. Each checkpoint is
-// journaled, recorded as an event and pushed to the ring successors
-// before the run goes on.
+// journaled, applied and pushed to the ring successors before the run
+// goes on.
 func (jm *jobManager) runEntry(ctx context.Context, job *asyncJob, sess *core.Session, i int, e core.Job) (*machine.Result, error) {
 	gen := 0 // the entry's restart generation
 	ck := core.CheckpointConfig{
 		Interval: jm.srv.cfg.CheckpointEvery,
 		OnCheckpoint: func(cycle int64, snap []byte) error {
-			c := JobCheckpoint{Gen: gen, Cycle: cycle, Snap: snap}
-			if err := jm.journal.AppendCheckpoint(job.id, i, c); err != nil {
+			rec := journalRecord{Kind: recCkpt, ID: job.id, Job: i, Gen: gen, Cycle: cycle, Snap: snap}
+			if err := jm.journal.append(rec); err != nil {
 				return err
 			}
 			jm.ckptsWritten.Add(1)
-			job.noteCkpt(i, c)
+			jm.applyTo(job, &rec)
 			if jm.replicate != nil {
 				jm.replicate(job) // non-blocking push to ring successors
 			}
@@ -730,40 +747,25 @@ func (jm *jobManager) abortOrFail(job *asyncJob, err error) {
 	jm.finish(job, encodeJSON(errorResponse{Error: err.Error()}), 0)
 }
 
-// finish records the job's final response and accounts its usage. The
-// journal write comes first (carrying the usage delta, so a restart
-// restores the counters); if it fails the in-memory result still serves
-// this process's lifetime and the next startup re-runs the job
-// (deterministically, to the same bytes).
+// finish journals the job's final response with the usage it accrued
+// (so a restart restores the counters) and applies it. A failed append
+// is the one that still applies: the result serves this process's
+// lifetime, and the next startup re-runs the job (deterministically, to
+// the same bytes).
 func (jm *jobManager) finish(job *asyncJob, resp []byte, simCycles int64) {
 	job.mu.Lock()
 	queueMS := job.queueMS
 	job.mu.Unlock()
-	usage := &TenantUsage{Tenant: job.tenant, Jobs: 1, SimCycles: simCycles, QueueMS: queueMS}
-	_ = jm.journal.AppendDone(job.id, resp, usage)
-	jm.srv.tenants.add(job.tenant, 1, simCycles, queueMS)
-	job.mu.Lock()
-	job.finishLocked(resp)
-	job.sub.Broadcast()
-	job.mu.Unlock()
+	rec := journalRecord{Kind: recDone, ID: job.id, Resp: resp,
+		Usage: &TenantUsage{Tenant: job.tenant, Jobs: 1, SimCycles: simCycles, QueueMS: queueMS}}
+	_ = jm.journal.append(rec)
+	jm.applyTo(job, &rec)
 	if jm.replicate != nil {
 		// Replicate the final bytes too: if this node dies right after
 		// finishing, peers serve the recorded response verbatim instead
 		// of re-running the job.
 		jm.replicate(job)
 	}
-}
-
-// stop drains the dispatchers and closes the journal — the solo-node
-// shutdown path. Cluster shutdown runs stopDispatcher, hands owned
-// leases off, and only then closes the journal (the handoff still
-// appends release records).
-func (jm *jobManager) stop(ctx context.Context) error {
-	err := jm.stopDispatcher(ctx)
-	if cerr := jm.closeJournal(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // stopDispatcher drains the dispatcher pool: no new jobs start and

@@ -154,6 +154,32 @@ func TestAsyncBatchLifecycle(t *testing.T) {
 	if got := pollJob(t, ts, ack.JobID); string(got) != string(syncBytes) {
 		t.Error("finished job unreadable after drain")
 	}
+	requireRestartEquivalent(t, s)
+}
+
+// TestDoneJobResourceSurvivesRestart: a finished job's resource is
+// byte-identical before and after a restart over its journal, progress
+// included: replay keeps each entry's generation and cycle when it
+// drops the snapshots.
+func TestDoneJobResourceSurvivesRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	cfg := Config{CheckpointEvery: 200_000}
+	s, ts := newJournalServer(t, cfg, path)
+	const key = "restart-resource"
+	if status, body := postBatch(t, ts.URL, key, asyncBatchBody); status != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", status, body)
+	}
+	pollJob(t, ts, JobID(key))
+	_, _, before := getJob(t, ts.URL, JobID(key))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newJournalServer(t, cfg, path)
+	if _, _, after := getJob(t, ts2.URL, JobID(key)); !bytes.Equal(after, before) {
+		t.Errorf("job resource changed across a restart:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
 }
 
 // TestJobEndpointWithoutJournal: the poll endpoint exists but answers
@@ -196,6 +222,7 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	if s.CheckpointsWritten() == 0 {
 		t.Error("resumed run journaled no further checkpoints")
 	}
+	requireRestartEquivalent(t, s)
 }
 
 // sieveCheckpoint returns the n-th checkpoint (counting from 1) of the
@@ -238,13 +265,8 @@ func runCheckpoints(t *testing.T, appName string, cfgReq ConfigRequest, interval
 func crashedJournal(t *testing.T, key, body string, ckpt JobCheckpoint) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendSubmit(JobID(key), key, "", json.RawMessage(body)); err != nil {
-		t.Fatal(err)
-	}
+	j := openJournalT(t, path)
+	appendT(t, j, journalRecord{Kind: recSubmit, ID: JobID(key), Key: key, Body: []byte(body)})
 	if err := j.AppendCkpt(JobID(key), 0, ckpt.Cycle, ckpt.Snap); err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +274,16 @@ func crashedJournal(t *testing.T, key, body string, ckpt JobCheckpoint) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// relabelled is checkpoint c with its snapshot relabelled as format
+// version and its CRC fixed up: a snapshot restore rejects as a
+// mismatch when version is outside the restore window.
+func relabelled(c JobCheckpoint, version uint32) JobCheckpoint {
+	b := bytes.Clone(c.Snap)
+	binary.LittleEndian.PutUint32(b[4:8], version)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return JobCheckpoint{Cycle: c.Cycle, Snap: b}
 }
 
 // TestRecoveryRestartsOverUnrestorableCheckpoint: a journaled
@@ -268,12 +300,6 @@ func TestRecoveryRestartsOverUnrestorableCheckpoint(t *testing.T) {
 		t.Fatalf("reference batch: status %d: %s", refStatus, ref)
 	}
 
-	relabelled := func(c JobCheckpoint, version uint32) JobCheckpoint {
-		b := bytes.Clone(c.Snap)
-		binary.LittleEndian.PutUint32(b[4:8], version)
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
-		return JobCheckpoint{Cycle: c.Cycle, Snap: b}
-	}
 	// Third checkpoints, so the restarted entry's first ones fall below.
 	own := sieveCheckpoint(t, 2, 3)
 	for _, tc := range []struct {
@@ -310,7 +336,38 @@ func TestRecoveryRestartsOverUnrestorableCheckpoint(t *testing.T) {
 			if !slices.Contains(events, JobEvent{Entry: 0, Cycle: tc.stale.Cycle}) {
 				t.Errorf("the stale checkpoint's event at cycle %d left the history: %v", tc.stale.Cycle, events)
 			}
+			requireRestartEquivalent(t, s)
 		})
+	}
+}
+
+// TestCheckpointCountsDistinctEvents: an entry rerun from cycle 0 emits
+// checkpoints again below the stale one, some at cycles already in the
+// history. The job's checkpoint count is its number of distinct events,
+// live and after a restart, so it never goes back.
+func TestCheckpointCountsDistinctEvents(t *testing.T) {
+	const key = "rerun-count"
+	id := JobID(key)
+	cfg := Config{CheckpointEvery: 200_000}
+	path := crashedJournal(t, key, sieveBatchBody, relabelled(sieveCheckpoint(t, 2, 3), 3))
+	s, ts := newJournalServer(t, cfg, path)
+	pollJob(t, ts, id)
+	_, live, _ := getJob(t, ts.URL, id)
+	job := s.jm.get(id)
+	job.mu.Lock()
+	events := len(job.events)
+	job.mu.Unlock()
+	if live.Checkpoint != int64(events) {
+		t.Errorf("live checkpoint count %d, want the %d distinct events", live.Checkpoint, events)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newJournalServer(t, cfg, path)
+	if _, replayed, _ := getJob(t, ts2.URL, id); replayed.Checkpoint != live.Checkpoint {
+		t.Errorf("checkpoint count went from %d to %d across a restart", live.Checkpoint, replayed.Checkpoint)
 	}
 }
 
@@ -350,6 +407,7 @@ func TestDrainMidJobLeavesItResumable(t *testing.T) {
 	if string(got) != string(ref) {
 		t.Errorf("recovered job differs from crash-free run:\n--- reference ---\n%s\n--- recovered ---\n%s", ref, got)
 	}
+	requireRestartEquivalent(t, s2)
 }
 
 // TestReplayedJobWithBadBodyFails: a journaled body that no longer
@@ -357,13 +415,9 @@ func TestDrainMidJobLeavesItResumable(t *testing.T) {
 // instead of wedging the queue.
 func TestReplayedJobWithBadBodyFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendSubmit(JobID("bad"), "bad", "", json.RawMessage(`{"jobs":[{"app":"no-such-app","config":{"procs":1,"threads":1,"model":"switch-on-use"}}]}`)); err != nil {
-		t.Fatal(err)
-	}
+	j := openJournalT(t, path)
+	appendT(t, j, journalRecord{Kind: recSubmit, ID: JobID("bad"), Key: "bad",
+		Body: []byte(`{"jobs":[{"app":"no-such-app","config":{"procs":1,"threads":1,"model":"switch-on-use"}}]}`)})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

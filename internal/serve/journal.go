@@ -10,7 +10,6 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // The job journal is mtsimd's crash-tolerance layer: an append-only
@@ -38,16 +37,22 @@ import (
 //
 // In cluster mode the journal also carries ownership: submit records
 // gain a role (owner vs replica), and lease/release records track which
-// jobs this node must run after a restart. A node's lease records are
-// its own claims; the cluster-wide lease table lives in memory and is
-// gossiped over ping, not journaled (see internal/cluster).
+// jobs this node must run after a restart. They are written only where
+// ownership changes: a lease when this node adopts a job it held as a
+// replica, a release when a drain hands one off. The cluster-wide lease
+// table, TTLs included, lives in memory and is gossiped over ping, not
+// journaled (see internal/cluster).
+//
+// The job manager's job table is the fold of these records: replay and
+// every live writer change a job only through jobManager.apply (see
+// jobs.go).
 
 // Journal record kinds.
 const (
 	recSubmit  = "submit"  // a job was accepted: body is the BatchRequest
 	recCkpt    = "ckpt"    // one batch entry paused: its machine snapshot follows
 	recDone    = "done"    // the job finished: resp is the final response body
-	recLease   = "lease"   // this node claimed/renewed ownership of the job
+	recLease   = "lease"   // this node took the job over (failover claim or drain handoff)
 	recRelease = "release" // this node handed the job off (graceful drain)
 )
 
@@ -124,8 +129,6 @@ type journalRecord struct {
 	Role string `json:"role,omitempty"`
 	// Node is the cluster node id writing a lease/release record.
 	Node string `json:"node,omitempty"`
-	// TTLMS is the lease validity window of a lease record.
-	TTLMS int64 `json:"ttl_ms,omitempty"`
 	// Tenant attributes a submit record for accounting and fair-share.
 	Tenant string `json:"tenant,omitempty"`
 	// Usage is the per-tenant usage delta this job accrued (done
@@ -153,35 +156,6 @@ func (c JobCheckpoint) supersedes(prev JobCheckpoint) bool {
 	return c.Cycle > prev.Cycle
 }
 
-// ReplayedJob is one job reconstructed from the journal.
-type ReplayedJob struct {
-	ID   string
-	Key  string
-	Body json.RawMessage
-	// Tenant is the submitting tenant (empty on pre-tenancy journals;
-	// the manager maps that to DefaultTenant).
-	Tenant string
-	// Resp is non-nil iff the job completed before the restart.
-	Resp []byte
-	// Usage is the accounting delta recorded with the done record, nil
-	// for unfinished jobs and pre-tenancy journals.
-	Usage *TenantUsage
-	// Ckpts holds, per batch entry index, the latest checkpoint of an
-	// unfinished job; resuming from it skips the already-simulated
-	// cycles without changing a byte of the outcome.
-	Ckpts map[int]JobCheckpoint
-	// Events is the checkpoint event history in journal order — every
-	// ckpt record's (entry, cycle), not just the latest per entry — so
-	// an SSE subscriber of a replayed job can be caught up exactly.
-	Events []JobEvent
-	// Owned reports whether this node must run the job: true for owner
-	// submits and after a lease record, false for replica submits and
-	// after a release record (the latest ownership record wins). A
-	// pre-cluster journal, which has only owner submits, replays with
-	// every job owned — exactly the old behavior.
-	Owned bool
-}
-
 // Journal is the append side of the WAL. Safe for concurrent use.
 type Journal struct {
 	mu     sync.Mutex
@@ -191,120 +165,67 @@ type Journal struct {
 	buf    []byte // the record being framed, reused across appends
 }
 
-// OpenJournal opens (creating if needed) the journal at path, replays
-// every valid record, truncates a torn tail, and returns the journal
-// positioned for appending plus the replayed jobs in submit order.
-func OpenJournal(path string) (*Journal, []*ReplayedJob, error) {
+// OpenJournal opens (creating if needed) the journal at path, verifies
+// every record, truncates a torn tail, and returns the journal
+// positioned for appending plus the number of valid records it holds.
+// The job manager folds those records into its job table (apply).
+func OpenJournal(path string) (*Journal, int, error) {
+	n := 0
+	j, err := openJournal(path, func(*journalRecord) { n++ })
+	return j, n, err
+}
+
+// openJournal is OpenJournal handing each valid record, in journal
+// order, to apply.
+func openJournal(path string, apply func(*journalRecord)) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: open journal: %w", err)
+		return nil, fmt.Errorf("serve: open journal: %w", err)
 	}
 	j := &Journal{f: f}
-	jobs, valid, err := replay(f)
+	valid, err := replay(f, func(rec *journalRecord) {
+		j.seq = max(j.seq, rec.Seq)
+		apply(rec)
+	})
 	if err != nil {
 		f.Close()
-		return nil, nil, err
-	}
-	for _, job := range jobs {
-		if job.lastSeq > j.seq {
-			j.seq = job.lastSeq
-		}
+		return nil, err
 	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("serve: truncate journal tail: %w", err)
+		return nil, fmt.Errorf("serve: truncate journal tail: %w", err)
 	}
 	if _, err := f.Seek(0, 2); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("serve: seek journal: %w", err)
+		return nil, fmt.Errorf("serve: seek journal: %w", err)
 	}
-	out := make([]*ReplayedJob, len(jobs))
-	for i, job := range jobs {
-		out[i] = &job.ReplayedJob
-	}
-	return j, out, nil
+	return j, nil
 }
 
-// replayedJob carries replay bookkeeping alongside the public view.
-type replayedJob struct {
-	ReplayedJob
-	lastSeq uint64
-}
-
-// replay scans the journal from the start and folds records into
-// per-job state. It returns the jobs in submit order and the byte
-// offset of the end of the last valid record.
-func replay(f *os.File) ([]*replayedJob, int64, error) {
+// replay scans the journal from the start, hands each valid record to
+// apply, and returns the byte offset of the end of the last valid
+// record.
+func replay(f *os.File, apply func(*journalRecord)) (int64, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: stat journal: %w", err)
+		return 0, fmt.Errorf("serve: stat journal: %w", err)
 	}
 	if _, err := f.Seek(0, 0); err != nil {
-		return nil, 0, fmt.Errorf("serve: seek journal: %w", err)
+		return 0, fmt.Errorf("serve: seek journal: %w", err)
 	}
-	var (
-		jobs  []*replayedJob
-		byID  = make(map[string]*replayedJob)
-		valid int64
-	)
+	var valid int64
 	r := bufio.NewReaderSize(f, 1<<16)
 	for {
 		rec, n, err := readRecord(r, st.Size()-valid)
 		if err != nil {
 			if err == errBadRecord {
-				break // torn or corrupt tail: everything after is suspect
+				return valid, nil // torn or corrupt tail: everything after is suspect
 			}
-			return nil, 0, fmt.Errorf("serve: read journal: %w", err)
+			return 0, fmt.Errorf("serve: read journal: %w", err)
 		}
 		valid += n
-		switch rec.Kind {
-		case recSubmit:
-			if _, dup := byID[rec.ID]; dup {
-				continue // resubmit of a known key; first submit wins
-			}
-			job := &replayedJob{
-				ReplayedJob: ReplayedJob{ID: rec.ID, Key: rec.Key, Body: rec.Body,
-					Tenant: rec.Tenant,
-					Ckpts:  make(map[int]JobCheckpoint), Owned: rec.Role != roleReplica},
-				lastSeq: rec.Seq,
-			}
-			byID[rec.ID] = job
-			jobs = append(jobs, job)
-		case recCkpt:
-			if job := byID[rec.ID]; job != nil {
-				// Snapless ckpt records are event-history backfill (cluster
-				// fold of a transferred stream): they extend the event
-				// sequence but are not resume points.
-				if len(rec.Snap) > 0 && job.Ckpts != nil {
-					job.Ckpts[rec.Job] = JobCheckpoint{Gen: rec.Gen, Cycle: rec.Cycle, Snap: rec.Snap}
-				}
-				job.Events = append(job.Events, JobEvent{Entry: rec.Job, Cycle: rec.Cycle})
-				job.lastSeq = rec.Seq
-			}
-		case recDone:
-			if job := byID[rec.ID]; job != nil {
-				job.Resp = rec.Resp
-				job.Usage = rec.Usage
-				job.Ckpts = nil // no resume needed
-				job.lastSeq = rec.Seq
-			}
-		case recLease:
-			// A lease in our own journal means we claimed the job
-			// (adoption after a peer death, or run-start/renewal).
-			if job := byID[rec.ID]; job != nil {
-				job.Owned = true
-				job.lastSeq = rec.Seq
-			}
-		case recRelease:
-			// We handed the job off during a drain: it is a replica now
-			// and must not re-queue on restart (the claimant runs it).
-			if job := byID[rec.ID]; job != nil {
-				job.Owned = false
-				job.lastSeq = rec.Seq
-			}
-		}
+		apply(&rec)
 	}
-	return jobs, valid, nil
 }
 
 // errBadRecord ends replay: the journal holds no further whole record.
@@ -395,49 +316,10 @@ func (j *Journal) append(rec journalRecord) error {
 	return nil
 }
 
-// AppendSubmit journals an accepted job before it is acknowledged.
-// tenant attributes the job for accounting ("" = pre-tenancy default).
-func (j *Journal) AppendSubmit(id, key, tenant string, body json.RawMessage) error {
-	return j.append(journalRecord{Kind: recSubmit, ID: id, Key: key, Tenant: tenant, Body: body})
-}
-
-// AppendReplicaSubmit journals another node's job held for failover:
-// replayed as a non-owned replica, never queued until a lease record
-// promotes it.
-func (j *Journal) AppendReplicaSubmit(id, key, tenant string, body json.RawMessage) error {
-	return j.append(journalRecord{Kind: recSubmit, ID: id, Key: key, Tenant: tenant, Body: body, Role: roleReplica})
-}
-
-// AppendLease journals ownership of a job by node: written when a run
-// starts, on every renewal heartbeat while it runs, and when a replica
-// is promoted by failover claim or drain handoff.
-func (j *Journal) AppendLease(id, node string, ttl time.Duration) error {
-	return j.append(journalRecord{Kind: recLease, ID: id, Node: node, TTLMS: ttl.Milliseconds()})
-}
-
-// AppendRelease journals that node handed the job off to another owner
-// (graceful drain); on replay the job demotes to a replica.
-func (j *Journal) AppendRelease(id, node string) error {
-	return j.append(journalRecord{Kind: recRelease, ID: id, Node: node})
-}
-
 // AppendCkpt journals a checkpoint of batch entry jobIdx's first run
 // (generation 0).
 func (j *Journal) AppendCkpt(id string, jobIdx int, cycle int64, snap []byte) error {
-	return j.AppendCheckpoint(id, jobIdx, JobCheckpoint{Cycle: cycle, Snap: snap})
-}
-
-// AppendCheckpoint journals one batch entry's checkpoint with its
-// restart generation.
-func (j *Journal) AppendCheckpoint(id string, entry int, c JobCheckpoint) error {
-	return j.append(journalRecord{Kind: recCkpt, ID: id, Job: entry, Gen: c.Gen, Cycle: c.Cycle, Snap: c.Snap})
-}
-
-// AppendDone journals a job's final response body plus the usage delta
-// it accrued (nil when unknown, e.g. a replicated finish — the node
-// that ran the cycles did the accounting).
-func (j *Journal) AppendDone(id string, resp []byte, usage *TenantUsage) error {
-	return j.append(journalRecord{Kind: recDone, ID: id, Resp: resp, Usage: usage})
+	return j.append(journalRecord{Kind: recCkpt, ID: id, Job: jobIdx, Cycle: cycle, Snap: snap})
 }
 
 // Close fsyncs and closes the journal. Further appends fail.

@@ -3,14 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
-	"time"
 )
 
 // base64CkptRecord frames a ckpt record as journals wrote them before
@@ -22,48 +22,148 @@ func base64CkptRecord(seq uint64, id string, entry int, cycle int64, snap []byte
 	return fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE([]byte(rec)), rec)
 }
 
-func openJournalT(t *testing.T, path string) (*Journal, []*ReplayedJob) {
+// openJournalT opens the journal at path for a test to write records
+// to.
+func openJournalT(t *testing.T, path string) *Journal {
 	t.Helper()
-	j, jobs, err := OpenJournal(path)
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatalf("OpenJournal(%s): %v", path, err)
 	}
-	return j, jobs
+	return j
+}
+
+// appendT appends recs to j in order.
+func appendT(t *testing.T, j *Journal, recs ...journalRecord) {
+	t.Helper()
+	for _, rec := range recs {
+		if err := j.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// replayT folds the journal at path into a fresh job table, as a
+// restart does, without starting dispatchers. The journal stays open
+// for appends until the test ends.
+func replayT(t *testing.T, path string) *jobManager {
+	t.Helper()
+	jm, err := New(Config{}).replayJournal(path)
+	if err != nil {
+		t.Fatalf("replay %s: %v", path, err)
+	}
+	t.Cleanup(func() { jm.journal.Close() })
+	return jm
+}
+
+// jobView is what a job's journal records determine, in comparable
+// form.
+type jobView struct {
+	Key, Tenant, Status, Body, Resp string
+	Replica                         bool
+	Checkpoint, Progress            int64
+	Events                          []JobEvent
+	Ckpts                           map[int]JobCheckpoint
+}
+
+func viewOf(job *asyncJob) jobView {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	return jobView{
+		Key: job.key, Tenant: job.tenant, Status: job.status, Body: string(job.body), Resp: string(job.resp),
+		Replica: job.replica, Checkpoint: job.checkpointsLocked(), Progress: job.progressLocked(),
+		Events: slices.Clone(job.events), Ckpts: maps.Clone(job.ckpts),
+	}
+}
+
+// viewIn returns the view of job id in jm's table, failing the test
+// when the table holds no such job.
+func viewIn(t *testing.T, jm *jobManager, id string) jobView {
+	t.Helper()
+	job := jm.jobs[id]
+	if job == nil {
+		t.Fatalf("job %s missing from the table", id)
+	}
+	return viewOf(job)
+}
+
+// viewsOf returns the view of every job in jm's table. Called with
+// jm.mu held, or on a table no dispatcher or handler shares.
+func viewsOf(jm *jobManager) map[string]jobView {
+	views := make(map[string]jobView, len(jm.jobs))
+	for id, job := range jm.jobs {
+		views[id] = viewOf(job)
+	}
+	return views
+}
+
+// requireRestartEquivalent reopens s's journal into a fresh job table,
+// as a restart would, and requires every job to come back as s holds it
+// live: status, checkpoint count, progress, events, each entry's
+// checkpoint and the result bytes. Call it once the test's jobs have
+// finished or settled as replicas.
+func requireRestartEquivalent(t *testing.T, s *Server) {
+	t.Helper()
+	// Every append to a finished job or a replica happens under jm.mu,
+	// so the copy and the live views are one cut of the journal.
+	s.jm.mu.Lock()
+	data, err := os.ReadFile(s.jm.journal.f.Name())
+	live := viewsOf(s.jm)
+	s.jm.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "reopened.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(s.cfg).replayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.journal.Close()
+	reopened := viewsOf(fresh)
+	for id, want := range live {
+		if want.Status != JobDone && want.Status != JobReplica {
+			t.Fatalf("job %s is %s: compare a restart once it is done or a replica", id, want.Status)
+		}
+		if got, ok := reopened[id]; !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("job %s replays differently from its live state:\n--- live ---\n%+v\n--- replayed ---\n%+v", id, want, got)
+		}
+	}
+	if len(reopened) != len(live) {
+		t.Errorf("journal replays %d jobs, the live table holds %d", len(reopened), len(live))
+	}
 }
 
 func TestJournalReplayRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, jobs := openJournalT(t, path)
-	if len(jobs) != 0 {
-		t.Fatalf("fresh journal replayed %d jobs", len(jobs))
+	if jm := replayT(t, path); len(jm.jobs) != 0 {
+		t.Fatalf("fresh journal replayed %d jobs", len(jm.jobs))
 	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	j := openJournalT(t, path)
+	appendT(t, j,
+		journalRecord{Kind: recSubmit, ID: "b-1", Key: "k1", Body: []byte(`{"jobs":[]}`)},
+		journalRecord{Kind: recCkpt, ID: "b-1", Cycle: 100, Snap: []byte{1, 2, 3}},
+		journalRecord{Kind: recCkpt, ID: "b-1", Cycle: 200, Snap: []byte{4, 5, 6}}, // supersedes the first
+		journalRecord{Kind: recCkpt, ID: "b-1", Job: 1, Cycle: 150, Snap: []byte{7}},
+		journalRecord{Kind: recSubmit, ID: "b-2", Key: "k2", Body: []byte(`{"jobs":[1]}`)},
+		journalRecord{Kind: recCkpt, ID: "b-2", Gen: 1, Cycle: 300, Snap: []byte{8}},
+		journalRecord{Kind: recDone, ID: "b-2", Resp: []byte(`{"ok":true}`)},
+	)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	must(j.AppendSubmit("b-1", "k1", "", json.RawMessage(`{"jobs":[]}`)))
-	must(j.AppendCkpt("b-1", 0, 100, []byte{1, 2, 3}))
-	must(j.AppendCkpt("b-1", 0, 200, []byte{4, 5, 6})) // supersedes the first
-	must(j.AppendCkpt("b-1", 1, 150, []byte{7}))
-	must(j.AppendSubmit("b-2", "k2", "", json.RawMessage(`{"jobs":[1]}`)))
-	must(j.AppendDone("b-2", json.RawMessage(`{"ok":true}`), nil))
-	must(j.Close())
 
-	j2, jobs := openJournalT(t, path)
-	defer j2.Close()
-	if len(jobs) != 2 {
-		t.Fatalf("replayed %d jobs, want 2", len(jobs))
+	jm := replayT(t, path)
+	if len(jm.jobs) != 2 {
+		t.Fatalf("replayed %d jobs, want 2", len(jm.jobs))
 	}
-	unfinished, done := jobs[0], jobs[1]
-	if unfinished.ID != "b-1" || done.ID != "b-2" {
-		t.Fatalf("jobs out of submit order: %s, %s", jobs[0].ID, jobs[1].ID)
+	unfinished, done := viewIn(t, jm, "b-1"), viewIn(t, jm, "b-2")
+	if unfinished.Key != "k1" || unfinished.Body != `{"jobs":[]}` || unfinished.Status != JobQueued {
+		t.Errorf("b-1 replayed wrong: %+v", unfinished)
 	}
-	if unfinished.Key != "k1" || string(unfinished.Body) != `{"jobs":[]}` {
-		t.Errorf("b-1 replayed wrong: key=%q body=%s", unfinished.Key, unfinished.Body)
-	}
-	if unfinished.Resp != nil {
+	if unfinished.Resp != "" {
 		t.Error("unfinished job came back with a response")
 	}
 	if c := unfinished.Ckpts[0]; c.Cycle != 200 || !bytes.Equal(c.Snap, []byte{4, 5, 6}) {
@@ -72,23 +172,27 @@ func TestJournalReplayRoundtrip(t *testing.T) {
 	if c := unfinished.Ckpts[1]; c.Cycle != 150 || !bytes.Equal(c.Snap, []byte{7}) {
 		t.Errorf("entry 1 checkpoint = %+v", c)
 	}
-	if string(done.Resp) != `{"ok":true}` {
-		t.Errorf("done response = %s", done.Resp)
+	if done.Resp != `{"ok":true}` || done.Status != JobDone {
+		t.Errorf("done job = %+v", done)
 	}
-	if done.Ckpts != nil {
-		t.Error("done job kept resume checkpoints")
+	// Replay queued both at their submits; the done one left its queue.
+	if q := jm.queues[DefaultTenant]; len(q.jobs) != 1 || q.jobs[0].id != "b-1" {
+		t.Errorf("queue after replay holds %d jobs, want only the unfinished b-1", len(q.jobs))
+	}
+	// A finished job keeps its entries' generation and cycle, its
+	// progress, but no snapshot bytes.
+	if c := done.Ckpts[0]; c.Gen != 1 || c.Cycle != 300 || c.Snap != nil || done.Progress != 300 {
+		t.Errorf("done job kept checkpoint %+v and progress %d, want generation 1 at cycle 300 without a snapshot", c, done.Progress)
 	}
 }
 
 func TestJournalTruncatesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _ := openJournalT(t, path)
-	if err := j.AppendSubmit("b-1", "k1", "", json.RawMessage(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendCkpt("b-1", 0, 50, []byte{9}); err != nil {
-		t.Fatal(err)
-	}
+	j := openJournalT(t, path)
+	appendT(t, j,
+		journalRecord{Kind: recSubmit, ID: "b-1", Key: "k1", Body: []byte(`{}`)},
+		journalRecord{Kind: recCkpt, ID: "b-1", Cycle: 50, Snap: []byte{9}},
+	)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +212,9 @@ func TestJournalTruncatesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	j2, jobs := openJournalT(t, path)
-	if len(jobs) != 1 || jobs[0].Resp != nil || jobs[0].Ckpts[0].Cycle != 50 {
-		t.Fatalf("torn tail corrupted replay: %+v", jobs)
+	jm := replayT(t, path)
+	if v := viewIn(t, jm, "b-1"); len(jm.jobs) != 1 || v.Status != JobQueued || v.Ckpts[0].Cycle != 50 {
+		t.Fatalf("torn tail corrupted replay: %d jobs, b-1 %+v", len(jm.jobs), v)
 	}
 	// The file is healed: the tail is gone and new appends parse.
 	after, err := os.ReadFile(path)
@@ -120,23 +224,18 @@ func TestJournalTruncatesTornTail(t *testing.T) {
 	if !bytes.Equal(after, clean) {
 		t.Errorf("journal not truncated to the last valid record: %d bytes, want %d", len(after), len(clean))
 	}
-	if err := j2.AppendDone("b-1", json.RawMessage(`{}`), nil); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	_, jobs = openJournalT(t, path)
-	if len(jobs) != 1 || jobs[0].Resp == nil {
-		t.Fatalf("append after heal did not replay: %+v", jobs)
+	appendT(t, jm.journal, journalRecord{Kind: recDone, ID: "b-1", Resp: []byte(`{}`)})
+	jm.journal.Close()
+	if jm := replayT(t, path); len(jm.jobs) != 1 || viewIn(t, jm, "b-1").Status != JobDone {
+		t.Fatalf("append after heal did not replay: %d jobs", len(jm.jobs))
 	}
 }
 
 func TestJournalStopsAtCorruptRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _ := openJournalT(t, path)
+	j := openJournalT(t, path)
 	for _, id := range []string{"b-1", "b-2", "b-3"} {
-		if err := j.AppendSubmit(id, id, "", json.RawMessage(`{}`)); err != nil {
-			t.Fatal(err)
-		}
+		appendT(t, j, journalRecord{Kind: recSubmit, ID: id, Key: id, Body: []byte(`{}`)})
 	}
 	j.Close()
 
@@ -153,10 +252,8 @@ func TestJournalStopsAtCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, jobs := openJournalT(t, path)
-	defer j2.Close()
-	if len(jobs) != 1 || jobs[0].ID != "b-1" {
-		t.Fatalf("replay past a corrupt record: got %d jobs", len(jobs))
+	if jm := replayT(t, path); len(jm.jobs) != 1 || jm.jobs["b-1"] == nil {
+		t.Fatalf("replay past a corrupt record: got %d jobs", len(jm.jobs))
 	}
 }
 
@@ -165,49 +262,33 @@ func TestJournalStopsAtCorruptRecord(t *testing.T) {
 // demotes, and the latest ownership record wins.
 func TestJournalOwnershipReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _ := openJournalT(t, path)
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	j := openJournalT(t, path)
+	appendT(t, j,
+		// b-own: plain owner submit (the pre-cluster shape).
+		journalRecord{Kind: recSubmit, ID: "b-own", Key: "k1", Body: []byte(`{}`)},
+		// b-rep: replica held for a peer, never promoted.
+		journalRecord{Kind: recSubmit, ID: "b-rep", Key: "k2", Body: []byte(`{}`), Role: roleReplica},
+		journalRecord{Kind: recCkpt, ID: "b-rep", Cycle: 500, Snap: []byte{1}},
+		// b-claim: replica promoted by a failover claim.
+		journalRecord{Kind: recSubmit, ID: "b-claim", Key: "k3", Body: []byte(`{}`), Role: roleReplica},
+		journalRecord{Kind: recLease, ID: "b-claim", Node: "node1"},
+		// b-gone: owned, then handed off during a drain.
+		journalRecord{Kind: recSubmit, ID: "b-gone", Key: "k4", Body: []byte(`{}`)},
+		journalRecord{Kind: recRelease, ID: "b-gone", Node: "node1"},
+	)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// b-own: plain owner submit (the pre-cluster shape).
-	must(j.AppendSubmit("b-own", "k1", "", json.RawMessage(`{}`)))
-	// b-rep: replica held for a peer, never promoted.
-	must(j.AppendReplicaSubmit("b-rep", "k2", "", json.RawMessage(`{}`)))
-	must(j.AppendCkpt("b-rep", 0, 500, []byte{1}))
-	// b-claim: replica promoted by a failover claim.
-	must(j.AppendReplicaSubmit("b-claim", "k3", "", json.RawMessage(`{}`)))
-	must(j.AppendLease("b-claim", "node1", 3*time.Second))
-	// b-gone: owned, then handed off during a drain.
-	must(j.AppendSubmit("b-gone", "k4", "", json.RawMessage(`{}`)))
-	must(j.AppendLease("b-gone", "node1", 3*time.Second))
-	must(j.AppendRelease("b-gone", "node1"))
-	must(j.Close())
 
-	j2, jobs := openJournalT(t, path)
-	defer j2.Close()
-	owned := map[string]bool{}
-	for _, rj := range jobs {
-		owned[rj.ID] = rj.Owned
-	}
-	want := map[string]bool{"b-own": true, "b-rep": false, "b-claim": true, "b-gone": false}
-	for id, w := range want {
-		got, ok := owned[id]
-		if !ok {
-			t.Errorf("job %s missing from replay", id)
-			continue
-		}
-		if got != w {
-			t.Errorf("job %s: Owned = %v, want %v", id, got, w)
+	jm := replayT(t, path)
+	for id, want := range map[string]string{"b-own": JobQueued, "b-rep": JobReplica, "b-claim": JobQueued, "b-gone": JobReplica} {
+		if v := viewIn(t, jm, id); v.Status != want || v.Replica != (want == JobReplica) {
+			t.Errorf("job %s: status %s, replica %v; want %s", id, v.Status, v.Replica, want)
 		}
 	}
 	// The replica's checkpoint survives for state transfer.
-	for _, rj := range jobs {
-		if rj.ID == "b-rep" && rj.Ckpts[0].Cycle != 500 {
-			t.Errorf("replica checkpoint lost: %+v", rj.Ckpts)
-		}
+	if c := viewIn(t, jm, "b-rep").Ckpts[0]; c.Cycle != 500 {
+		t.Errorf("replica checkpoint lost: %+v", c)
 	}
 }
 
@@ -230,17 +311,13 @@ func TestJobIDStable(t *testing.T) {
 // the record after it must still parse.
 func TestJournalRawSnapshotBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _ := openJournalT(t, path)
+	j := openJournalT(t, path)
 	snap := []byte("00000000 {\"kind\":\"done\"}\n\n\x00\xff\n")
-	for _, err := range []error{
-		j.AppendSubmit("b-1", "k1", "", json.RawMessage(`{}`)),
-		j.AppendCkpt("b-1", 0, 100, snap),
-		j.AppendCkpt("b-1", 1, 40, []byte{'\n'}),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendT(t, j,
+		journalRecord{Kind: recSubmit, ID: "b-1", Key: "k1", Body: []byte(`{}`)},
+		journalRecord{Kind: recCkpt, ID: "b-1", Cycle: 100, Snap: snap},
+		journalRecord{Kind: recCkpt, ID: "b-1", Job: 1, Cycle: 40, Snap: []byte{'\n'}},
+	)
 	j.Close()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -249,9 +326,9 @@ func TestJournalRawSnapshotBytes(t *testing.T) {
 	if bytes.Contains(data, []byte(`"snap":`)) {
 		t.Error("snapshot went into the JSON instead of after it")
 	}
-	_, jobs := openJournalT(t, path)
-	if len(jobs) != 1 || !bytes.Equal(jobs[0].Ckpts[0].Snap, snap) || !bytes.Equal(jobs[0].Ckpts[1].Snap, []byte{'\n'}) {
-		t.Fatalf("raw snapshots did not round-trip: %+v", jobs)
+	jm := replayT(t, path)
+	if v := viewIn(t, jm, "b-1"); len(jm.jobs) != 1 || !bytes.Equal(v.Ckpts[0].Snap, snap) || !bytes.Equal(v.Ckpts[1].Snap, []byte{'\n'}) {
+		t.Fatalf("raw snapshots did not round-trip: %+v", v)
 	}
 }
 
@@ -261,22 +338,18 @@ func TestJournalRawSnapshotBytes(t *testing.T) {
 // before it.
 func TestJournalTruncatesTornRawSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _ := openJournalT(t, path)
-	if err := j.AppendSubmit("b-1", "k1", "", json.RawMessage(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendCkpt("b-1", 0, 50, bytes.Repeat([]byte{7}, 300)); err != nil {
-		t.Fatal(err)
-	}
+	j := openJournalT(t, path)
+	appendT(t, j,
+		journalRecord{Kind: recSubmit, ID: "b-1", Key: "k1", Body: []byte(`{}`)},
+		journalRecord{Kind: recCkpt, ID: "b-1", Cycle: 50, Snap: bytes.Repeat([]byte{7}, 300)},
+	)
 	j.Close()
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, _ = openJournalT(t, path)
-	if err := j.AppendCkpt("b-1", 0, 90, bytes.Repeat([]byte{8}, 300)); err != nil {
-		t.Fatal(err)
-	}
+	j = openJournalT(t, path)
+	appendT(t, j, journalRecord{Kind: recCkpt, ID: "b-1", Cycle: 90, Snap: bytes.Repeat([]byte{8}, 300)})
 	j.Close()
 	full, err := os.ReadFile(path)
 	if err != nil {
@@ -287,10 +360,9 @@ func TestJournalTruncatesTornRawSnapshot(t *testing.T) {
 	if err := os.WriteFile(path, full[:len(clean)+line+1+100], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2, jobs := openJournalT(t, path)
-	defer j2.Close()
-	if len(jobs) != 1 || jobs[0].Ckpts[0].Cycle != 50 || len(jobs[0].Events) != 1 {
-		t.Fatalf("torn snapshot survived replay: %+v", jobs)
+	jm := replayT(t, path)
+	if v := viewIn(t, jm, "b-1"); len(jm.jobs) != 1 || v.Ckpts[0].Cycle != 50 || len(v.Events) != 1 {
+		t.Fatalf("torn snapshot survived replay: %+v", v)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
@@ -301,27 +373,28 @@ func TestJournalTruncatesTornRawSnapshot(t *testing.T) {
 	}
 }
 
-// FuzzJournalReplay feeds arbitrary and torn bytes to journal replay.
-// Replay must not panic, must keep exactly a prefix of the file (it
-// stops at the first bad record and truncates there), and the healed
-// journal must take appends: reopened, it replays the same jobs plus
-// the appended one, with nothing else cut.
+// FuzzJournalReplay feeds arbitrary and torn bytes to journal replay
+// and its fold into the job table. Replay must not panic, must keep
+// exactly a prefix of the file (it stops at the first bad record and
+// truncates there), and the healed journal must take appends: reopened,
+// it folds into the same jobs plus the appended one, with nothing else
+// cut.
 func FuzzJournalReplay(f *testing.F) {
 	seed := filepath.Join(f.TempDir(), "seed")
 	j, _, err := OpenJournal(seed)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, err := range []error{
-		j.AppendSubmit("b-1", "k1", "acme", json.RawMessage(`{"jobs":[]}`)),
-		j.AppendCkpt("b-1", 0, 100, []byte("snap\nbytes")),
-		j.AppendCkpt("b-1", 0, 200, nil),
-		j.AppendReplicaSubmit("b-2", "k2", "", json.RawMessage(`{}`)),
-		j.AppendLease("b-2", "n1", time.Second),
-		j.AppendRelease("b-2", "n1"),
-		j.AppendDone("b-1", []byte(`{"ok":true}`), &TenantUsage{Tenant: "acme", Jobs: 1}),
+	for _, rec := range []journalRecord{
+		{Kind: recSubmit, ID: "b-1", Key: "k1", Tenant: "acme", Body: []byte(`{"jobs":[]}`)},
+		{Kind: recCkpt, ID: "b-1", Cycle: 100, Snap: []byte("snap\nbytes")},
+		{Kind: recCkpt, ID: "b-1", Cycle: 200},
+		{Kind: recSubmit, ID: "b-2", Key: "k2", Body: []byte(`{}`), Role: roleReplica},
+		{Kind: recLease, ID: "b-2", Node: "n1"},
+		{Kind: recRelease, ID: "b-2", Node: "n1"},
+		{Kind: recDone, ID: "b-1", Resp: []byte(`{"ok":true}`), Usage: &TenantUsage{Tenant: "acme", Jobs: 1}},
 	} {
-		if err != nil {
+		if err := j.append(rec); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -340,7 +413,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, jobs, err := OpenJournal(path)
+		jm, err := New(Config{}).replayJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,38 +425,37 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("replay kept %d bytes that are not a prefix of the input", len(kept))
 		}
 		const id = "b-fuzz-append"
-		known := false
-		for _, rj := range jobs {
-			known = known || rj.ID == id
-		}
-		if err := j.AppendSubmit(id, "fuzz", "", json.RawMessage(`{}`)); err != nil {
+		_, known := jm.jobs[id]
+		before := viewsOf(jm)
+		if err := jm.journal.append(journalRecord{Kind: recSubmit, ID: id, Key: "fuzz", Body: []byte(`{}`)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.AppendCkpt(id, 0, 7, []byte("raw\nsnap")); err != nil {
+		if err := jm.journal.append(journalRecord{Kind: recCkpt, ID: id, Cycle: 7, Snap: []byte("raw\nsnap")}); err != nil {
 			t.Fatal(err)
 		}
-		j.Close()
+		jm.journal.Close()
 		written, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j2, again, err := OpenJournal(path)
+		again, err := New(Config{}).replayJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j2.Close()
+		again.journal.Close()
 		if after, _ := os.ReadFile(path); !bytes.Equal(after, written) {
 			t.Fatalf("reopening cut the healed journal from %d to %d bytes", len(written), len(after))
 		}
 		if known {
 			return
 		}
-		if len(again) != len(jobs)+1 || again[len(jobs)].ID != id {
-			t.Fatalf("reopened journal replays %d jobs, want the %d before plus the appended one", len(again), len(jobs))
+		after := viewsOf(again)
+		if len(after) != len(before)+1 || after[id].Checkpoint != 1 {
+			t.Fatalf("reopened journal folds into %d jobs, want the %d before plus the appended one", len(after), len(before))
 		}
-		for i, rj := range jobs {
-			if !reflect.DeepEqual(rj, again[i]) {
-				t.Fatalf("job %s replays differently after an append:\n%+v\n%+v", rj.ID, rj, again[i])
+		for id, v := range before {
+			if !reflect.DeepEqual(v, after[id]) {
+				t.Fatalf("job %s folds differently after an append:\n%+v\n%+v", id, v, after[id])
 			}
 		}
 	})

@@ -20,7 +20,8 @@ const retentionBatch = `{"scale":"quick","jobs":[` +
 // owner nor a replica holds snapshot bytes for it — on the owner path
 // (finish), on a replica that hears of the finish (storeReplica), and
 // on a node that adopts a finished job it held as a replica
-// (adoptOwned). What clients and peers see of the finished job does not
+// (adoptOwned), and on a replica whose snapshots lag the finish, which
+// takes each entry's last cycle from it. What clients and peers see of the finished job does not
 // change: the GET body, the SSE replay from a Last-Event-ID and the
 // state a replica push carries match testdata/finished_job_views.golden,
 // rendered by the release that still kept the snapshots.
@@ -45,17 +46,31 @@ func TestFinishedJobHoldsNoSnapshots(t *testing.T) {
 	}
 
 	// A replica first holds a running state with snapshots, then hears
-	// of the finish.
+	// of the finish. A lagging one holds each entry's next-to-last
+	// checkpoint: only the finish carries the last cycles.
 	done := s.jm.jobState(id)
-	running := *done
+	running, lagging := *done, *done
 	running.Status, running.Resp = JobRunning, nil
 	running.Ckpts = nil
+	lagging.Status, lagging.Resp = JobRunning, nil
+	lagging.Ckpts = nil
 	for _, c := range done.Ckpts {
 		running.Ckpts = append(running.Ckpts, JobStateCkpt{Entry: c.Entry, Cycle: c.Cycle, Snap: []byte("snapshot")})
+		prev := c.Cycle
+		for _, e := range done.Events {
+			if e.Entry == c.Entry && e.Cycle < c.Cycle {
+				prev = e.Cycle
+			}
+		}
+		lagging.Ckpts = append(lagging.Ckpts, JobStateCkpt{Entry: c.Entry, Cycle: prev, Snap: []byte("snapshot")})
 	}
-	for _, path := range []string{"replica", "adopt"} {
+	for _, tc := range []struct {
+		path string
+		held *JobState
+	}{{"replica", &running}, {"adopt", &running}, {"lagging", &lagging}} {
+		path := tc.path
 		r, _ := newJournalServer(t, Config{}, filepath.Join(dir, path+".wal"))
-		if err := r.jm.storeReplica(&running); err != nil {
+		if err := r.jm.storeReplica(tc.held); err != nil {
 			t.Fatal(err)
 		}
 		hear := r.jm.storeReplica
@@ -69,7 +84,9 @@ func TestFinishedJobHoldsNoSnapshots(t *testing.T) {
 		if a, b := renderJobState(done), renderJobState(r.jm.jobState(id)); a != b {
 			t.Errorf("%s: state differs from the owner's\n--- owner ---\n%s\n--- %s ---\n%s", path, a, path, b)
 		}
+		requireRestartEquivalent(t, r)
 	}
+	requireRestartEquivalent(t, s)
 }
 
 // requireNoSnapshots fails unless server s holds job id finished, with

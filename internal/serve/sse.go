@@ -66,6 +66,10 @@ func writeSSEEvent(w http.ResponseWriter, id, event string, data any) error {
 // handleJobEvents streams one job's progress. A failure before the
 // stream starts is an error envelope.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+	if _, ok := s.tenants.resolve(r); !ok {
+		s.writeV2Error(w, http.StatusUnauthorized, v2CodeUnauthorized, "unknown API key")
+		return
+	}
 	if s.jm == nil {
 		s.writeV2Error(w, http.StatusNotFound, v2CodeNotFound, "async jobs disabled: server runs without a journal")
 		return

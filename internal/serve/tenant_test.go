@@ -152,14 +152,8 @@ func TestFairShareSingleTenantPreservesSubmitOrder(t *testing.T) {
 // resetting accounting to zero.
 func TestJournalReplayRestoresUsage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, jobs, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 0 {
-		t.Fatalf("fresh journal replayed %d jobs", len(jobs))
-	}
-	resp := json.RawMessage(`{"schema":1}`)
+	j := openJournalT(t, path)
+	resp := []byte(`{"schema":1}`)
 	for i, u := range []*TenantUsage{
 		{Tenant: "acme", Jobs: 1, SimCycles: 123_456, QueueMS: 7},
 		{Tenant: "acme", Jobs: 1, SimCycles: 1_000, QueueMS: 3},
@@ -167,12 +161,9 @@ func TestJournalReplayRestoresUsage(t *testing.T) {
 		nil, // a replicated finish: the executing node accounted it
 	} {
 		key := fmt.Sprintf("usage-%d", i)
-		if err := j.AppendSubmit(JobID(key), key, "acme", json.RawMessage(`{}`)); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.AppendDone(JobID(key), resp, u); err != nil {
-			t.Fatal(err)
-		}
+		appendT(t, j,
+			journalRecord{Kind: recSubmit, ID: JobID(key), Key: key, Tenant: "acme", Body: []byte(`{}`)},
+			journalRecord{Kind: recDone, ID: JobID(key), Resp: resp, Usage: u})
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -198,14 +189,9 @@ func TestJournalReplayRestoresUsage(t *testing.T) {
 // does not truncate the journal there), but it resumes nothing.
 func TestReplaySnaplessCkptBackfillsEventsOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournalT(t, path)
 	id := JobID("backfill")
-	if err := j.AppendSubmit(id, "backfill", "t1", json.RawMessage(`{}`)); err != nil {
-		t.Fatal(err)
-	}
+	appendT(t, j, journalRecord{Kind: recSubmit, ID: id, Key: "backfill", Tenant: "t1", Body: []byte(`{}`)})
 	snap := []byte("machine-snapshot")
 	for _, rec := range []struct {
 		entry int
@@ -232,18 +218,14 @@ func TestReplaySnaplessCkptBackfillsEventsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, jobs, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
+	jm := replayT(t, path)
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, written) {
 		t.Fatalf("replay cut the journal from %d to %d bytes", len(written), len(after))
 	}
-	if len(jobs) != 1 {
-		t.Fatalf("replayed %d jobs, want 1", len(jobs))
+	if len(jm.jobs) != 1 {
+		t.Fatalf("replayed %d jobs, want 1", len(jm.jobs))
 	}
-	job := jobs[0]
+	job := viewIn(t, jm, id)
 	wantEvents := []JobEvent{{Entry: 0, Cycle: 100}, {Entry: 0, Cycle: 200}, {Entry: 1, Cycle: 100}, {Entry: 1, Cycle: 200}}
 	if len(job.Events) != len(wantEvents) {
 		t.Fatalf("replayed events %v, want %v", job.Events, wantEvents)
@@ -277,24 +259,17 @@ func TestTwoTenantLoadIsolation(t *testing.T) {
 		return json.RawMessage(fmt.Sprintf(
 			`{"scale":"quick","jobs":[{"app":"sieve","config":{"procs":4,"threads":2,"model":"switch-on-use","latency":%d}}]}`, latency))
 	}
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournalT(t, path)
 	const floodN, vipN = 6, 2
 	var floodIDs, vipIDs []string
 	for i := 0; i < floodN; i++ {
 		key := fmt.Sprintf("flood-%d", i)
-		if err := j.AppendSubmit(JobID(key), key, "flood", body(10+i)); err != nil {
-			t.Fatal(err)
-		}
+		appendT(t, j, journalRecord{Kind: recSubmit, ID: JobID(key), Key: key, Tenant: "flood", Body: body(10 + i)})
 		floodIDs = append(floodIDs, JobID(key))
 	}
 	for i := 0; i < vipN; i++ {
 		key := fmt.Sprintf("vip-%d", i)
-		if err := j.AppendSubmit(JobID(key), key, "vip", body(100+i)); err != nil {
-			t.Fatal(err)
-		}
+		appendT(t, j, journalRecord{Kind: recSubmit, ID: JobID(key), Key: key, Tenant: "vip", Body: body(100 + i)})
 		vipIDs = append(vipIDs, JobID(key))
 	}
 	if err := j.Close(); err != nil {

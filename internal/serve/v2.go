@@ -302,7 +302,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job.mu.Lock()
 	out := &V2Job{
 		Schema: V2SchemaVersion, JobID: job.id, Tenant: job.tenant, Quota: v2Quota(t),
-		Status: job.status, Checkpoint: job.ckptN, Progress: job.progressLocked(),
+		Status: job.status, Checkpoint: job.checkpointsLocked(), Progress: job.progressLocked(),
 	}
 	if job.status == JobDone {
 		out.Result = job.resp

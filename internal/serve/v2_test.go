@@ -88,16 +88,36 @@ func TestBatchSyncAsyncParity(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	j, jobs, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	jm := replayT(t, path)
+	job := viewIn(t, jm, JobID(key))
+	if len(jm.jobs) != 1 || job.Status != JobDone {
+		t.Fatalf("journal holds %d jobs, want 1 done", len(jm.jobs))
 	}
-	j.Close()
-	if len(jobs) != 1 || jobs[0].Resp == nil {
-		t.Fatalf("journal holds %d jobs, want 1 done", len(jobs))
-	}
-	if a, b := compactJSON(t, jobs[0].Resp), compactJSON(t, asyncResult); a != b {
+	if a, b := compactJSON(t, []byte(job.Resp)), compactJSON(t, asyncResult); a != b {
 		t.Errorf("journaled done bytes differ from the served result:\n--- journal ---\n%s\n--- served ---\n%s", a, b)
+	}
+}
+
+// TestJobReadsRejectUnknownKey: an unknown bearer key is a 401 on the
+// job resource and on its event stream alike, before the job is looked
+// up.
+func TestJobReadsRejectUnknownKey(t *testing.T) {
+	_, ts := newJournalServer(t, Config{}, filepath.Join(t.TempDir(), "wal"))
+	for _, path := range []string{"/v2/jobs/b-0", "/v2/jobs/b-0/events"} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer no-such-key")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnauthorized || envelope(t, body).Code != v2CodeUnauthorized {
+			t.Errorf("GET %s with an unknown key: status %d %s, want 401 unauthorized", path, resp.StatusCode, body)
+		}
 	}
 }
 
