@@ -295,22 +295,18 @@ func (jm *jobManager) ownedUnfinishedIDs() []string {
 	return ids
 }
 
-// storeReplica holds another node's job state for failover: a replica
-// submit for a job this node does not know, then what the state holds
-// that the job lacks (foldStateLocked). Stale pushes (we own or
-// finished the job) are ignored.
+// storeReplica holds another node's job state for failover: what the
+// state holds that the held copy lacks (holdLocked, foldStateLocked).
+// Stale pushes (we own or finished the job) are ignored.
 func (jm *jobManager) storeReplica(st *JobState) error {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	if jm.closed {
 		return errors.New("serve: server is draining; not accepting replicas")
 	}
-	job := jm.jobs[st.ID]
-	if job == nil {
-		var err error
-		if job, err = jm.record(journalRecord{Kind: recSubmit, ID: st.ID, Key: st.Key, Tenant: st.Tenant, Body: st.Body, Role: roleReplica}); err != nil {
-			return err
-		}
+	job, err := jm.holdLocked(st)
+	if err != nil {
+		return err
 	}
 	job.mu.Lock()
 	stale := !job.replica || job.status == JobDone
@@ -321,26 +317,26 @@ func (jm *jobManager) storeReplica(st *JobState) error {
 	return jm.foldStateLocked(job, st)
 }
 
-// adoptOwned makes this node the job's owner: an owner submit for a job
-// it holds no copy of, what the state holds that the job lacks
-// (foldStateLocked), and a lease for a job it held as a replica. apply
-// then queues the job unless the state carried its final response.
-// Used by failover claims and by the receiving side of a drain handoff.
+// adoptOwned makes this node the job's owner. It takes the state as a
+// replica would (holdLocked, foldStateLocked), then records a lease if
+// the job is not yet this node's; apply then queues the job unless the
+// state carried its final response. The lease comes last, so a failed
+// append leaves the job a replica here, owned by no one on this node:
+// the caller's retry, or the next peer a drain offers it to, can still
+// take it over without two nodes running it. Used by failover claims
+// and by the receiving side of a drain handoff.
 func (jm *jobManager) adoptOwned(st *JobState) error {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	if jm.closed {
 		return errors.New("serve: server is draining; not adopting jobs")
 	}
-	job := jm.jobs[st.ID]
-	if job == nil {
-		var err error
-		if job, err = jm.record(journalRecord{Kind: recSubmit, ID: st.ID, Key: st.Key, Tenant: st.Tenant, Body: st.Body}); err != nil {
-			return err
-		}
+	job, err := jm.holdLocked(st)
+	if err != nil {
+		return err
 	}
 	job.mu.Lock()
-	done, replica := job.status == JobDone, job.replica
+	done, owned := job.status == JobDone, !job.replica
 	job.mu.Unlock()
 	if done {
 		return nil
@@ -348,12 +344,21 @@ func (jm *jobManager) adoptOwned(st *JobState) error {
 	if err := jm.foldStateLocked(job, st); err != nil {
 		return err
 	}
-	if replica {
-		if _, err := jm.record(journalRecord{Kind: recLease, ID: st.ID, Node: jm.nodeID}); err != nil {
-			return err
-		}
+	if owned {
+		return nil
 	}
-	return nil
+	_, err = jm.record(journalRecord{Kind: recLease, ID: st.ID, Node: jm.nodeID})
+	return err
+}
+
+// holdLocked returns the job st is the state of, first recording a
+// replica submit for a job this node holds no copy of. Called with
+// jm.mu held.
+func (jm *jobManager) holdLocked(st *JobState) (*asyncJob, error) {
+	if job := jm.jobs[st.ID]; job != nil {
+		return job, nil
+	}
+	return jm.record(journalRecord{Kind: recSubmit, ID: st.ID, Key: st.Key, Tenant: st.Tenant, Body: st.Body, Role: roleReplica})
 }
 
 // release demotes a handed-off job to a replica after a drain push. A
@@ -381,8 +386,10 @@ func (jm *jobManager) release(id string) {
 // and this copy must not count it again on replay. A finished state's
 // checkpoints hold no snapshots; recorded after the response, they move
 // each entry's generation and cycle, so the job's progress is the
-// holder's. A failed append stops the fold; the job then resumes from
-// the older state, to the same bytes. Called with jm.mu held.
+// holder's. A failed append stops the fold, and the job keeps what was
+// recorded before it: a replica stays one, since adoptOwned records its
+// lease only after a whole fold, and an owned job resumes from the older
+// state, to the same bytes. Called with jm.mu held.
 func (jm *jobManager) foldStateLocked(job *asyncJob, st *JobState) error {
 	job.mu.Lock()
 	have := make(map[JobEvent]bool, len(job.events))

@@ -160,6 +160,7 @@ func (c JobCheckpoint) supersedes(prev JobCheckpoint) bool {
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
+	size   int64 // the length of the whole records in f
 	seq    uint64
 	closed bool
 	buf    []byte // the record being framed, reused across appends
@@ -199,6 +200,7 @@ func openJournal(path string, apply func(*journalRecord)) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("serve: seek journal: %w", err)
 	}
+	j.size = valid
 	return j, nil
 }
 
@@ -308,12 +310,29 @@ func (j *Journal) append(rec journalRecord) error {
 	}
 	j.buf = line
 	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("serve: append journal: %w", err)
+		return j.cut(fmt.Errorf("serve: append journal: %w", err))
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("serve: sync journal: %w", err)
+		return j.cut(fmt.Errorf("serve: sync journal: %w", err))
 	}
+	j.size += int64(len(line))
 	return nil
+}
+
+// cut takes a failed append's bytes back off the journal and returns
+// err. A write the disk cut short leaves a torn record, and replay stops
+// at the first one: every record appended after it would be lost. A
+// journal that cannot be cut takes no further appends. Called with j.mu
+// held.
+func (j *Journal) cut(err error) error {
+	if j.f.Truncate(j.size) == nil {
+		if _, serr := j.f.Seek(j.size, 0); serr == nil {
+			return err
+		}
+	}
+	j.closed = true
+	j.f.Close()
+	return err
 }
 
 // AppendCkpt journals a checkpoint of batch entry jobIdx's first run

@@ -13,13 +13,24 @@ import (
 	"testing"
 )
 
+// framedRecord frames a record's JSON as a journal line, under its CRC.
+func framedRecord(rec string) []byte {
+	return fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE([]byte(rec)), rec)
+}
+
 // base64CkptRecord frames a ckpt record as journals wrote them before
 // the raw snapshot framing: the snapshot base64-encoded in the JSON as
-// "snap", under the line's CRC.
+// "snap".
 func base64CkptRecord(seq uint64, id string, entry int, cycle int64, snap []byte) []byte {
-	rec := fmt.Sprintf(`{"seq":%d,"kind":"ckpt","id":%q,"job":%d,"cycle":%d,"snap":%q}`,
-		seq, id, entry, cycle, base64.StdEncoding.EncodeToString(snap))
-	return fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE([]byte(rec)), rec)
+	return framedRecord(fmt.Sprintf(`{"seq":%d,"kind":"ckpt","id":%q,"job":%d,"cycle":%d,"snap":%q}`,
+		seq, id, entry, cycle, base64.StdEncoding.EncodeToString(snap)))
+}
+
+// ttlLeaseRecord frames a lease record as journals wrote them while an
+// owner journaled a lease at each run start and renewal: with the
+// lease's validity window as "ttl_ms", which replay does not read.
+func ttlLeaseRecord(seq uint64, id, node string, ttlMS int64) []byte {
+	return framedRecord(fmt.Sprintf(`{"seq":%d,"kind":"lease","id":%q,"node":%q,"ttl_ms":%d}`, seq, id, node, ttlMS))
 }
 
 // openJournalT opens the journal at path for a test to write records
@@ -259,7 +270,8 @@ func TestJournalStopsAtCorruptRecord(t *testing.T) {
 
 // TestJournalOwnershipReplay covers the cluster records: owner submits
 // replay owned, replica submits do not, a lease promotes, a release
-// demotes, and the latest ownership record wins.
+// demotes, and the latest ownership record wins. A lease record that
+// carries the "ttl_ms" older journals wrote still promotes.
 func TestJournalOwnershipReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	j := openJournalT(t, path)
@@ -272,16 +284,37 @@ func TestJournalOwnershipReplay(t *testing.T) {
 		// b-claim: replica promoted by a failover claim.
 		journalRecord{Kind: recSubmit, ID: "b-claim", Key: "k3", Body: []byte(`{}`), Role: roleReplica},
 		journalRecord{Kind: recLease, ID: "b-claim", Node: "node1"},
-		// b-gone: owned, then handed off during a drain.
+		// b-gone: owned, leased at run start, then handed off during a
+		// drain.
 		journalRecord{Kind: recSubmit, ID: "b-gone", Key: "k4", Body: []byte(`{}`)},
+		journalRecord{Kind: recLease, ID: "b-gone", Node: "node1"},
 		journalRecord{Kind: recRelease, ID: "b-gone", Node: "node1"},
+		// b-back: handed off during a drain, then handed back.
+		journalRecord{Kind: recSubmit, ID: "b-back", Key: "k5", Body: []byte(`{}`)},
+		journalRecord{Kind: recRelease, ID: "b-back", Node: "node1"},
+		journalRecord{Kind: recLease, ID: "b-back", Node: "node1"},
+		// b-ttl: replica promoted by a lease with "ttl_ms" (below).
+		journalRecord{Kind: recSubmit, ID: "b-ttl", Key: "k6", Body: []byte(`{}`), Role: roleReplica},
 	)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(ttlLeaseRecord(13, "b-ttl", "node1", 3000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	jm := replayT(t, path)
-	for id, want := range map[string]string{"b-own": JobQueued, "b-rep": JobReplica, "b-claim": JobQueued, "b-gone": JobReplica} {
+	for id, want := range map[string]string{
+		"b-own": JobQueued, "b-rep": JobReplica, "b-claim": JobQueued, "b-gone": JobReplica,
+		"b-back": JobQueued, "b-ttl": JobQueued,
+	} {
 		if v := viewIn(t, jm, id); v.Status != want || v.Replica != (want == JobReplica) {
 			t.Errorf("job %s: status %s, replica %v; want %s", id, v.Status, v.Replica, want)
 		}
@@ -404,6 +437,7 @@ func FuzzJournalReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	legacy := append(bytes.Clone(data), base64CkptRecord(8, "b-2", 0, 100, []byte("snap\nbytes"))...)
+	legacy = append(legacy, ttlLeaseRecord(9, "b-2", "n1", 3000)...)
 	f.Add(data)
 	f.Add(data[:len(data)-7])
 	f.Add(legacy)
